@@ -26,7 +26,6 @@ from .report import (
     write_report_csv,
     write_trajectory_csv,
 )
-from .systems import HybridTrajectory
 
 TRAJECTORY_COLUMNS = (
     "t", "j", "mode", "i_d", "i_q", "v_d", "v_q",
@@ -43,14 +42,9 @@ def near_switch_windows(
     )
 
 
-def _estimate_rows(scenario, truth: HybridTrajectory, run: EkfRun):
-    n = scenario.n_steps
-    t_grid = scenario.grid_times()
-    truth_states = truth.grid_states(0.0, scenario.dt, n)
-    truth_modes = truth.grid_modes(0.0, scenario.dt, n)
-    truth_jumps = truth.grid_jump_counts(0.0, scenario.dt, n)
+def _estimate_rows(t_grid, truth_states, truth_modes, truth_jumps, run: EkfRun):
     p_traces = np.trace(run.covariances, axis1=1, axis2=2)
-    for k in range(n + 1):
+    for k in range(len(t_grid)):
         yield (
             t_grid[k], int(truth_jumps[k]), truth_modes[k],
             truth_states[k, 0], truth_states[k, 1],
@@ -91,7 +85,10 @@ def run_comparison(
         process = automaton if name == "hybrid" else blended
         runs[name] = run_ekf(process, scenario, measurements, p0=p0)
 
-    truth_states = truth.grid_states(0.0, scenario.dt, scenario.n_steps)
+    grid = (0.0, scenario.dt, scenario.n_steps)
+    truth_states = truth.grid_states(*grid)
+    truth_modes = truth.grid_modes(*grid)
+    truth_jumps = truth.grid_jump_counts(*grid)
     t_grid = scenario.grid_times()
     windows = near_switch_windows(
         truth.jump_times, float(config["near_switch_window"]), scenario.horizon
@@ -115,7 +112,9 @@ def run_comparison(
     for name in filters:
         path = os.path.join(out_dir, f"trajectory_{name}.csv")
         write_trajectory_csv(
-            path, TRAJECTORY_COLUMNS, _estimate_rows(scenario, truth, runs[name])
+            path,
+            TRAJECTORY_COLUMNS,
+            _estimate_rows(t_grid, truth_states, truth_modes, truth_jumps, runs[name]),
         )
         paths.append(path)
     report_path = os.path.join(out_dir, "report.csv")

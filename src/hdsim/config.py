@@ -17,10 +17,15 @@ import numpy as np
 from .errors import ConfigError
 from .estimation import NoiseModel
 from .power import (
+    REFERENCE_Q_INTENSITY,
+    REFERENCE_SIGMA_CURRENT,
+    REFERENCE_SIGMA_VOLTAGE,
+    SMIB_P_E_MAX,
     InverterParams,
     InverterScenario,
     PiecewiseLinearProfile,
     SmibParams,
+    reference_scenario,
     sine_power,
 )
 
@@ -30,46 +35,51 @@ _STR = "str"
 _FLOATS = "float-list"
 _PROFILE = "profile"
 
+# Model and scenario defaults come from their single sources in ``power``.
+_INV = InverterParams()
+_SMIB = SmibParams()
+_REF = reference_scenario()
+
 # key -> (type, default, description)
 SCHEMA: Dict[str, Tuple[str, object, str]] = {
     "model": (_STR, "inverter", "model to run: inverter | smib"),
     "filter": (_STR, "both", "filter(s) to run: hybrid | continuous | both"),
-    "seed": (_INT, 42, "measurement-noise seed (flag > config > HDS_SEED env)"),
-    "horizon": (_FLOAT, 0.20, "simulation horizon in seconds"),
-    "dt": (_FLOAT, 1e-4, "fixed integration / measurement step in seconds"),
+    "seed": (_INT, _REF.seed, "measurement-noise seed (flag > config > HDS_SEED env)"),
+    "horizon": (_FLOAT, _REF.horizon, "simulation horizon in seconds"),
+    "dt": (_FLOAT, _REF.dt, "fixed integration / measurement step in seconds"),
     "near_switch_window": (_FLOAT, 0.005, "half-width of near-switch RMSE windows (s)"),
     "max_jumps": (_INT, 50, "jump budget per simulation"),
     "out": (_STR, ".", "output directory (overridden by --out)"),
-    "inverter.l_pu": (_FLOAT, 0.0189, "filter inductance, per-unit"),
-    "inverter.r_pu": (_FLOAT, 1.89, "filter resistance, per-unit"),
-    "inverter.omega": (_FLOAT, 1.0, "grid angular frequency, per-unit"),
-    "inverter.v_ref": (_FLOAT, 1.0, "GFM d-axis voltage reference, per-unit"),
-    "inverter.i_lim": (_FLOAT, 1.2, "GFM current clamp, per-unit"),
-    "inverter.v_low": (_FLOAT, 0.8, "GFL->GFM threshold, per-unit"),
-    "inverter.v_high": (_FLOAT, 0.9, "GFM->GFL threshold, per-unit"),
-    "inverter.sigmoid_k": (_FLOAT, 50.0, "blend sharpness gain"),
-    "inverter.sigmoid_vth": (_FLOAT, 0.85, "blend midpoint voltage, per-unit"),
-    "inverter.tau_v": (_FLOAT, 1e-3, "GFL voltage-tracking time constant (s)"),
-    "inverter.tau_i": (_FLOAT, 1e-3, "GFM current-tracking time constant (s)"),
-    "inverter.x0": (_FLOATS, (0.0, 0.0, 1.0, 0.0), "initial [i_d, i_q, v_d, v_q]"),
+    "inverter.l_pu": (_FLOAT, _INV.l_pu, "filter inductance, per-unit"),
+    "inverter.r_pu": (_FLOAT, _INV.r_pu, "filter resistance, per-unit"),
+    "inverter.omega": (_FLOAT, _INV.omega, "grid angular frequency, per-unit"),
+    "inverter.v_ref": (_FLOAT, _INV.v_ref, "GFM d-axis voltage reference, per-unit"),
+    "inverter.i_lim": (_FLOAT, _INV.i_lim, "GFM current clamp, per-unit"),
+    "inverter.v_low": (_FLOAT, _INV.v_low, "GFL->GFM threshold, per-unit"),
+    "inverter.v_high": (_FLOAT, _INV.v_high, "GFM->GFL threshold, per-unit"),
+    "inverter.sigmoid_k": (_FLOAT, _INV.sigmoid_gain, "blend sharpness gain"),
+    "inverter.sigmoid_vth": (_FLOAT, _INV.sigmoid_mid, "blend midpoint voltage, per-unit"),
+    "inverter.tau_v": (_FLOAT, _INV.tau_v, "GFL voltage-tracking time constant (s)"),
+    "inverter.tau_i": (_FLOAT, _INV.tau_i, "GFM current-tracking time constant (s)"),
+    "inverter.x0": (_FLOATS, tuple(float(v) for v in _REF.x0), "initial [i_d, i_q, v_d, v_q]"),
     "inverter.profile": (
         _PROFILE,
-        ((0.0, 1.0), (0.05, 1.0), (0.06, 0.5), (0.12, 0.5), (0.13, 1.0), (0.20, 1.0)),
+        tuple(zip(_REF.v_grid.times, _REF.v_grid.values)),
         "grid-voltage breakpoints as comma-separated t:value pairs",
     ),
-    "noise.q": (_FLOAT, 1e-2, "process-noise intensity (per-step Q = q*dt*I)"),
-    "noise.r_id": (_FLOAT, 0.01, "i_d measurement noise standard deviation"),
-    "noise.r_iq": (_FLOAT, 0.01, "i_q measurement noise standard deviation"),
-    "noise.r_vd": (_FLOAT, 0.004, "v_d measurement noise standard deviation"),
-    "noise.r_vq": (_FLOAT, 0.004, "v_q measurement noise standard deviation"),
+    "noise.q": (_FLOAT, REFERENCE_Q_INTENSITY, "process-noise intensity (per-step Q = q*dt*I)"),
+    "noise.r_id": (_FLOAT, REFERENCE_SIGMA_CURRENT, "i_d measurement noise standard deviation"),
+    "noise.r_iq": (_FLOAT, REFERENCE_SIGMA_CURRENT, "i_q measurement noise standard deviation"),
+    "noise.r_vd": (_FLOAT, REFERENCE_SIGMA_VOLTAGE, "v_d measurement noise standard deviation"),
+    "noise.r_vq": (_FLOAT, REFERENCE_SIGMA_VOLTAGE, "v_q measurement noise standard deviation"),
     "ekf.p0": (_FLOAT, 1e-3, "initial covariance P0 = p0*I"),
-    "smib.m": (_FLOAT, 0.1, "inertia constant"),
-    "smib.d": (_FLOAT, 0.05, "damping coefficient"),
-    "smib.p_m": (_FLOAT, 1.0, "mechanical power, per-unit"),
-    "smib.p_e_max": (_FLOAT, 1.5, "electrical power amplitude: P_e = p_e_max*sin(delta)"),
-    "smib.i_max": (_FLOAT, 1.4, "line-1 overload threshold, per-unit"),
-    "smib.p_min": (_FLOAT, 0.1, "restoration band lower edge, per-unit"),
-    "smib.p_max": (_FLOAT, 0.4, "restoration band upper edge, per-unit"),
+    "smib.m": (_FLOAT, _SMIB.m, "inertia constant"),
+    "smib.d": (_FLOAT, _SMIB.d, "damping coefficient"),
+    "smib.p_m": (_FLOAT, _SMIB.p_m, "mechanical power, per-unit"),
+    "smib.p_e_max": (_FLOAT, SMIB_P_E_MAX, "electrical power amplitude: P_e = p_e_max*sin(delta)"),
+    "smib.i_max": (_FLOAT, _SMIB.i_max, "line-1 overload threshold, per-unit"),
+    "smib.p_min": (_FLOAT, _SMIB.p_min, "restoration band lower edge, per-unit"),
+    "smib.p_max": (_FLOAT, _SMIB.p_max, "restoration band upper edge, per-unit"),
     "smib.delta0": (_FLOAT, 0.6, "initial rotor angle (rad)"),
     "smib.omega0": (_FLOAT, 0.0, "initial speed deviation"),
     "smib.line0": (_INT, 1, "initially active line: 1 | 2"),
@@ -79,6 +89,11 @@ SCHEMA: Dict[str, Tuple[str, object, str]] = {
     "verify.x0_half_width": (_FLOAT, 0.05, "inverter sampling half-width around x0"),
     "verify.i_unsafe": (_FLOAT, -1.0, "unsafe current threshold (-1: model default)"),
 }
+
+_NON_NEGATIVE = (
+    "near_switch_window", "max_jumps", "ekf.p0",
+    "noise.q", "noise.r_id", "noise.r_iq", "noise.r_vd", "noise.r_vq",
+)
 
 _CHOICES = {
     "model": ("inverter", "smib"),
@@ -125,17 +140,29 @@ class ExperimentConfig:
         self.explicit = frozenset(self.explicit) | frozenset(self.values)
         resolved = {k: spec[1] for k, spec in SCHEMA.items()}
         resolved.update(self.values)
-        self.values = resolved
+        self.values = v = resolved
         for key, choices in _CHOICES.items():
-            if self.values[key] not in choices:
-                raise ConfigError(
-                    f"{key} must be one of {choices}, got {self.values[key]!r}"
-                )
-        for key in ("horizon", "dt", "near_switch_window"):
-            if not float(self.values[key]) > 0.0 and key != "near_switch_window":
-                raise ConfigError(f"{key} must be positive")
-        if float(self.values["near_switch_window"]) < 0.0:
-            raise ConfigError("near_switch_window must be non-negative")
+            if v[key] not in choices:
+                raise ConfigError(f"{key} must be one of {choices}, got {v[key]!r}")
+        for key, (kind, _, _) in SCHEMA.items():
+            numeric = kind in (_FLOAT, _FLOATS, _PROFILE)
+            if numeric and not np.all(np.isfinite(np.asarray(v[key], dtype=float))):
+                raise ConfigError(f"{key} must be finite, got {v[key]!r}")
+        for key in ("horizon", "dt"):
+            if not float(v[key]) > 0.0:
+                raise ConfigError(f"{key} must be positive, got {v[key]!r}")
+        for key in _NON_NEGATIVE:
+            if float(v[key]) < 0.0:
+                raise ConfigError(f"{key} must be non-negative, got {v[key]!r}")
+        if int(v["verify.samples"]) < 1:
+            raise ConfigError(
+                f"verify.samples must be at least 1, got {v['verify.samples']!r}"
+            )
+        if len(v["inverter.x0"]) != 4:
+            raise ConfigError(
+                f"inverter.x0 needs 4 entries [i_d, i_q, v_d, v_q], "
+                f"got {len(v['inverter.x0'])}"
+            )
 
     def __getitem__(self, key: str):
         return self.values[key]

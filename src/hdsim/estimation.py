@@ -4,10 +4,15 @@ The filter follows the classic two-step recursion.  Prediction advances
 the mean one RK4 step and propagates covariance through the numerical
 Jacobian of that one-step transition map; the correction is the standard
 gain/mean/covariance update.  When the process model is a hybrid
-automaton, a detected guard crossing inside a step is localized, the
-mean passes through the reset map, and the covariance passes through the
-saltation matrix, which extends the reset Jacobian with the vector-field
-discontinuity across the guard surface.
+automaton, the mean moves through the simulator's stepping core
+(:func:`hdsim.simulate.next_event`), so the filter fires, localizes and
+disambiguates guards exactly as :func:`hdsim.simulate.simulate` does.
+At an event the belief is predicted to the event time, the mean passes
+through the reset map, and the covariance passes through the saltation
+matrix, which extends the reset Jacobian with the vector-field
+discontinuity across the guard surface.  More than
+``SAME_TIME_JUMP_BUDGET`` jumps at one instant (Zeno-like chattering)
+raise :class:`NumericalFailureError` naming the time, mode and edge.
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ from typing import Callable, List, Optional, Union
 import numpy as np
 
 from .errors import ArgumentError, GrazingError, NumericalFailureError
-from .events import locate_event
 from .integrate import rk4_step
+from .simulate import SAME_TIME_JUMP_BUDGET, next_event
 from .systems import (
-    Edge,
     HybridAutomaton,
     HybridTrajectory,
     JumpRecord,
@@ -316,7 +320,9 @@ def run_ekf(
     ``p0 * I`` and corrected with the measurement at every grid time,
     including t=0.  Hybrid mode decisions replay the scenario's measured
     grid-voltage signal through the automaton guards (with hysteresis),
-    not the estimated state.
+    not the estimated state.  Guards fire as in
+    :func:`hdsim.simulate.next_event`; more than ``SAME_TIME_JUMP_BUDGET``
+    jumps at one instant raise :class:`NumericalFailureError`.
     """
     n_steps = scenario.n_steps
     dt = scenario.dt
@@ -357,44 +363,40 @@ def run_ekf(
     covs[0] = belief.covariance
     modes.append(mode)
     j = 0
+    same_t_jumps = 0
 
     for k in range(1, n_steps + 1):
-        t_prev = (k - 1) * dt
+        t_cur = (k - 1) * dt
         t_k = k * dt
-        t_cur = t_prev
-        if hybrid:
-            guard_budget = 10
-            while guard_budget:
-                # Fire a guard already enabled at the current instant.
-                edge = _enabled_edge(process, mode, belief.mean, t_cur)
-                if edge is not None:
-                    belief, mode, flow = _jump_belief(
-                        process, edge, belief, mode, t_cur, jumps, j
-                    )
-                    j += 1
-                    guard_budget -= 1
-                    continue
-                # Look for a crossing inside the remaining step.
-                hit = _first_crossing(process, mode, flow, belief.mean, t_cur, t_k)
-                if hit is None:
-                    break
-                t_star, edge = hit
-                if t_star > t_cur:
-                    belief = ekf_predict(
-                        belief, flow, t_star - t_cur, noise,
-                        t0=t_cur, q_scale=(t_star - t_cur) / dt,
-                    )
-                    t_cur = t_star
-                belief, mode, flow = _jump_belief(
-                    process, edge, belief, mode, t_cur, jumps, j
+        while hybrid:
+            _, event = next_event(process.outgoing(mode), flow, belief.mean, t_cur, t_k)
+            if event is None:
+                break
+            t_star, edge, _ = event
+            if t_star > t_cur:
+                belief = ekf_predict(
+                    belief, flow, t_star - t_cur, noise,
+                    t0=t_cur, q_scale=(t_star - t_cur) / dt,
                 )
-                j += 1
-                guard_budget -= 1
+                t_cur = t_star
+                same_t_jumps = 0
+            if same_t_jumps >= SAME_TIME_JUMP_BUDGET:
+                raise NumericalFailureError(
+                    f"more than {SAME_TIME_JUMP_BUDGET} jumps at t={t_cur} "
+                    f"in mode {mode!r}, next edge {edge.label!r}",
+                    time=t_cur,
+                )
+            belief, mode, flow = _jump_belief(
+                process, edge, belief, mode, t_cur, jumps, j
+            )
+            j += 1
+            same_t_jumps += 1
         if t_k > t_cur:
             belief = ekf_predict(
                 belief, flow, t_k - t_cur, noise,
                 t0=t_cur, q_scale=(t_k - t_cur) / dt,
             )
+            same_t_jumps = 0
         belief = ekf_update(belief, z[k], noise)
         times[k] = t_k
         means[k] = belief.mean
@@ -403,31 +405,6 @@ def run_ekf(
         jump_counts[k] = j
 
     return EkfRun(times, means, covs, modes, jump_counts, jumps)
-
-
-def _enabled_edge(automaton, mode, mean, t) -> Optional[Edge]:
-    for e in automaton.outgoing(mode):
-        if e.guard(mean, t) >= 0.0:
-            return e
-    return None
-
-
-def _first_crossing(automaton, mode, flow, mean, t_lo, t_hi):
-    if t_hi <= t_lo:
-        return None
-
-    def interpolant(s: float) -> np.ndarray:
-        if s <= t_lo:
-            return mean
-        return rk4_step(flow, mean, t_lo, s - t_lo)
-
-    best = None
-    for e in automaton.outgoing(mode):
-        if e.guard(interpolant(t_hi), t_hi) >= 0.0:
-            t_star = locate_event(e.guard, t_lo, t_hi, interpolant)
-            if t_star is not None and (best is None or t_star < best[0]):
-                best = (t_star, e)
-    return best
 
 
 def _jump_belief(automaton, edge, belief, mode, t, jumps, j):

@@ -424,6 +424,10 @@ def generate_truth_and_measurements(
 # Two-line SMIB example
 
 
+SMIB_P_E_MAX = 1.5
+"""Default electrical-power amplitude of the SMIB example."""
+
+
 def sine_power(amplitude: float) -> Callable[[float], float]:
     """The classic electrical-power curve P_e(delta) = amplitude * sin(delta)."""
 
@@ -440,7 +444,9 @@ class SmibParams:
     m: float = 0.1
     d: float = 0.05
     p_m: float = 1.0
-    p_e: Callable[[float], float] = field(default_factory=lambda: sine_power(1.5))
+    p_e: Callable[[float], float] = field(
+        default_factory=lambda: sine_power(SMIB_P_E_MAX)
+    )
     i_max: float = 1.4
     p_min: float = 0.1
     p_max: float = 0.4

@@ -114,12 +114,12 @@ class HybridTrajectory:
     def final_state(self) -> np.ndarray:
         return self.samples[-1].state
 
-    def grid_states(self, t0: float, dt: float, n_steps: int) -> np.ndarray:
-        """States on the uniform grid ``t0 + k*dt``, k = 0..n_steps.
+    def _grid_indices(self, t0: float, dt: float, n_steps: int) -> List[int]:
+        """Sample index at each grid time ``t0 + k*dt``, k = 0..n_steps.
 
         At a grid time that coincides with a jump the post-jump sample wins.
         """
-        out = np.empty((n_steps + 1, self.samples[0].state.size))
+        indices: List[int] = []
         tol = 1e-9 * max(dt, 1.0)
         idx = 0
         n = len(self.samples)
@@ -129,45 +129,27 @@ class HybridTrajectory:
                 idx += 1
             if idx >= n or abs(self.samples[idx].time.t - tk) > tol:
                 raise ArgumentError(f"no trajectory sample at grid time {tk}")
-            last = idx
-            while last + 1 < n and abs(self.samples[last + 1].time.t - tk) <= tol:
-                last += 1
-            out[k] = self.samples[last].state
-            idx = last
-        return out
+            while idx + 1 < n and abs(self.samples[idx + 1].time.t - tk) <= tol:
+                idx += 1
+            indices.append(idx)
+        return indices
+
+    def grid_states(self, t0: float, dt: float, n_steps: int) -> np.ndarray:
+        """States on the uniform grid, post-jump state at coincidences."""
+        return np.array(
+            [self.samples[i].state for i in self._grid_indices(t0, dt, n_steps)]
+        )
 
     def grid_modes(self, t0: float, dt: float, n_steps: int) -> List[str]:
         """Mode labels on the uniform grid, post-jump label at coincidences."""
-        labels: List[str] = []
-        tol = 1e-9 * max(dt, 1.0)
-        idx = 0
-        n = len(self.samples)
-        for k in range(n_steps + 1):
-            tk = t0 + k * dt
-            while idx < n and self.samples[idx].time.t < tk - tol:
-                idx += 1
-            last = idx
-            while last + 1 < n and abs(self.samples[last + 1].time.t - tk) <= tol:
-                last += 1
-            labels.append(self.samples[last].mode)
-            idx = last
-        return labels
+        return [self.samples[i].mode for i in self._grid_indices(t0, dt, n_steps)]
 
     def grid_jump_counts(self, t0: float, dt: float, n_steps: int) -> np.ndarray:
-        counts = np.empty(n_steps + 1, dtype=int)
-        tol = 1e-9 * max(dt, 1.0)
-        idx = 0
-        n = len(self.samples)
-        for k in range(n_steps + 1):
-            tk = t0 + k * dt
-            while idx < n and self.samples[idx].time.t < tk - tol:
-                idx += 1
-            last = idx
-            while last + 1 < n and abs(self.samples[last + 1].time.t - tk) <= tol:
-                last += 1
-            counts[k] = self.samples[last].time.j
-            idx = last
-        return counts
+        """Jump counts on the uniform grid, post-jump count at coincidences."""
+        return np.array(
+            [self.samples[i].time.j for i in self._grid_indices(t0, dt, n_steps)],
+            dtype=int,
+        )
 
 
 def _always_true(x: np.ndarray, t: float) -> bool:

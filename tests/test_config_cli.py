@@ -1,11 +1,12 @@
 """Configuration parsing, seed precedence, and the command-line driver."""
 
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from hdsim import cli_main, load_config, parse_config_text
+from hdsim import cli_main, load_config, parse_config_text, reference_scenario
 from hdsim.config import ExperimentConfig, resolve_seed
 from hdsim.errors import ConfigError
 from hdsim.report import read_trajectory_csv
@@ -16,6 +17,17 @@ def test_defaults_without_file():
     assert config["model"] == "inverter"
     assert config["dt"] == 1e-4
     assert config["inverter.l_pu"] == 0.0189
+
+
+def test_default_config_is_the_reference_scenario():
+    ours = ExperimentConfig().scenario()
+    ref = reference_scenario()
+    assert ours.params == ref.params
+    assert ours.v_grid == ref.v_grid
+    assert np.array_equal(ours.x0, ref.x0)
+    assert (ours.horizon, ours.dt, ours.seed) == (ref.horizon, ref.dt, ref.seed)
+    for name in ("q", "r", "h"):
+        assert np.array_equal(getattr(ours.noise, name), getattr(ref.noise, name))
 
 
 def test_parse_with_comments_and_sections():
@@ -87,6 +99,38 @@ def test_unknown_flag_is_usage_error(capsys):
     assert cli_main(["compare", "--frobnicate"]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("compare", "horizon = inf"),
+        ("compare", "noise.r_vd = -1"),
+        ("compare", "near_switch_window = nan"),
+        ("compare", "inverter.x0 = 0, 0, 1"),
+        ("compare", "ekf.p0 = -1"),
+        ("simulate", "max_jumps = -1"),
+        ("verify", "verify.samples = 0"),
+    ],
+)
+def test_invalid_config_value_exits_1_with_one_line_error(
+    tmp_path, capsys, command, text
+):
+    cfg = write_cfg(tmp_path, text + "\n")
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# SHA-256 of the three seed-42 compare files, copied from
+# GOLDEN_COMPARE_DIGESTS in bench/workloads.py.
+GOLDEN_COMPARE_DIGESTS = {
+    "report.csv": "77dfb7eac0a478bdcb2d4615e65ea45f854929da3be324763628249f456b16aa",
+    "trajectory_continuous.csv":
+        "36071396d51721c9dfd577d2029a1ef8db55066061f543f396f9053a118b0236",
+    "trajectory_hybrid.csv":
+        "f8ae6594eb48b73ee2dbb464761dc02023d0e8ea7d600016b805b8bc62c505ac",
+}
+
+
 def test_compare_writes_three_files_and_is_byte_deterministic(tmp_path):
     cfg = write_cfg(tmp_path, "model = inverter\nfilter = both\nseed = 42\n")
     out_a = str(tmp_path / "a")
@@ -98,7 +142,9 @@ def test_compare_writes_three_files_and_is_byte_deterministic(tmp_path):
     for name in names:
         with open(os.path.join(out_a, name), "rb") as fa:
             with open(os.path.join(out_b, name), "rb") as fb:
-                assert fa.read() == fb.read(), f"{name} differs between reruns"
+                data = fa.read()
+                assert data == fb.read(), f"{name} differs between reruns"
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_COMPARE_DIGESTS[name]
 
 
 def test_compare_different_seed_changes_outputs(tmp_path):

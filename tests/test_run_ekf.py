@@ -1,15 +1,21 @@
 """Full filter runs over the inverter scenario."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hdsim import (
     ArgumentError,
+    Edge,
+    HybridAutomaton,
+    NumericalFailureError,
     generate_truth_and_measurements,
     inverter_automaton,
     reference_scenario,
     rmse,
     run_ekf,
+    simulate,
 )
 from hdsim.estimation import NoiseModel
 from hdsim.power import blended_field
@@ -18,6 +24,19 @@ from hdsim.power import blended_field
 def scenario_with(r_matrix, q=1e-6):
     noise = NoiseModel(q=q * np.eye(4), r=r_matrix, h=np.eye(4))
     return reference_scenario(seed=42, noise=noise)
+
+
+def scalar_scenario(horizon, dt, r):
+    """The scenario fields run_ekf reads, for a 1-D automaton in mode "a"."""
+    noise = NoiseModel(q=[[1e-6]], r=[[r]], h=[[1.0]])
+    return SimpleNamespace(
+        n_steps=int(round(horizon / dt)), dt=dt, x0=np.array([1.0]),
+        initial_mode="a", noise=noise,
+    )
+
+
+def decay(x, t):
+    return -x
 
 
 def test_zero_noise_hybrid_filter_tracks_its_own_generator():
@@ -90,3 +109,37 @@ def test_identity_reset_jump_leaves_covariance_continuous():
     second = run.jumps[1]
     assert second.edge == "GFM->GFL"
     assert np.array_equal(second.state_before, second.state_after)
+
+
+def test_same_instant_jump_budget_raises_naming_time_mode_and_edge():
+    # the identity reset leaves the guard enabled: from t = 0.05 on the
+    # filter would jump at one instant without end
+    chatter = Edge("a", "a", guard=lambda x, t: t - 0.05, reset=lambda x: x,
+                   label="chatter")
+    automaton = HybridAutomaton(dim=1, modes=("a",), flows={"a": decay},
+                                edges=(chatter,))
+    sc = scalar_scenario(horizon=0.1, dt=1e-3, r=1e-2)
+    with pytest.raises(NumericalFailureError) as err:
+        run_ekf(automaton, sc, np.ones((sc.n_steps + 1, 1)))
+    assert abs(err.value.time - 0.05) <= 1e-9
+    assert "'a'" in str(err.value) and "chatter" in str(err.value)
+
+
+def test_state_dependent_guard_jump_times_match_simulate():
+    # x' = -x from 1 jumps back to 1 at x = 0.5.  The guard gradient is
+    # non-zero, so the covariance crosses each jump by the grad.f saltation
+    # branch; with R = 0 and H = I the filter mean is pinned to the truth.
+    refill = Edge("a", "a", guard=lambda x, t: 0.5 - x[0],
+                  reset=lambda x: np.array([1.0]),
+                  guard_gradient=lambda x, t: np.array([-1.0]), label="refill")
+    automaton = HybridAutomaton(dim=1, modes=("a",), flows={"a": decay},
+                                edges=(refill,))
+    sc = scalar_scenario(horizon=2.0, dt=1e-2, r=0.0)
+    truth = simulate(automaton, sc.x0, 2.0, max_jumps=10, dt=sc.dt, mode0="a")
+    z = truth.grid_states(0.0, sc.dt, sc.n_steps)
+    run = run_ekf(automaton, sc, z)
+    assert len(truth.jumps) == 2
+    assert [r.edge for r in run.jumps] == ["refill", "refill"]
+    assert np.allclose([r.t for r in run.jumps], truth.jump_times, rtol=0.0,
+                       atol=1e-9)
+    assert np.max(np.abs(run.means - z)) <= 1e-9

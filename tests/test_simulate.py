@@ -1,6 +1,7 @@
 """Hybrid simulation semantics: jumps, priorities, terminations, hybrid time."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from hdsim import (
     HybridAutomaton,
     LEFT_FLOW_SET,
     MAX_JUMPS_REACHED,
+    NoiseModel,
     NumericalFailureError,
+    run_ekf,
     simulate,
 )
 
@@ -101,6 +104,10 @@ def test_left_flow_set_termination():
     traj = simulate(system, np.array([0.0]), 1.0, max_jumps=0, dt=1e-2)
     assert traj.termination == LEFT_FLOW_SET
     assert traj.final_state()[0] > 0.5
+    # the run stopped early, so every grid alignment lacks the later samples
+    for align in (traj.grid_states, traj.grid_modes, traj.grid_jump_counts):
+        with pytest.raises(ArgumentError):
+            align(0.0, 1e-2, 100)
 
 
 def test_same_time_zeno_budget():
@@ -130,6 +137,14 @@ def test_ambiguous_simultaneous_guards():
     )
     with pytest.raises(AmbiguousTransitionError) as err:
         simulate(automaton, np.array([1.0]), 0.2, max_jumps=5, dt=1e-2, mode0="a")
+    assert "one" in str(err.value) and "two" in str(err.value)
+    # the filter steps through the same core and refuses to choose as well
+    scenario = SimpleNamespace(
+        n_steps=20, dt=1e-2, x0=np.array([1.0]), initial_mode="a",
+        noise=NoiseModel(q=[[1e-6]], r=[[1e-2]], h=[[1.0]]),
+    )
+    with pytest.raises(AmbiguousTransitionError) as err:
+        run_ekf(automaton, scenario, np.ones((21, 1)))
     assert "one" in str(err.value) and "two" in str(err.value)
 
 
