@@ -23,7 +23,7 @@ from typing import List, Optional
 from .compare import run_comparison
 from .config import ExperimentConfig, load_config, resolve_seed
 from .errors import ConfigError, HdsimError
-from .power import inverter_automaton, smib_state, smib_system
+from .power import inverter_automaton, smib_system
 from .report import ensure_dir, fmt, write_trajectory_csv
 from .safety import box_sampler, check_safety
 from .simulate import simulate
@@ -65,13 +65,8 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     ensure_dir(out_dir)
     if config["model"] == "smib":
         system = smib_system(config.smib_params())
-        x0 = smib_state(
-            float(config["smib.delta0"]),
-            float(config["smib.omega0"]),
-            int(config["smib.line0"]),
-        )
         traj = simulate(
-            system, x0, float(config["horizon"]),
+            system, config.smib_x0(), float(config["horizon"]),
             int(config["max_jumps"]), float(config["dt"]),
         )
         columns = ("t", "j", "mode", "delta", "omega")

@@ -14,9 +14,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError
-from .estimation import NoiseModel
+from .errors import ArgumentError, ConfigError
+from .estimation import DEFAULT_P0, NoiseModel
 from .power import (
+    DEFAULT_MAX_JUMPS,
     REFERENCE_Q_INTENSITY,
     REFERENCE_SIGMA_CURRENT,
     REFERENCE_SIGMA_VOLTAGE,
@@ -27,6 +28,7 @@ from .power import (
     SmibParams,
     reference_scenario,
     sine_power,
+    smib_state,
 )
 
 _INT = "int"
@@ -35,7 +37,8 @@ _STR = "str"
 _FLOATS = "float-list"
 _PROFILE = "profile"
 
-# Model and scenario defaults come from their single sources in ``power``.
+# Model, scenario and filter defaults come from their single sources in
+# ``power`` and ``estimation``.
 _INV = InverterParams()
 _SMIB = SmibParams()
 _REF = reference_scenario()
@@ -48,7 +51,7 @@ SCHEMA: Dict[str, Tuple[str, object, str]] = {
     "horizon": (_FLOAT, _REF.horizon, "simulation horizon in seconds"),
     "dt": (_FLOAT, _REF.dt, "fixed integration / measurement step in seconds"),
     "near_switch_window": (_FLOAT, 0.005, "half-width of near-switch RMSE windows (s)"),
-    "max_jumps": (_INT, 50, "jump budget per simulation"),
+    "max_jumps": (_INT, DEFAULT_MAX_JUMPS, "jump budget per simulation"),
     "out": (_STR, ".", "output directory (overridden by --out)"),
     "inverter.l_pu": (_FLOAT, _INV.l_pu, "filter inductance, per-unit"),
     "inverter.r_pu": (_FLOAT, _INV.r_pu, "filter resistance, per-unit"),
@@ -72,7 +75,7 @@ SCHEMA: Dict[str, Tuple[str, object, str]] = {
     "noise.r_iq": (_FLOAT, REFERENCE_SIGMA_CURRENT, "i_q measurement noise standard deviation"),
     "noise.r_vd": (_FLOAT, REFERENCE_SIGMA_VOLTAGE, "v_d measurement noise standard deviation"),
     "noise.r_vq": (_FLOAT, REFERENCE_SIGMA_VOLTAGE, "v_q measurement noise standard deviation"),
-    "ekf.p0": (_FLOAT, 1e-3, "initial covariance P0 = p0*I"),
+    "ekf.p0": (_FLOAT, DEFAULT_P0, "initial covariance P0 = p0*I"),
     "smib.m": (_FLOAT, _SMIB.m, "inertia constant"),
     "smib.d": (_FLOAT, _SMIB.d, "damping coefficient"),
     "smib.p_m": (_FLOAT, _SMIB.p_m, "mechanical power, per-unit"),
@@ -91,8 +94,9 @@ SCHEMA: Dict[str, Tuple[str, object, str]] = {
 }
 
 _NON_NEGATIVE = (
-    "near_switch_window", "max_jumps", "ekf.p0",
+    "seed", "near_switch_window", "max_jumps", "ekf.p0",
     "noise.q", "noise.r_id", "noise.r_iq", "noise.r_vd", "noise.r_vq",
+    "verify.delta_half_width", "verify.omega_half_width", "verify.x0_half_width",
 )
 
 _CHOICES = {
@@ -152,7 +156,7 @@ class ExperimentConfig:
             if not float(v[key]) > 0.0:
                 raise ConfigError(f"{key} must be positive, got {v[key]!r}")
         for key in _NON_NEGATIVE:
-            if float(v[key]) < 0.0:
+            if v[key] < 0:
                 raise ConfigError(f"{key} must be non-negative, got {v[key]!r}")
         if int(v["verify.samples"]) < 1:
             raise ConfigError(
@@ -163,6 +167,23 @@ class ExperimentConfig:
                 f"inverter.x0 needs 4 entries [i_d, i_q, v_d, v_q], "
                 f"got {len(v['inverter.x0'])}"
             )
+        # Model parameters, the initial state, the profile and its coverage
+        # of the horizon are checked where they are defined; a bad value,
+        # or one so large that building the model overflows, is a config
+        # error.
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if v["model"] == "smib":
+                    self.smib_params()
+                    self.smib_x0()
+                else:
+                    self.scenario()
+        except ArgumentError as exc:
+            raise ConfigError(f"invalid {v['model']} model: {exc}") from exc
+        except ArithmeticError as exc:
+            raise ConfigError(
+                f"invalid {v['model']} model: a value is out of range ({exc})"
+            ) from exc
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -233,6 +254,12 @@ class ExperimentConfig:
             i_max=v["smib.i_max"],
             p_min=v["smib.p_min"],
             p_max=v["smib.p_max"],
+        )
+
+    def smib_x0(self) -> np.ndarray:
+        v = self.values
+        return smib_state(
+            float(v["smib.delta0"]), float(v["smib.omega0"]), int(v["smib.line0"])
         )
 
     def resolved_items(self) -> Dict[str, str]:

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .errors import ArgumentError, GrazingError, NumericalFailureError
+from .errors import ArgumentError, GrazingError, HdsimError, NumericalFailureError
 from .integrate import rk4_step
 from .simulate import SAME_TIME_JUMP_BUDGET, next_event
 from .systems import (
@@ -36,6 +36,8 @@ JACOBIAN_STEP_SCALE = 1e-6
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-10
 TRANSVERSALITY_TOL = 1e-12
+DEFAULT_P0 = 1e-3
+"""Initial covariance scale of :func:`run_ekf`: P0 = p0 * I."""
 
 
 def symmetrize(p: np.ndarray) -> np.ndarray:
@@ -123,26 +125,53 @@ class NoiseModel:
         return self.r.shape[0]
 
 
-def numerical_jacobian(fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
-    """Central-difference Jacobian with per-coordinate step 1e-6*max(1, |x_i|)."""
+def _value_and_jacobian(fn: Callable[[np.ndarray], np.ndarray], x):
+    """``(fn(x), J)`` from one call of ``fn`` on the ``(n, 2n+1)`` column batch
+    ``[x, x + h_i e_i, x - h_i e_i]``, ``h_i = 1e-6*max(1, |x_i|)``.
+
+    J is the central difference of the perturbed columns.  ``fn`` acts
+    column-wise (see :data:`hdsim.integrate.VectorField`), and a result of
+    fewer than two dimensions is one row; one that does not broadcast to
+    ``(k, 2n+1)`` raises :class:`ArgumentError`.  A non-finite value comes
+    back with J = None for the caller to report; non-finite perturbed
+    columns raise :class:`NumericalFailureError`.
+    """
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(fn(x), dtype=float)
-    if not np.all(np.isfinite(f0)):
-        raise NumericalFailureError(f"map is non-finite at {x}")
-    jac = np.empty((f0.size, x.size))
-    for i in range(x.size):
-        h = JACOBIAN_STEP_SCALE * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp = np.asarray(fn(xp), dtype=float)
-        fm = np.asarray(fn(xm), dtype=float)
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
-            raise NumericalFailureError(
-                f"map is non-finite near {x} (coordinate {i})"
-            )
-        jac[:, i] = (fp - fm) / (2.0 * h)
+    n = x.size
+    step = JACOBIAN_STEP_SCALE * np.maximum(1.0, np.abs(x))
+    cols = np.tile(x[:, None], 2 * n + 1)
+    diag = np.arange(n)
+    cols[diag, diag + 1] += step
+    cols[diag, diag + 1 + n] -= step
+    try:
+        y = np.asarray(fn(cols), dtype=float)
+        y = np.broadcast_to(y, (y.shape[0] if y.ndim == 2 else 1, cols.shape[1]))
+    except HdsimError:  # ArgumentError is a ValueError too: pass it on as is
+        raise
+    except ValueError as exc:
+        raise ArgumentError(
+            f"map must act on each column of its input; on a {cols.shape} "
+            f"batch: {exc}"
+        ) from exc
+    value = y[:, 0].copy()
+    if not np.all(np.isfinite(y)):
+        if not np.all(np.isfinite(value)):
+            return value, None
+        bad = ~np.all(np.isfinite(y[:, 1:]), axis=0)
+        i = int(np.flatnonzero(bad)[0]) % n
+        raise NumericalFailureError(f"map is non-finite near {x} (coordinate {i})")
+    return value, (y[:, 1:n + 1] - y[:, n + 1:]) / (2.0 * step)
+
+
+def numerical_jacobian(fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
+    """Central-difference Jacobian with per-coordinate step 1e-6*max(1, |x_i|).
+
+    ``fn`` must act on each column of an ``(n, m)`` array (see
+    :data:`hdsim.integrate.VectorField`).
+    """
+    value, jac = _value_and_jacobian(fn, x)
+    if not np.all(np.isfinite(value)):
+        raise NumericalFailureError(f"map is non-finite at {np.asarray(x, dtype=float)}")
     return jac
 
 
@@ -156,20 +185,18 @@ def ekf_predict(
 ) -> GaussianBelief:
     """One prediction step: RK4 mean propagation, F P F^T + Q covariance.
 
-    ``q_scale`` lets a caller apportion the per-step Q across a split step
-    (event localization splits a step at the jump time); it is 1 for a
-    whole step.
+    One RK4 step on a column batch gives both the mean and the transition
+    Jacobian F, so ``flow`` must act column-wise.  ``q_scale`` lets a caller
+    apportion the per-step Q across a split step (event localization
+    splits a step at the jump time); it is 1 for a whole step.
     """
     if dt <= 0.0:
         raise ArgumentError(f"dt must be positive, got {dt}")
-
-    def transition(x: np.ndarray) -> np.ndarray:
-        return rk4_step(flow, x, t0, dt)
-
-    mean_next = transition(belief.mean)
+    mean_next, f_jac = _value_and_jacobian(
+        lambda x: rk4_step(flow, x, t0, dt), belief.mean
+    )
     if not np.all(np.isfinite(mean_next)):
         raise NumericalFailureError(f"prediction diverged at t={t0 + dt}", time=t0 + dt)
-    f_jac = numerical_jacobian(transition, belief.mean)
     p_next = f_jac @ belief.covariance @ f_jac.T + q_scale * noise.q
     return GaussianBelief(mean_next, symmetrize(p_next))
 
@@ -306,7 +333,7 @@ def run_ekf(
     process: Union[HybridAutomaton, VectorField],
     scenario,
     measurements,
-    p0: float = 1e-3,
+    p0: float = DEFAULT_P0,
 ) -> EkfRun:
     """Run the EKF over a scenario with either a hybrid or a continuous model.
 

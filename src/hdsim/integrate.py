@@ -14,6 +14,17 @@ import numpy as np
 from .errors import ArgumentError, NumericalFailureError
 
 VectorField = Callable[[np.ndarray, float], np.ndarray]
+"""``f(x, t)``: the time derivative of the state ``x`` at time ``t``.
+
+A field (and a reset or any other map handed to
+:func:`hdsim.estimation.numerical_jacobian`) acts column-wise: given an
+``(n, m)`` array whose columns are states it returns the ``(n, m)`` array
+of their derivatives, column by column, as well as an ``(n,)`` result for
+an ``(n,)`` state.  Unpacking ``x`` by rows (``i_d, i_q, v_d, v_q = x``)
+and elementwise arithmetic give this for free.  The EKF prediction relies
+on it to advance the mean and all ``2n`` central-difference columns in one
+:func:`rk4_step`.
+"""
 
 
 def rk4_step(field: VectorField, x: np.ndarray, t: float, h: float) -> np.ndarray:

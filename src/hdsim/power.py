@@ -18,6 +18,7 @@ realized as fast first-order tracking with time constants ``tau_v`` /
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -43,6 +44,9 @@ REFERENCE_Q_INTENSITY = 1e-2
 REFERENCE_SIGMA_CURRENT = 0.01
 REFERENCE_SIGMA_VOLTAGE = 0.004
 
+DEFAULT_MAX_JUMPS = 50
+"""Jump budget of the ground-truth simulation."""
+
 
 # ---------------------------------------------------------------------------
 # Exogenous grid-voltage profiles
@@ -62,7 +66,15 @@ class PiecewiseLinearProfile:
             raise ArgumentError("profile times must be strictly increasing")
 
     def __call__(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.values))
+        # np.interp's formula for one point, without its array set-up.
+        xs, ys = self.times, self.values
+        j = bisect.bisect_right(xs, t) - 1
+        if j < 0:
+            return float(ys[0])
+        if j == len(xs) - 1 or xs[j] == t:
+            return float(ys[j])
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        return float(slope * (t - xs[j]) + ys[j])
 
     def crossing_times(self, level: float) -> Tuple[float, ...]:
         """Analytic crossing times of ``level``, in order (for tests/reports)."""
@@ -404,7 +416,7 @@ def _covariance_sqrt(r: np.ndarray) -> np.ndarray:
 
 
 def generate_truth_and_measurements(
-    scenario: InverterScenario, max_jumps: int = 50
+    scenario: InverterScenario, max_jumps: int = DEFAULT_MAX_JUMPS
 ) -> Tuple[HybridTrajectory, np.ndarray]:
     """Simulate the hybrid automaton as ground truth and synthesize measurements.
 

@@ -5,9 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdsim import cli_main, load_config, parse_config_text, reference_scenario
-from hdsim.config import ExperimentConfig, resolve_seed
+from hdsim.config import SCHEMA, ExperimentConfig, resolve_seed
 from hdsim.errors import ConfigError
 from hdsim.report import read_trajectory_csv
 
@@ -109,6 +111,17 @@ def test_unknown_flag_is_usage_error(capsys):
         ("compare", "ekf.p0 = -1"),
         ("simulate", "max_jumps = -1"),
         ("verify", "verify.samples = 0"),
+        ("compare", "inverter.v_low = 0.9"),
+        ("simulate", "inverter.v_low = 0.95"),
+        ("simulate", "inverter.profile = 0:1, 0.1:1, 0.1:0.5, 0.2:1"),
+        ("verify", "inverter.profile = 0:1, 0.2:1, 0.1:0.5"),
+        ("verify", "model = smib\nsmib.p_min = 0.4"),
+        ("simulate", "model = smib\nsmib.p_min = 0.5"),
+        ("compare", "horizon = 1e300"),
+        ("simulate", "horizon = 1e300"),
+        ("simulate", "model = smib\nsmib.line0 = 3"),
+        ("compare", "seed = -1"),
+        ("verify", "verify.x0_half_width = -1"),
     ],
 )
 def test_invalid_config_value_exits_1_with_one_line_error(
@@ -118,6 +131,44 @@ def test_invalid_config_value_exits_1_with_one_line_error(
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _value_text(key):
+    """Values of the key's own type, extremes included."""
+    default = SCHEMA[key][1]
+    if isinstance(default, str):
+        return st.sampled_from(("inverter", "smib", "hybrid", "continuous", "both"))
+    if isinstance(default, int):
+        return st.one_of(st.integers(), st.integers(-(10**400), 10**400)).map(str)
+    if isinstance(default, float):
+        return st.floats().map(repr)
+    if key == "inverter.profile":
+        point = st.tuples(st.floats(-0.5, 1.5), st.floats(-2.0, 2.0))
+        points = st.lists(point, max_size=5)
+        return points.map(lambda pts: ", ".join(f"{t!r}:{v!r}" for t, v in pts))
+    return st.lists(st.floats(), max_size=5).map(lambda xs: ", ".join(map(repr, xs)))
+
+
+_CONFIG_TEXT = st.one_of(
+    st.lists(
+        st.sampled_from(sorted(SCHEMA)).flatmap(
+            lambda key: _value_text(key).map(f"{key} = {{}}".format)
+        ),
+        max_size=5,
+    ).map("\n".join),
+    st.text(),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_CONFIG_TEXT)
+def test_any_config_text_gives_a_config_or_a_config_error(text):
+    try:
+        config = parse_config_text(text)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
+    assert ExperimentConfig(values=config.values).values == config.values
 
 
 # SHA-256 of the three seed-42 compare files, copied from

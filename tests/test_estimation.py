@@ -18,7 +18,17 @@ from hdsim import (
     propagate_belief_through_jump,
     saltation_matrix,
 )
-from hdsim.power import InverterParams, current_clamp, current_clamp_jacobian
+from hdsim.integrate import rk4_step
+from hdsim.power import (
+    InverterParams,
+    blended_flow,
+    current_clamp,
+    current_clamp_jacobian,
+    gfl_flow,
+    gfm_flow,
+    reference_noise,
+    reference_profile,
+)
 
 
 # -- numerical_jacobian ------------------------------------------------------
@@ -43,6 +53,32 @@ def test_jacobian_square():
 def test_jacobian_nonfinite_map():
     with pytest.raises(NumericalFailureError):
         numerical_jacobian(lambda x: np.array([float("inf")]), np.array([1.0]))
+
+
+def test_jacobian_of_constant_and_scalar_maps_is_one_row():
+    x = np.array([0.5, 2.0])
+    constant = numerical_jacobian(lambda y: np.array([1.0]), x)
+    assert np.array_equal(constant, np.zeros((1, 2)))
+    jac = numerical_jacobian(lambda y: y[0] * y[1], x)
+    assert jac.shape == (1, 2)
+    assert np.max(np.abs(jac - np.array([[2.0, 0.5]]))) < 1e-9
+
+
+def test_jacobian_nonfinite_next_to_finite_value_names_coordinate():
+    with pytest.raises(NumericalFailureError, match=r"non-finite near .*coordinate 1"):
+        numerical_jacobian(lambda x: np.where(x > 1.0, np.inf, x), np.array([0.0, 1.0]))
+
+
+def test_map_that_ignores_columns_raises_argument_error():
+    # a field returning one fixed-length vector whatever its input shape
+    with pytest.raises(ArgumentError, match=r"\(2, 5\)"):
+        numerical_jacobian(lambda x: np.zeros(3), np.array([0.5, 2.0]))
+    belief = GaussianBelief(np.zeros(2), np.eye(2))
+    noise = NoiseModel(q=np.eye(2), r=np.eye(2), h=np.eye(2))
+    with pytest.raises(ArgumentError, match=r"\(2, 5\)"):
+        ekf_predict(belief, lambda x, t: np.zeros(3), 1e-3, noise)
+    with pytest.raises(ArgumentError, match=r"\(2, 5\)"):
+        ekf_predict(belief, lambda x, t: np.zeros((3, 2, 5)), 1e-3, noise)
 
 
 # -- beliefs and noise models ------------------------------------------------
@@ -114,6 +150,71 @@ def test_predict_jacobian_matches_truncated_exponential():
 
     jac = numerical_jacobian(transition, np.array([0.3, 0.1]))
     assert np.max(np.abs(jac - expm(a * dt))) < 1e-7
+
+
+def per_column_jacobian(fn, x):
+    """The per-coordinate central-difference loop, one map call per column."""
+    jac = np.empty((x.size, x.size))
+    for i in range(x.size):
+        h = 1e-6 * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        jac[:, i] = (fn(xp) - fn(xm)) / (2.0 * h)
+    return jac
+
+
+P_INV = InverterParams()
+V_GRID = reference_profile()
+INVERTER_FIELDS = {
+    "gfl": lambda x, t: gfl_flow(x, V_GRID(t), P_INV),
+    "gfm": lambda x, t: gfm_flow(x, P_INV),
+    "blended": lambda x, t: blended_flow(x, V_GRID(t), P_INV),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVERTER_FIELDS))
+def test_batched_prediction_is_bitwise_the_per_column_one(name):
+    field = INVERTER_FIELDS[name]
+    noise = reference_noise()
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x = rng.uniform(-3.0, 3.0, 4)
+        t0 = float(rng.uniform(0.0, 0.2 - 1e-4))  # across the dip and recovery
+        dt = float(rng.uniform(1e-6, 1e-4))
+
+        def transition(y):
+            return rk4_step(field, y, t0, dt)
+
+        f_ref = per_column_jacobian(transition, x)
+        assert np.array_equal(numerical_jacobian(transition, x), f_ref)
+        a = rng.standard_normal((4, 4))
+        cov = 1e-3 * (a @ a.T + np.eye(4))
+        out = ekf_predict(GaussianBelief(x, cov), field, dt, noise, t0=t0)
+        assert np.array_equal(out.mean, transition(x))
+        p_ref = f_ref @ GaussianBelief(x, cov).covariance @ f_ref.T + noise.q
+        assert np.array_equal(out.covariance, 0.5 * (p_ref + p_ref.T))
+
+
+def test_one_prediction_makes_four_field_evaluations():
+    shapes = []
+
+    def counting_field(x, t):
+        shapes.append(np.shape(x))
+        return INVERTER_FIELDS["blended"](x, t)
+
+    belief = GaussianBelief(np.array([0.1, 0.0, 1.0, 0.0]), 1e-3 * np.eye(4))
+    ekf_predict(belief, counting_field, 1e-4, reference_noise(), t0=0.05)
+    assert shapes == [(4, 9)] * 4
+
+
+def test_diverged_prediction_names_its_time():
+    belief = GaussianBelief(np.array([1.0]), np.array([[1.0]]))
+    blow_up = lambda x, t: np.full_like(x, np.inf)
+    with pytest.raises(NumericalFailureError, match=r"diverged at t=0\.5") as err:
+        ekf_predict(belief, blow_up, 0.25, scalar_noise(), t0=0.25)
+    assert err.value.time == 0.5
 
 
 # -- ekf_update --------------------------------------------------------------

@@ -225,6 +225,44 @@ def test_no_jump_inside_hysteresis_band():
     assert len(traj.jumps) == 0
 
 
+# -- grid-voltage profile -----------------------------------------------------
+
+
+def ten_dip_profile(seed):
+    """Ten seeded dips, one per 0.1 s slot, each below v_low and back to 1 pu."""
+    rng = np.random.default_rng(seed)
+    points = [(0.0, 1.0)]
+    for k in range(10):
+        start = k * 0.1 + rng.uniform(0.01, 0.03)
+        fall, hold, rise = rng.uniform(0.004, 0.03, 3)
+        depth = rng.uniform(0.4, 0.7)
+        points += [(start, 1.0), (start + fall, depth),
+                   (start + fall + hold, depth), (start + fall + hold + rise, 1.0)]
+    points.append((1.0, 1.0))
+    times, values = zip(*points)
+    return PiecewiseLinearProfile(tuple(float(t) for t in times),
+                                  tuple(float(v) for v in values))
+
+
+@pytest.mark.parametrize("profile", [reference_profile(), ten_dip_profile(11)])
+def test_profile_lookup_is_bitwise_np_interp(profile):
+    xs = np.asarray(profile.times)
+    rng = np.random.default_rng(5)
+    span = xs[-1] - xs[0]
+    points = np.concatenate([
+        xs,  # on every breakpoint
+        np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+        xs[0] - span * rng.random(50),  # below the first breakpoint
+        xs[-1] + span * rng.random(50),  # above the last
+        rng.uniform(xs[0], xs[-1], 5000),
+        np.arange(0, 10001) * 1e-4,  # the simulation grid and its half-steps
+        np.arange(0, 10000) * 1e-4 + 5e-5,
+    ])
+    got = np.array([profile(float(t)) for t in points])
+    want = np.array([np.interp(float(t), profile.times, profile.values) for t in points])
+    assert got.tobytes() == want.tobytes()
+
+
 # -- scenarios, truth, measurements -------------------------------------------
 
 
