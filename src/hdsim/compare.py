@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import ArgumentError
+from .errors import ConfigError
 from .estimation import EkfRun, run_ekf
 from .metrics import rmse
 from .power import (
@@ -65,7 +65,10 @@ def run_comparison(
     Returns the report and the list of files written.
     """
     if config["model"] != "inverter":
-        raise ArgumentError("run_comparison drives the inverter study")
+        raise ConfigError(
+            "compare and estimate run the inverter study; "
+            f"got model = {config['model']}"
+        )
     t_start = time.perf_counter()
     out_dir = out_dir if out_dir is not None else str(config["out"])
     ensure_dir(out_dir)

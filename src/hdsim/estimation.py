@@ -197,8 +197,13 @@ def ekf_predict(
     )
     if not np.all(np.isfinite(mean_next)):
         raise NumericalFailureError(f"prediction diverged at t={t0 + dt}", time=t0 + dt)
-    p_next = f_jac @ belief.covariance @ f_jac.T + q_scale * noise.q
-    return GaussianBelief(mean_next, symmetrize(p_next))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_next = symmetrize(f_jac @ belief.covariance @ f_jac.T + q_scale * noise.q)
+    if not np.isfinite(p_next).all():
+        raise NumericalFailureError(
+            f"predicted covariance overflowed at t={t0 + dt}", time=t0 + dt
+        )
+    return GaussianBelief(mean_next, p_next)
 
 
 def ekf_update(belief: GaussianBelief, z, noise: NoiseModel) -> GaussianBelief:

@@ -30,6 +30,10 @@ def locate_event(
 ) -> Optional[float]:
     """Locate the first time in ``[t_lo, t_hi]`` where ``margin`` reaches zero.
 
+    ``margin`` (and ``interpolant``) is called once per probe time, and
+    each value is reused for the rest of the search, so both must be
+    deterministic and free of side effects.
+
     Parameters
     ----------
     margin : callable
@@ -70,12 +74,11 @@ def locate_event(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if m(mid) >= 0.0:
-            hi = mid
-            m_hi = m(mid)
+        m_mid = m(mid)
+        if m_mid >= 0.0:
+            hi, m_hi = mid, m_mid
         else:
-            lo = mid
-            m_lo = m(mid)
+            lo, m_lo = mid, m_mid
 
     # Regula-falsi polish: exact for margins linear in t, and tightens
     # smooth crossings well below `tol` without leaving the bracket.

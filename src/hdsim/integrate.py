@@ -7,7 +7,7 @@ can split a step without changing the arithmetic of neighbouring steps.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,12 +24,27 @@ an ``(n,)`` state.  Unpacking ``x`` by rows (``i_d, i_q, v_d, v_q = x``)
 and elementwise arithmetic give this for free.  The EKF prediction relies
 on it to advance the mean and all ``2n`` central-difference columns in one
 :func:`rk4_step`.
+
+A field must also be a deterministic, side-effect-free function of
+``(x, t)``: event localization reuses a computed first stage for every
+trial step and a computed state for every repeated query time.
 """
 
 
-def rk4_step(field: VectorField, x: np.ndarray, t: float, h: float) -> np.ndarray:
-    """Advance ``x`` by one classic RK4 step of size ``h`` starting at time ``t``."""
-    k1 = field(x, t)
+def rk4_step(
+    field: VectorField,
+    x: np.ndarray,
+    t: float,
+    h: float,
+    k1: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Advance ``x`` by one classic RK4 step of size ``h`` starting at time ``t``.
+
+    ``k1`` is ``field(x, t)`` when the caller already holds it; it does not
+    depend on ``h``, so several steps from one ``(x, t)`` can share it.
+    """
+    if k1 is None:
+        k1 = field(x, t)
     k2 = field(x + 0.5 * h * k1, t + 0.5 * h)
     k3 = field(x + 0.5 * h * k2, t + 0.5 * h)
     k4 = field(x + h * k3, t + h)

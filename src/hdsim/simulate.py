@@ -48,7 +48,12 @@ SAME_TIME_JUMP_BUDGET = 10
 
 
 def next_event(
-    edges: List[Edge], flow: VectorField, x: np.ndarray, t: float, t_next: float
+    edges: List[Edge],
+    flow: VectorField,
+    x: np.ndarray,
+    t: float,
+    t_next: float,
+    guards_clear: bool = False,
 ) -> Tuple[np.ndarray, Optional[Tuple[float, Edge, np.ndarray]]]:
     """Advance one step from ``(t, x)`` towards ``t_next`` under ``flow``.
 
@@ -57,7 +62,13 @@ def next_event(
     ``t_next``.  Otherwise ``event`` is the first ``(t_star, edge, x_star)``,
     with ``x_star`` the state on the step's RK4 interpolant at ``t_star``.
     A guard enabled at ``t`` fires at ``t`` (jump priority); with
-    ``t_next <= t`` only that check runs.
+    ``t_next <= t`` only that check runs.  ``guards_clear`` says the caller
+    already knows every guard is negative at ``(x, t)`` (the previous step
+    ended there without an event), and skips that check.
+
+    The interpolant shares the step's first RK4 stage and remembers every
+    state it computes, so one localization costs three field evaluations
+    per new probe time on top of the four of the step itself.
 
     Raises
     ------
@@ -67,18 +78,20 @@ def next_event(
     NumericalFailureError
         If the RK4 state at ``t_next`` is non-finite.
     """
-    enabled = [e for e in edges if e.guard(x, t) >= 0.0]
-    if len(enabled) > 1:
-        names = ", ".join(e.label for e in enabled)
-        raise AmbiguousTransitionError(
-            f"guards simultaneously enabled at t={t}: {names}", edges=enabled
-        )
-    if enabled:
-        return x, (t, enabled[0], x)
+    if not guards_clear:
+        enabled = [e for e in edges if e.guard(x, t) >= 0.0]
+        if len(enabled) > 1:
+            names = ", ".join(e.label for e in enabled)
+            raise AmbiguousTransitionError(
+                f"guards simultaneously enabled at t={t}: {names}", edges=enabled
+            )
+        if enabled:
+            return x, (t, enabled[0], x)
     if t_next <= t:
         return x, None
-    x_next = rk4_step(flow, x, t, t_next - t)
-    if not np.all(np.isfinite(x_next)):
+    k1 = flow(x, t)
+    x_next = rk4_step(flow, x, t, t_next - t, k1)
+    if not np.isfinite(x_next).all():
         raise NumericalFailureError(
             f"non-finite state while flowing to t={t_next}", time=t_next
         )
@@ -86,10 +99,14 @@ def next_event(
     if not crossed:
         return x_next, None
 
+    states = {t_next: x_next}
+
     def interpolant(s: float) -> np.ndarray:
         if s <= t:
             return x
-        return rk4_step(flow, x, t, s - t)
+        if s not in states:
+            states[s] = rk4_step(flow, x, t, s - t, k1)
+        return states[s]
 
     located: List[Tuple[float, Edge]] = []
     for e in crossed:
@@ -183,6 +200,7 @@ def simulate(
     j = 0
     t_end = t0 + horizon
     same_t_jumps = 0
+    guards_clear = False
     traj.append(t, j, mode, x)
 
     def label_of(state: np.ndarray, m: str) -> str:
@@ -219,7 +237,7 @@ def simulate(
         k = math.floor((t - t0) / dt + 1e-9) + 1
         t_next = t if at_end else min(t0 + k * dt, t_end)
         try:
-            x_next, event = next_event(edges, flow, x, t, t_next)
+            x_next, event = next_event(edges, flow, x, t, t_next, guards_clear)
         except NumericalFailureError as exc:
             traj.termination = NUMERICAL_FAILURE
             exc.trajectory = traj
@@ -231,6 +249,7 @@ def simulate(
             t = t_next
             x = x_next
             same_t_jumps = 0
+            guards_clear = True
             traj.append(t, j, label_of(x, mode), x)
             if not invariant(x, t):
                 traj.termination = LEFT_FLOW_SET
@@ -238,6 +257,7 @@ def simulate(
             continue
 
         t_star, edge, x_star = event
+        guards_clear = False
         if t_star > t:
             same_t_jumps = 0
             traj.append(t_star, j, label_of(x_star, mode), x_star)

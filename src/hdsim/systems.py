@@ -14,11 +14,16 @@ from typing import Callable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import ArgumentError
+from .integrate import VectorField
 
 StateVector = np.ndarray
-VectorField = Callable[[np.ndarray, float], np.ndarray]
 Predicate = Callable[[np.ndarray, float], bool]
 Margin = Callable[[np.ndarray, float], float]
+"""``g(x, t)``: a signed guard margin, negative outside the guard set and
+non-negative inside.  Like a vector field it must be a deterministic,
+side-effect-free function of ``(x, t)``: event localization evaluates it
+once per probe time and reuses the value, and a margin found negative at
+the end of a step is not evaluated again at the start of the next one."""
 
 # Trajectory termination reasons.
 HORIZON_REACHED = "horizon reached"

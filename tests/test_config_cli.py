@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,8 @@ def test_unknown_flag_is_usage_error(capsys):
         ("simulate", "model = smib\nsmib.line0 = 3"),
         ("compare", "seed = -1"),
         ("verify", "verify.x0_half_width = -1"),
+        ("compare", "model = smib"),
+        ("estimate", "model = smib\nfilter = hybrid"),
     ],
 )
 def test_invalid_config_value_exits_1_with_one_line_error(
@@ -196,6 +199,46 @@ def test_compare_writes_three_files_and_is_byte_deterministic(tmp_path):
                 data = fa.read()
                 assert data == fb.read(), f"{name} differs between reruns"
         assert hashlib.sha256(data).hexdigest() == GOLDEN_COMPARE_DIGESTS[name]
+
+
+# An out-of-step SMIB (p_m above the transfer limit): line 1 trips and is
+# restored nine times in 5 s, each crossing of the state-dependent guard
+# localized on the RK4 interpolant.  SHA-256 of the simulate trajectory and
+# of a verify sweep whose witness is the first localized trip, taken before
+# the event path began reusing its RK4 stages, states and margins.
+SMIB_TRIPS = (
+    "model = smib\nhorizon = 5.0\ndt = 0.01\nmax_jumps = 1000000\n"
+    "smib.p_m = 2.0\nsmib.d = 0.5\nsmib.p_e_max = 1.5\n"
+)
+GOLDEN_SMIB_DIGESTS = {
+    ("simulate", "trajectory_smib.csv"):
+        "801543bb0f386142e0964724e75ab52e4d31a494d8ea97330fd241b4f95c52d4",
+    ("verify", "verify_report.txt"):
+        "b90c72e47e3b707fabe92bd1108b9a2c990362419e01643b873b062a159faba7",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(GOLDEN_SMIB_DIGESTS))
+def test_smib_event_path_bytes_are_pinned(tmp_path, command, name):
+    sweep = (
+        "verify.samples = 5\nverify.delta_half_width = 0.6\n"
+        "verify.omega_half_width = 6\nseed = 7\n"
+    )
+    cfg = write_cfg(tmp_path, SMIB_TRIPS + sweep)
+    out = str(tmp_path / "out")
+    assert cli_main([command, "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, name), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == GOLDEN_SMIB_DIGESTS[command, name]
+
+
+def test_covariance_overflow_is_a_typed_error_naming_its_time(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "noise.q = 1e308\ndt = 0.1\nhorizon = 0.2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main(["compare", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: predicted covariance overflowed at t=0.1\n"
 
 
 def test_compare_different_seed_changes_outputs(tmp_path):

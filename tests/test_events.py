@@ -47,3 +47,15 @@ def test_interpolant_threading():
 def test_nonlinear_margin_tight_localization():
     t = locate_event(lambda t: np.sin(t) - 0.5, 0.0, 1.0)
     assert abs(t - np.arcsin(0.5)) <= 1e-9
+
+
+def test_margin_is_evaluated_once_per_probe_time():
+    times = []
+
+    def margin(t):
+        times.append(t)
+        return np.sin(t) - 0.5
+
+    t = locate_event(margin, 0.0, 1.0)
+    assert abs(t - np.arcsin(0.5)) <= 1e-9
+    assert len(times) == len(set(times))

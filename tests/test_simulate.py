@@ -1,6 +1,7 @@
 """Hybrid simulation semantics: jumps, priorities, terminations, hybrid time."""
 
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,8 @@ from hdsim import (
     run_ekf,
     simulate,
 )
+from hdsim.power import SmibParams, smib_state, smib_system
+from hdsim.simulate import next_event
 
 
 def decay(x, t):
@@ -211,3 +214,48 @@ def test_flow_containment_between_jumps():
     assert np.allclose(traj.jump_times, expected, atol=1e-9)
     for s in traj.samples:
         assert s.state[0] >= 0.4 - 1e-6
+
+
+def test_one_localization_probes_each_time_once(monkeypatch):
+    # Out-of-step SMIB: line 1 trips at t ~ 0.4979, inside the step to 0.5.
+    system = smib_system(SmibParams(p_m=2.0, d=0.5))
+    x = simulate(system, smib_state(0.6, 0.0), 0.49, 0, 0.01).final_state()
+    probe_times, field_times = [], []
+    simulate_module = sys.modules["hdsim.simulate"]
+    real_locate = simulate_module.locate_event
+
+    def recording_locate(margin, *args, **kwargs):
+        def recorded(state, t):
+            probe_times.append(t)
+            return margin(state, t)
+
+        return real_locate(recorded, *args, **kwargs)
+
+    def counted_flow(state, t):
+        field_times.append(t)
+        return system.flow_map(state, t)
+
+    monkeypatch.setattr(simulate_module, "locate_event", recording_locate)
+    edge = Edge("line1", "line1", system.jump_set, system.jump_map)
+    _, event = next_event([edge], counted_flow, x, 0.49, 0.5)
+    assert event is not None and 0.497 < event[0] < 0.498
+    assert len(probe_times) == len(set(probe_times))
+    probes = sum(0.49 < t < 0.5 for t in probe_times)
+    # four stages for the step, three per new probe (the first is shared)
+    assert len(field_times) <= 4 + 3 * probes
+
+
+def test_flow_steps_evaluate_each_guard_once_per_sample_time():
+    calls = []
+
+    def margin(x, t):
+        calls.append(t)
+        return -1.0
+
+    automaton = HybridAutomaton(
+        dim=1, modes=("a",), flows={"a": decay},
+        edges=(Edge("a", "a", guard=margin, reset=lambda x: x),),
+    )
+    traj = simulate(automaton, np.array([1.0]), 0.1, max_jumps=1, dt=0.01, mode0="a")
+    assert traj.termination == HORIZON_REACHED
+    assert calls == list(traj.times)
