@@ -93,6 +93,9 @@ SCHEMA: Dict[str, Tuple[str, object, str]] = {
     "verify.i_unsafe": (_FLOAT, -1.0, "unsafe current threshold (-1: model default)"),
 }
 
+MAX_GRID_STEPS = 10**7
+"""Largest number of grid steps ``horizon / dt`` a config may ask for."""
+
 _NON_NEGATIVE = (
     "seed", "near_switch_window", "max_jumps", "ekf.p0",
     "noise.q", "noise.r_id", "noise.r_iq", "noise.r_vd", "noise.r_vq",
@@ -155,6 +158,11 @@ class ExperimentConfig:
         for key in ("horizon", "dt"):
             if not float(v[key]) > 0.0:
                 raise ConfigError(f"{key} must be positive, got {v[key]!r}")
+        if float(v["horizon"]) / float(v["dt"]) > MAX_GRID_STEPS:
+            raise ConfigError(
+                f"horizon / dt must be at most {MAX_GRID_STEPS} grid steps, "
+                f"got horizon = {v['horizon']!r}, dt = {v['dt']!r}"
+            )
         for key in _NON_NEGATIVE:
             if v[key] < 0:
                 raise ConfigError(f"{key} must be non-negative, got {v[key]!r}")

@@ -48,8 +48,12 @@ def symmetrize(p: np.ndarray) -> np.ndarray:
 class GaussianBelief:
     """State estimate as mean and covariance.
 
-    The covariance is symmetrized on construction and must be positive
-    semidefinite up to a small eigenvalue tolerance.
+    A belief built by a caller is fully validated: a finite mean vector and
+    a finite, square covariance, symmetric within tolerance (then
+    symmetrized) and positive semidefinite up to a small eigenvalue
+    tolerance.  The beliefs the filter computes (:func:`ekf_predict`,
+    :func:`ekf_update`) are symmetric by construction and skip this; each
+    update ends with one health check of its result instead.
     """
 
     mean: np.ndarray
@@ -75,6 +79,14 @@ class GaussianBelief:
                 f"covariance is not PSD (min eigenvalue {min_eig:.3e})"
             )
         self.covariance = p
+
+    @classmethod
+    def _computed(cls, mean: np.ndarray, covariance: np.ndarray) -> "GaussianBelief":
+        """A belief the filter computed from a valid one, taken as it is."""
+        belief = cls.__new__(cls)
+        belief.mean = mean
+        belief.covariance = covariance
+        return belief
 
     @property
     def dim(self) -> int:
@@ -139,13 +151,14 @@ def _value_and_jacobian(fn: Callable[[np.ndarray], np.ndarray], x):
     x = np.asarray(x, dtype=float)
     n = x.size
     step = JACOBIAN_STEP_SCALE * np.maximum(1.0, np.abs(x))
-    cols = np.tile(x[:, None], 2 * n + 1)
+    cols = np.repeat(x[:, None], 2 * n + 1, axis=1)
     diag = np.arange(n)
     cols[diag, diag + 1] += step
     cols[diag, diag + 1 + n] -= step
     try:
         y = np.asarray(fn(cols), dtype=float)
-        y = np.broadcast_to(y, (y.shape[0] if y.ndim == 2 else 1, cols.shape[1]))
+        if y.shape != cols.shape:
+            y = np.broadcast_to(y, (y.shape[0] if y.ndim == 2 else 1, cols.shape[1]))
     except HdsimError:  # ArgumentError is a ValueError too: pass it on as is
         raise
     except ValueError as exc:
@@ -203,12 +216,17 @@ def ekf_predict(
         raise NumericalFailureError(
             f"predicted covariance overflowed at t={t0 + dt}", time=t0 + dt
         )
-    return GaussianBelief(mean_next, p_next)
+    return GaussianBelief._computed(mean_next, p_next)
 
 
 def ekf_update(belief: GaussianBelief, z, noise: NoiseModel) -> GaussianBelief:
     """Measurement correction: K = P H^T S^-1, mean += K innovation,
-    P = (I - K H) P, then symmetrization."""
+    P = (I - K H) P, then symmetrization.
+
+    The result gets one health check: a finite mean and covariance whose
+    smallest eigenvalue is at least ``PSD_TOL`` times its largest entry
+    (or 1).  A failure raises :class:`NumericalFailureError`.
+    """
     z = np.asarray(z, dtype=float)
     h = noise.h
     if z.shape != (h.shape[0],):
@@ -221,9 +239,18 @@ def ekf_update(belief: GaussianBelief, z, noise: NoiseModel) -> GaussianBelief:
         raise NumericalFailureError(f"singular innovation covariance: {exc}") from exc
     if not np.all(np.isfinite(k_gain)):
         raise NumericalFailureError("non-finite Kalman gain")
-    mean = belief.mean + k_gain @ (z - h @ belief.mean)
-    p_post = (np.eye(belief.dim) - k_gain @ h) @ p
-    return GaussianBelief(mean, symmetrize(p_post))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = belief.mean + k_gain @ (z - h @ belief.mean)
+        p_post = symmetrize((np.eye(belief.dim) - k_gain @ h) @ p)
+    if not (np.isfinite(mean).all() and np.isfinite(p_post).all()):
+        raise NumericalFailureError("updated belief is not finite")
+    scale = max(1.0, float(np.max(np.abs(p_post))))
+    min_eig = float(np.linalg.eigvalsh(p_post)[0])
+    if min_eig < PSD_TOL * scale:
+        raise NumericalFailureError(
+            f"updated covariance is not PSD (min eigenvalue {min_eig:.3e})"
+        )
+    return GaussianBelief._computed(mean, p_post)
 
 
 @dataclass(frozen=True)
@@ -354,7 +381,8 @@ def run_ekf(
     grid-voltage signal through the automaton guards (with hysteresis),
     not the estimated state.  Guards fire as in
     :func:`hdsim.simulate.next_event`; more than ``SAME_TIME_JUMP_BUDGET``
-    jumps at one instant raise :class:`NumericalFailureError`.
+    jumps at one instant raise :class:`NumericalFailureError`, and so does
+    an update that fails its health check, naming the grid time and mode.
     """
     n_steps = scenario.n_steps
     dt = scenario.dt
@@ -382,7 +410,7 @@ def run_ekf(
         flow = process
 
     belief = GaussianBelief(scenario.x0, p0 * np.eye(scenario.x0.size))
-    belief = ekf_update(belief, z[0], noise)
+    belief = _update_at(belief, z[0], noise, 0.0, mode)
 
     times = np.empty(n_steps + 1)
     means = np.empty((n_steps + 1, belief.dim))
@@ -401,7 +429,22 @@ def run_ekf(
         t_cur = (k - 1) * dt
         t_k = k * dt
         while hybrid:
-            _, event = next_event(process.outgoing(mode), flow, belief.mean, t_cur, t_k)
+            # Guards enabled at (mean, t_cur) fire before any prediction.
+            # Otherwise the prediction's mean is the step's RK4 end state,
+            # which the guard scan takes as is; at an event it is dropped.
+            edges = process.outgoing(mode)
+            _, event = next_event(edges, flow, belief.mean, t_cur, t_cur)
+            if event is None and t_k > t_cur:
+                predicted = ekf_predict(
+                    belief, flow, t_k - t_cur, noise,
+                    t0=t_cur, q_scale=(t_k - t_cur) / dt,
+                )
+                _, event = next_event(
+                    edges, flow, belief.mean, t_cur, t_k,
+                    guards_clear=True, x_next=predicted.mean,
+                )
+                if event is None:
+                    belief, t_cur, same_t_jumps = predicted, t_k, 0
             if event is None:
                 break
             t_star, edge, _ = event
@@ -429,7 +472,7 @@ def run_ekf(
                 t0=t_cur, q_scale=(t_k - t_cur) / dt,
             )
             same_t_jumps = 0
-        belief = ekf_update(belief, z[k], noise)
+        belief = _update_at(belief, z[k], noise, t_k, mode)
         times[k] = t_k
         means[k] = belief.mean
         covs[k] = belief.covariance
@@ -437,6 +480,13 @@ def run_ekf(
         jump_counts[k] = j
 
     return EkfRun(times, means, covs, modes, jump_counts, jumps)
+
+
+def _update_at(belief, z, noise, t, mode):
+    try:
+        return ekf_update(belief, z, noise)
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(f"{exc} at t={t} in mode {mode!r}", time=t) from exc
 
 
 def _jump_belief(automaton, edge, belief, mode, t, jumps, j):

@@ -54,6 +54,7 @@ def next_event(
     t: float,
     t_next: float,
     guards_clear: bool = False,
+    x_next: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[Tuple[float, Edge, np.ndarray]]]:
     """Advance one step from ``(t, x)`` towards ``t_next`` under ``flow``.
 
@@ -64,7 +65,10 @@ def next_event(
     A guard enabled at ``t`` fires at ``t`` (jump priority); with
     ``t_next <= t`` only that check runs.  ``guards_clear`` says the caller
     already knows every guard is negative at ``(x, t)`` (the previous step
-    ended there without an event), and skips that check.
+    ended there without an event), and skips that check.  ``x_next``, when
+    given, must be the state :func:`hdsim.integrate.rk4_step` gives for one
+    step of ``flow`` from ``(x, t)`` to ``t_next``; the step is then not
+    taken again, and its first stage is computed only if a guard crossed.
 
     The interpolant shares the step's first RK4 stage and remembers every
     state it computes, so one localization costs three field evaluations
@@ -89,8 +93,10 @@ def next_event(
             return x, (t, enabled[0], x)
     if t_next <= t:
         return x, None
-    k1 = flow(x, t)
-    x_next = rk4_step(flow, x, t, t_next - t, k1)
+    k1 = None
+    if x_next is None:
+        k1 = flow(x, t)
+        x_next = rk4_step(flow, x, t, t_next - t, k1)
     if not np.isfinite(x_next).all():
         raise NumericalFailureError(
             f"non-finite state while flowing to t={t_next}", time=t_next
@@ -98,6 +104,8 @@ def next_event(
     crossed = [e for e in edges if e.guard(x_next, t_next) >= 0.0]
     if not crossed:
         return x_next, None
+    if k1 is None:
+        k1 = flow(x, t)
 
     states = {t_next: x_next}
 

@@ -55,9 +55,6 @@ class HybridTime:
         if self.t < 0.0 or self.j < 0:
             raise ArgumentError(f"hybrid time must be non-negative, got {self}")
 
-    def key(self) -> Tuple[float, int]:
-        return (self.t, self.j)
-
 
 @dataclass(frozen=True)
 class TrajectorySample:

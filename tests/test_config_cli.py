@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from hdsim import cli_main, load_config, parse_config_text, reference_scenario
 from hdsim.config import SCHEMA, ExperimentConfig, resolve_seed
-from hdsim.errors import ConfigError
+from hdsim.compare import run_comparison
+from hdsim.errors import ConfigError, NumericalFailureError
 from hdsim.report import read_trajectory_csv
 
 
@@ -125,6 +126,9 @@ def test_unknown_flag_is_usage_error(capsys):
         ("verify", "verify.x0_half_width = -1"),
         ("compare", "model = smib"),
         ("estimate", "model = smib\nfilter = hybrid"),
+        ("simulate", "model = smib\nhorizon = 1e300"),
+        ("verify", "model = smib\nhorizon = 1e300"),
+        ("simulate", "dt = 1e-9"),
     ],
 )
 def test_invalid_config_value_exits_1_with_one_line_error(
@@ -239,6 +243,21 @@ def test_covariance_overflow_is_a_typed_error_naming_its_time(tmp_path, capsys):
         code = cli_main(["compare", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err == "error: predicted covariance overflowed at t=0.1\n"
+
+
+def test_update_losing_psd_is_a_typed_error_naming_time_and_mode(tmp_path, capsys):
+    # with this process noise (I - KH)P loses its sign to cancellation
+    cfg = write_cfg(tmp_path, "noise.q = 1e300\nhorizon = 0.01\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError) as err:
+            run_comparison(load_config(cfg), str(tmp_path / "lib"))
+        code = cli_main(["compare", "--config", cfg, "--out", str(tmp_path / "o")])
+    message = str(err.value)
+    assert "not PSD" in message and "t=0.0004" in message and "'GFL'" in message
+    assert err.value.time == 4 * 1e-4
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_compare_different_seed_changes_outputs(tmp_path):

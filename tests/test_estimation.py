@@ -197,6 +197,20 @@ def test_batched_prediction_is_bitwise_the_per_column_one(name):
         assert np.array_equal(out.covariance, 0.5 * (p_ref + p_ref.T))
 
 
+@pytest.mark.parametrize("name", sorted(INVERTER_FIELDS))
+def test_predicted_mean_is_bitwise_the_single_state_step(name):
+    # run_ekf hands this mean to next_event as the step's RK4 end state
+    field = INVERTER_FIELDS[name]
+    noise = reference_noise()
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        x = rng.uniform(-3.0, 3.0, 4)
+        t0 = float(rng.uniform(0.0, 0.2 - 1e-4))
+        dt = float(rng.uniform(1e-6, 1e-4))
+        out = ekf_predict(GaussianBelief(x, 1e-3 * np.eye(4)), field, dt, noise, t0=t0)
+        assert np.array_equal(out.mean, rk4_step(field, x, t0, dt))
+
+
 def test_one_prediction_makes_four_field_evaluations():
     shapes = []
 
@@ -241,6 +255,15 @@ def test_update_scalar_hand_computed():
     out = ekf_update(belief, np.array([1.0]), noise)
     assert abs(out.mean[0] - 0.5) < 1e-12
     assert abs(out.covariance[0, 0] - 0.5) < 1e-12
+
+
+def test_update_result_that_is_not_psd_is_a_numerical_failure():
+    # a covariance far too large for (I - KH)P to keep its sign in floats
+    noise = NoiseModel(q=np.zeros((2, 2)), r=np.eye(2), h=np.eye(2))
+    a = np.array([[1.0, 0.999], [0.999, 1.0]])
+    belief = GaussianBelief(np.zeros(2), 1e300 * a)
+    with pytest.raises(NumericalFailureError, match="not PSD"):
+        ekf_update(belief, np.zeros(2), noise)
 
 
 def test_update_singular_innovation_raises():

@@ -8,6 +8,7 @@ import pytest
 from hdsim import (
     ArgumentError,
     Edge,
+    GaussianBelief,
     HybridAutomaton,
     NumericalFailureError,
     generate_truth_and_measurements,
@@ -143,3 +144,46 @@ def test_state_dependent_guard_jump_times_match_simulate():
     assert np.allclose([r.t for r in run.jumps], truth.jump_times, rtol=0.0,
                        atol=1e-9)
     assert np.max(np.abs(run.means - z)) <= 1e-9
+
+
+def test_hybrid_step_without_event_evaluates_the_field_four_times():
+    # the guard scan takes the prediction's mean as its end state instead
+    # of stepping the mean again
+    calls = []
+
+    def counted_decay(x, t):
+        calls.append(t)
+        return decay(x, t)
+
+    never = Edge("a", "a", guard=lambda x, t: -1.0, reset=lambda x: x, label="never")
+    automaton = HybridAutomaton(dim=1, modes=("a",), flows={"a": counted_decay},
+                                edges=(never,))
+    sc = scalar_scenario(horizon=0.5, dt=1e-2, r=1e-2)
+    run = run_ekf(automaton, sc, np.ones((sc.n_steps + 1, 1)))
+    assert run.jumps == []
+    assert len(calls) == 4 * sc.n_steps
+
+
+def test_beliefs_are_validated_once_per_run_and_once_per_jump(monkeypatch):
+    checks = []
+    post_init = GaussianBelief.__post_init__
+
+    def counted_post_init(self):
+        checks.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(GaussianBelief, "__post_init__", counted_post_init)
+    refill = Edge("a", "a", guard=lambda x, t: 0.5 - x[0],
+                  reset=lambda x: np.array([1.0]),
+                  guard_gradient=lambda x, t: np.array([-1.0]), label="refill")
+    automaton = HybridAutomaton(dim=1, modes=("a",), flows={"a": decay},
+                                edges=(refill,))
+    sc = scalar_scenario(horizon=2.0, dt=1e-2, r=0.0)
+    truth = simulate(automaton, sc.x0, 2.0, max_jumps=10, dt=sc.dt, mode0="a")
+    z = truth.grid_states(0.0, sc.dt, sc.n_steps)
+    run = run_ekf(automaton, sc, z)
+    assert len(run.jumps) == 2
+    assert len(checks) == 1 + len(run.jumps)
+    checks.clear()
+    run_ekf(decay, sc, z)
+    assert len(checks) == 1

@@ -21,6 +21,7 @@ from hdsim import (
     run_ekf,
     simulate,
 )
+from hdsim.integrate import rk4_step
 from hdsim.power import SmibParams, smib_state, smib_system
 from hdsim.simulate import next_event
 
@@ -243,6 +244,34 @@ def test_one_localization_probes_each_time_once(monkeypatch):
     probes = sum(0.49 < t < 0.5 for t in probe_times)
     # four stages for the step, three per new probe (the first is shared)
     assert len(field_times) <= 4 + 3 * probes
+
+
+def test_given_end_state_is_not_stepped_again():
+    # The same SMIB step as above, once before the trip and once across it.
+    system = smib_system(SmibParams(p_m=2.0, d=0.5))
+    x = simulate(system, smib_state(0.6, 0.0), 0.48, 0, 0.01).final_state()
+    edge = Edge("line1", "line1", system.jump_set, system.jump_map)
+    field_times = []
+
+    def counted_flow(state, t):
+        field_times.append(t)
+        return system.flow_map(state, t)
+
+    quiet_end = rk4_step(system.flow_map, x, 0.48, 0.01)
+    assert next_event([edge], counted_flow, x, 0.48, 0.49, x_next=quiet_end) == (
+        quiet_end, None
+    )
+    assert field_times == []
+
+    trip_end = rk4_step(system.flow_map, quiet_end, 0.49, 0.01)
+    given = next_event([edge], counted_flow, quiet_end, 0.49, 0.5, x_next=trip_end)
+    own = next_event([edge], system.flow_map, quiet_end, 0.49, 0.5)
+    assert given[0] is trip_end and np.array_equal(own[0], trip_end)
+    (t_given, e_given, x_given), (t_own, e_own, x_own) = given[1], own[1]
+    assert (t_given, e_given) == (t_own, e_own) and np.array_equal(x_given, x_own)
+    # one first stage, then three stages per new probe time
+    assert field_times.count(0.49) == 1
+    assert (len(field_times) - 1) % 3 == 0
 
 
 def test_flow_steps_evaluate_each_guard_once_per_sample_time():
