@@ -20,6 +20,8 @@ import os
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from .compare import run_comparison
 from .config import ExperimentConfig, load_config, resolve_seed
 from .errors import ConfigError, HdsimError
@@ -158,7 +160,7 @@ def _cmd_verify(config: ExperimentConfig) -> int:
         sampler = box_sampler(scenario.x0 - hw, scenario.x0 + hw, seed)
 
         def unsafe(x) -> bool:
-            return max(abs(x[0]), abs(x[1])) > threshold - 1e-9
+            return np.maximum(np.abs(x[0]), np.abs(x[1])) > threshold - 1e-9
 
         verdict = check_safety(
             automaton, sampler, unsafe, horizon, n_samples, dt,

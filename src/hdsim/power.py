@@ -451,17 +451,27 @@ SMIB_P_E_MAX = 1.5
 
 
 def sine_power(amplitude: float) -> Callable[[float], float]:
-    """The classic electrical-power curve P_e(delta) = amplitude * sin(delta)."""
+    """The classic electrical-power curve P_e(delta) = amplitude * sin(delta).
+
+    ``np.sin`` makes it act elementwise on an array of angles; on a single
+    angle it gives the same bits as ``math.sin`` (numpy 2.4).
+    """
 
     def p_e(delta: float) -> float:
-        return amplitude * math.sin(delta)
+        return amplitude * np.sin(delta)
 
     return p_e
 
 
 @dataclass(frozen=True)
 class SmibParams:
-    """Swing-equation and line-switching parameters (per-unit)."""
+    """Swing-equation and line-switching parameters (per-unit).
+
+    ``p_e`` maps the rotor angle to electrical power.  Like a vector field
+    it acts elementwise: given an array of angles (one per column of a
+    state batch) it returns the array of their powers, and a scalar for a
+    scalar angle.
+    """
 
     m: float = 0.1
     d: float = 0.05
@@ -501,30 +511,35 @@ def smib_system(p: SmibParams) -> FlowJumpSystem:
     line label.  Line 1 trips when its current magnitude exceeds
     ``i_max``; it is restored once the power it would carry re-enters
     ``[p_min, p_max]``.  Line current is |P_e(delta)| at 1 pu voltage.
+
+    The flow set C is the whole state space: with jump priority, a state
+    in D jumps before it flows, so C = {margin <= 0} would give the same
+    trajectories and only repeat the margin evaluation after every step.
+    The flow and the margin act column-wise on a ``(3, m)`` state batch.
     """
 
     def flow(x, t):
         delta, omega = x[0], x[1]
+        # 0.0 * label is +0.0 in omega's shape (the label is 1.0 or 2.0)
         return np.array(
-            [omega, (p.p_m - p.p_e(delta) - p.d * omega) / p.m, 0.0]
+            [omega, (p.p_m - p.p_e(delta) - p.d * omega) / p.m, 0.0 * x[2]]
         )
 
-    def line1_current(x) -> float:
-        return abs(p.p_e(x[0]))
-
-    def jump_margin(x, t) -> float:
-        if x[2] < 1.5:  # line 1 active: trip on overcurrent
-            return line1_current(x) - p.i_max
-        pe = p.p_e(x[0])  # line 2 active: restore inside the band
-        return min(pe - p.p_min, p.p_max - pe)
+    def jump_margin(x, t):
+        # line 1 active: trip on overcurrent; line 2: restore inside the band
+        pe = p.p_e(x[0])
+        if x.ndim == 1:  # one state: a branch costs far less than np.where
+            if x[2] < 1.5:
+                return abs(pe) - p.i_max
+            return min(pe - p.p_min, p.p_max - pe)
+        return np.where(
+            x[2] < 1.5, np.abs(pe) - p.i_max, np.minimum(pe - p.p_min, p.p_max - pe)
+        )
 
     def jump_map(x) -> np.ndarray:
         out = np.asarray(x, dtype=float).copy()
         out[2] = 2.0 if x[2] < 1.5 else 1.0
         return out
-
-    def flow_set(x, t) -> bool:
-        return jump_margin(x, t) <= INVARIANT_TOL
 
     def label(x) -> str:
         return LINE1 if x[2] < 1.5 else LINE2
@@ -534,7 +549,6 @@ def smib_system(p: SmibParams) -> FlowJumpSystem:
         flow_map=flow,
         jump_set=jump_margin,
         jump_map=jump_map,
-        flow_set=flow_set,
         mode_label=label,
     )
 

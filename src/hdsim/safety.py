@@ -4,21 +4,32 @@ This checker simulates finitely many sampled initial conditions and
 reports the first trajectory that enters the unsafe set.  It can only
 falsify: "no counterexample found" is evidence, not a proof, since no
 over-approximation of the reachable set is computed.
+
+The samples are advanced together, in chunks of ``SWEEP_CHUNK``: each
+grid step is one RK4 step of the batch of event-free columns per mode,
+followed by one column-wise guard, ``unsafe`` and invariant evaluation.
+Only a column whose guard crossed (or whose state turned non-finite)
+goes through the scalar event path of :class:`hdsim.simulate.Stepper`,
+so every column follows exactly the trajectory :func:`simulate` gives it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ArgumentError
-from .simulate import simulate
+from .integrate import rk4_step
+from .simulate import Stepper, next_grid_time, simulate
 from .systems import FlowJumpSystem, HybridAutomaton, HybridTrajectory
 
 NO_COUNTEREXAMPLE = "no-counterexample-found"
 UNSAFE = "unsafe"
+
+SWEEP_CHUNK = 1024
+"""Samples drawn and advanced together; bounds the sweep's memory."""
 
 
 @dataclass
@@ -60,27 +71,177 @@ def check_safety(
 ) -> SafetyVerdict:
     """Falsify a safety property by simulating sampled initial states.
 
-    ``init_sampler`` returns an initial state per call (or a
-    ``(mode, state)`` pair for automata when the mode varies).  ``unsafe``
-    is a predicate on the continuous state, evaluated at every recorded
-    sample including localized event times.
+    ``init_sampler`` returns an initial state per call; for an automaton
+    it may return a ``(mode, state)`` pair when the mode varies.  It is
+    called in chunks of ``SWEEP_CHUNK`` draws.  ``unsafe`` is a predicate
+    on the continuous state, evaluated at every recorded sample including
+    localized event times.  It acts column-wise like the system's flows,
+    guard margins and invariants: given an ``(n, m)`` batch of states it
+    returns the ``m`` per-column results, each equal to its single-state
+    result; a scalar result holds for every column.
+
+    The verdict is the one a sample-by-sample loop over :func:`simulate`
+    gives: the lowest sample index that is unsafe, or that raised.  The
+    unsafe sample is simulated again on its own to build the witness, and
+    a sample that raised is simulated again so that the same exception
+    surfaces, carrying its partial trajectory.
     """
     if samples < 1:
         raise ArgumentError(f"samples must be >= 1, got {samples}")
-    for i in range(samples):
-        drawn = init_sampler()
-        if isinstance(drawn, tuple) and len(drawn) == 2:
-            m0, x0 = drawn
-        else:
-            m0, x0 = mode0, drawn
+    is_automaton = isinstance(system, HybridAutomaton)
+    for start in range(0, samples, SWEEP_CHUNK):
+        draws: List[Tuple[Optional[str], object]] = []
+        draw_error = None
+        for _ in range(min(SWEEP_CHUNK, samples - start)):
+            try:
+                drawn = init_sampler()
+            except Exception as exc:  # surfaces after the lower samples
+                draw_error = exc
+                break
+            if is_automaton and isinstance(drawn, tuple) and len(drawn) == 2:
+                draws.append(drawn)
+            else:
+                draws.append((mode0, drawn))
+        found = _sweep(system, draws, unsafe, horizon, max_jumps, dt)
+        if found is None:
+            if draw_error is not None:
+                raise draw_error
+            continue
+        i, error = found
+        m0, x0 = draws[i]
         traj = simulate(system, x0, horizon, max_jumps, dt, mode0=m0)
         for s in traj.samples:
             if unsafe(s.state):
                 return SafetyVerdict(
                     status=UNSAFE,
-                    samples_checked=i + 1,
+                    samples_checked=start + i + 1,
                     witness=traj,
                     witness_time=s.time.t,
                     witness_initial_state=np.asarray(x0, dtype=float),
                 )
+        raise ArgumentError(
+            f"sample {start + i} was unsafe or raised in the sweep but not on "
+            "its own: the system or the unsafe predicate is not column-wise"
+        ) from error
     return SafetyVerdict(status=NO_COUNTEREXAMPLE, samples_checked=samples)
+
+
+def _sweep(
+    system: Union[FlowJumpSystem, HybridAutomaton],
+    draws: List[Tuple[Optional[str], object]],
+    unsafe: Callable[[np.ndarray], bool],
+    horizon: float,
+    max_jumps: int,
+    dt: float,
+) -> Optional[Tuple[int, Optional[Exception]]]:
+    """Advance the drawn samples together up to the first one decided.
+
+    Returns ``(i, error)`` for the lowest index ``i`` that is unsafe
+    (``error`` is ``None``) or raised ``error``, or ``None`` when every
+    sample ran to its end safely.  A decided column retires every column
+    above it at once.
+    """
+    m = len(draws)
+    steppers: List[Stepper] = []
+    hit = np.zeros(m, dtype=bool)  # some scalar-path sample was unsafe
+    errors: Dict[int, Exception] = {}
+    live = np.zeros(m, dtype=bool)  # at the sweep's grid time, not terminated
+    waiting: Dict[int, float] = {}  # column -> the later grid time it is at
+    X = np.zeros((system.dim, m))
+    modes = system.modes if isinstance(system, HybridAutomaton) else None
+    group = np.zeros(m, dtype=int)  # automata: index of the column's mode
+    best = m  # lowest decided column so far
+
+    def decide(c: int) -> None:
+        nonlocal best
+        best = min(best, c)
+        live[best:] = False
+
+    def run(c: int, t_next: float, x_next=None, to_end: bool = False) -> None:
+        # the scalar path: column c through its events to the grid time t_next
+        s = steppers[c]
+        try:
+            running = s.advance(x_next, to_end)
+        except Exception as exc:  # surfaces after the lower samples
+            errors[c] = exc
+            running = False
+        if hit[c] or c in errors:
+            decide(c)
+            return
+        live[c] = running and s.t == t_next
+        if running:
+            X[:, c] = s.x
+            if modes:
+                group[c] = modes.index(s.mode)
+            if s.t != t_next:  # a jump within 1e-9 dt of t_next skips it
+                waiting[c] = s.t
+
+    def batch_step(cols: np.ndarray, t: float, t_next: float) -> None:
+        s = steppers[cols[0]]
+        try:
+            x_next = rk4_step(s.flow, X[:, cols], t, t_next - t)
+            clear = np.isfinite(x_next).all(axis=0)
+            for e in s.edges:
+                clear &= np.asarray(e.guard(x_next, t_next)) < 0.0
+            all_clear = clear.all()
+            if all_clear:
+                flowing, x_flow = cols, x_next
+            else:
+                flowing, x_flow = cols[clear], x_next[:, clear]
+            bad = np.asarray(unsafe(x_flow), dtype=bool)
+            inside = np.asarray(s.invariant(x_flow, t_next), dtype=bool)
+        except Exception:
+            # redo the step column by column, so that an error belongs
+            # to the sample that raised it
+            x_next, clear, all_clear = None, np.zeros(cols.size, dtype=bool), False
+        else:
+            X[:, flowing] = x_flow
+            if bad.any():
+                decide(flowing[np.broadcast_to(bad, flowing.shape)][0])
+            if not inside.all():  # left the flow set
+                live[flowing[~np.broadcast_to(inside, flowing.shape)]] = False
+        if all_clear:
+            return
+        for k in np.flatnonzero(~clear):
+            c = cols[k]
+            if c < best:
+                steppers[c].x, steppers[c].t = X[:, c].copy(), t
+                run(c, t_next, None if x_next is None else x_next[:, k])
+
+    _, t = next_grid_time(0.0, 0.0, dt, horizon)
+    for c, (m0, x0) in enumerate(draws):
+
+        def sink(t, j, mode, x, c=c):
+            if unsafe(x):
+                hit[c] = True
+
+        try:
+            steppers.append(Stepper(system, x0, horizon, max_jumps, dt, m0, 0.0, sink))
+        except Exception as exc:
+            errors[c] = exc
+        if c in errors or hit[c]:
+            decide(c)
+            break
+        run(c, t)  # the first step also fires the guards enabled at t = 0
+        if best <= c:
+            break
+
+    while True:
+        for c in [c for c, t_c in waiting.items() if t_c <= t]:
+            if waiting.pop(c) == t:
+                live[c] = c < best
+            elif c < best:  # not a grid time of the sweep: finish on its own
+                run(c, t, to_end=True)
+        cols = np.flatnonzero(live[:best])
+        at_end, t_next = next_grid_time(t, 0.0, dt, horizon)
+        if at_end or (cols.size == 0 and not waiting):
+            break  # at the horizon every live column is done
+        if modes is None:
+            batch_step(cols, t, t_next)
+        else:
+            for q in set(group[cols].tolist()):
+                batch_step(cols[group[cols] == q], t, t_next)
+        t = t_next
+    if best == m:
+        return None
+    return int(best), errors.get(best)

@@ -17,12 +17,15 @@ reset, and resumes from the event time with a shortened step back to the
 grid.  Keeping every later sample on the original grid makes trajectories
 directly comparable across runs with and without jumps.  At most
 ``SAME_TIME_JUMP_BUDGET`` jumps may follow one another at one instant.
+That loop is :meth:`Stepper.advance`, which holds one trajectory's
+stepping state: :func:`simulate` runs it to the end, and the sampled
+safety sweep runs it for the columns whose guard crossed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -135,6 +138,162 @@ def next_event(
     return x_next, (t_star, edge, interpolant(t_star))
 
 
+def next_grid_time(t: float, t0: float, dt: float, t_end: float) -> Tuple[bool, float]:
+    """The target of the step from ``t`` on the grid ``t0 + k*dt``.
+
+    Returns ``(at_end, t_next)``: the next grid time, clipped to ``t_end``,
+    or ``(True, t)`` at the horizon, where only the guards enabled there
+    may still fire.  The grid stays aligned to ``t0`` after a jump.
+    """
+    if t >= t_end - 1e-15 * max(1.0, abs(t_end)):
+        return True, t
+    k = math.floor((t - t0) / dt + 1e-9) + 1
+    return False, min(t0 + k * dt, t_end)
+
+
+class Stepper:
+    """The stepping state of one trajectory on a fixed RK4 grid.
+
+    :meth:`advance` is the simulation loop: it steps towards the next grid
+    time with :func:`next_event`; at a localized crossing it records the
+    pre-jump sample, checks the jump budget and the same-instant budget,
+    applies the reset and resumes with a shortened step back to the grid.
+    Every sample goes to ``sink(t, j, mode, state)`` and every jump to the
+    list ``jumps`` when one is given.  :func:`simulate` runs one stepper to
+    its end; :func:`hdsim.safety.check_safety` steps the event-free columns
+    of a sweep as one batch and hands each column whose guard crossed to
+    :meth:`advance`.  The arguments are those of :func:`simulate`.
+    """
+
+    def __init__(
+        self,
+        system: Union[FlowJumpSystem, HybridAutomaton],
+        x0,
+        horizon: float,
+        max_jumps: int,
+        dt: float,
+        mode0: Optional[str],
+        t0: float,
+        sink: Callable[[float, int, str, np.ndarray], None],
+        jumps: Optional[List[JumpRecord]] = None,
+    ):
+        if horizon <= 0.0:
+            raise ArgumentError(f"horizon must be positive, got {horizon}")
+        if dt <= 0.0:
+            raise ArgumentError(f"dt must be positive, got {dt}")
+        if max_jumps < 0:
+            raise ArgumentError(f"max_jumps must be non-negative, got {max_jumps}")
+        self.system = system
+        self.is_automaton = isinstance(system, HybridAutomaton)
+        x = as_state(x0, system.dim)
+        if self.is_automaton:
+            if mode0 is None:
+                raise ArgumentError("an automaton simulation needs an initial mode")
+            if mode0 not in system.modes:
+                raise ArgumentError(f"unknown initial mode {mode0!r}")
+            if system.init is not None and not system.init(mode0, x):
+                raise ArgumentError(f"({mode0!r}, x0) is not in the initial set")
+            self._enter(mode0)
+        else:
+            if not system.flow_set(x, t0) and not system.jump_set(x, t0) >= 0.0:
+                raise ArgumentError("x0 lies outside both the flow set and the jump set")
+            self.mode = system.mode_label(x)
+            self.flow = system.flow_map
+            self.invariant = system.flow_set
+            self.edges = [
+                Edge(self.mode, self.mode, system.jump_set, system.jump_map, label="jump")
+            ]
+        self.x, self.t, self.j = x, t0, 0
+        self.t0, self.dt, self.t_end, self.max_jumps = t0, dt, t0 + horizon, max_jumps
+        self.guards_clear = False
+        self.termination: Optional[str] = None
+        self.sink, self.jumps = sink, jumps
+        sink(t0, 0, self.mode, x)
+
+    def _enter(self, mode: str) -> None:
+        self.mode = mode
+        self.flow = self.system.flows[mode]
+        self.invariant = self.system.invariant(mode)
+        self.edges = self.system.outgoing(mode)
+
+    def _label(self, state: np.ndarray) -> str:
+        """The mode label of a sample: the automaton mode, or ``mode_label``."""
+        return self.mode if self.is_automaton else self.system.mode_label(state)
+
+    def advance(self, x_next: Optional[np.ndarray] = None, to_end: bool = False) -> bool:
+        """Step to the next grid time, through every event on the way.
+
+        Returns ``True`` on landing there without an event (``x``, ``t``
+        and ``j`` then hold the new grid sample), or ``False`` once
+        ``termination`` is set.  ``x_next`` is as for :func:`next_event`:
+        the RK4 state at the next grid time from ``(x, t)``.  With
+        ``to_end`` it keeps stepping until the run terminates.
+
+        Raises the errors of :func:`next_event` and of the reset maps.
+        """
+        x, t, j = self.x, self.t, self.j
+        flow, edges, invariant = self.flow, self.edges, self.invariant
+        t0, dt, t_end, sink = self.t0, self.dt, self.t_end, self.sink
+        guards_clear = self.guards_clear
+        same_t_jumps = 0
+        while True:
+            at_end, t_next = next_grid_time(t, t0, dt, t_end)
+            x_new, event = next_event(edges, flow, x, t, t_next, guards_clear, x_next)
+            x_next = None
+            if event is None:
+                if at_end:
+                    return self._stop(HORIZON_REACHED, x, t, j)
+                t, x = t_next, x_new
+                same_t_jumps = 0
+                guards_clear = True
+                sink(t, j, self._label(x), x)
+                if not invariant(x, t):
+                    return self._stop(LEFT_FLOW_SET, x, t, j)
+                if to_end:
+                    continue
+                self.x, self.t, self.j, self.guards_clear = x, t, j, True
+                return True
+
+            t_star, edge, x_star = event
+            guards_clear = False
+            if t_star > t:
+                same_t_jumps = 0
+                sink(t_star, j, self._label(x_star), x_star)
+                t = t_star
+            if j >= self.max_jumps or same_t_jumps >= SAME_TIME_JUMP_BUDGET:
+                return self._stop(MAX_JUMPS_REACHED, x_star, t, j)
+            x = self._jump(edge, x_star, t, j)
+            flow, edges, invariant = self.flow, self.edges, self.invariant
+            j += 1
+            same_t_jumps += 1
+            sink(t, j, self._label(x), x)
+
+    def _jump(self, edge: Edge, state: np.ndarray, t: float, j: int) -> np.ndarray:
+        x_new = as_state(edge.reset(state), self.system.dim)
+        old_mode = self.mode
+        if self.is_automaton:
+            self._enter(edge.target)
+        else:
+            self.mode = self.system.mode_label(x_new)
+        if self.jumps is not None:
+            self.jumps.append(
+                JumpRecord(
+                    t=t,
+                    j_before=j,
+                    edge=edge.label,
+                    state_before=state.copy(),
+                    state_after=x_new.copy(),
+                    mode_before=old_mode,
+                    mode_after=self._label(x_new),
+                )
+            )
+        return x_new
+
+    def _stop(self, termination: str, x: np.ndarray, t: float, j: int) -> bool:
+        self.x, self.t, self.j, self.termination = x, t, j, termination
+        return False
+
+
 def simulate(
     system: Union[FlowJumpSystem, HybridAutomaton],
     x0,
@@ -174,106 +333,15 @@ def simulate(
     NumericalFailureError
         If the state turns non-finite; carries the partial trajectory.
     """
-    if horizon <= 0.0:
-        raise ArgumentError(f"horizon must be positive, got {horizon}")
-    if dt <= 0.0:
-        raise ArgumentError(f"dt must be positive, got {dt}")
-    if max_jumps < 0:
-        raise ArgumentError(f"max_jumps must be non-negative, got {max_jumps}")
-
-    is_automaton = isinstance(system, HybridAutomaton)
-    x = as_state(x0, system.dim)
-    if is_automaton:
-        if mode0 is None:
-            raise ArgumentError("an automaton simulation needs an initial mode")
-        if mode0 not in system.modes:
-            raise ArgumentError(f"unknown initial mode {mode0!r}")
-        if system.init is not None and not system.init(mode0, x):
-            raise ArgumentError(f"({mode0!r}, x0) is not in the initial set")
-        mode = mode0
-        flow = system.flows[mode]
-        invariant = system.invariant(mode)
-        edges = system.outgoing(mode)
-    else:
-        mode = system.mode_label(x)
-        flow = system.flow_map
-        invariant = system.flow_set
-        in_jump_set = system.jump_set(x, t0) >= 0.0
-        if not invariant(x, t0) and not in_jump_set:
-            raise ArgumentError("x0 lies outside both the flow set and the jump set")
-        edges = [Edge(mode, mode, system.jump_set, system.jump_map, label="jump")]
-
     traj = HybridTrajectory()
-    t = t0
-    j = 0
-    t_end = t0 + horizon
-    same_t_jumps = 0
-    guards_clear = False
-    traj.append(t, j, mode, x)
-
-    def label_of(state: np.ndarray, m: str) -> str:
-        return m if is_automaton else system.mode_label(state)
-
-    def apply_jump(edge: Edge, state: np.ndarray):
-        nonlocal mode, flow, invariant, edges
-        x_new = as_state(edge.reset(state), system.dim)
-        old_mode = mode
-        if is_automaton:
-            mode = edge.target
-            flow = system.flows[mode]
-            invariant = system.invariant(mode)
-            edges = system.outgoing(mode)
-        else:
-            mode = system.mode_label(x_new)
-        traj.jumps.append(
-            JumpRecord(
-                t=t,
-                j_before=j,
-                edge=edge.label,
-                state_before=state.copy(),
-                state_after=x_new.copy(),
-                mode_before=old_mode,
-                mode_after=label_of(x_new, mode),
-            )
-        )
-        return x_new
-
-    while True:
-        # Step towards the next grid point (grid stays aligned to t0); at
-        # the horizon only the guards enabled there may still fire.
-        at_end = t >= t_end - 1e-15 * max(1.0, abs(t_end))
-        k = math.floor((t - t0) / dt + 1e-9) + 1
-        t_next = t if at_end else min(t0 + k * dt, t_end)
-        try:
-            x_next, event = next_event(edges, flow, x, t, t_next, guards_clear)
-        except NumericalFailureError as exc:
-            traj.termination = NUMERICAL_FAILURE
-            exc.trajectory = traj
-            raise
-        if event is None:
-            if at_end:
-                traj.termination = HORIZON_REACHED
-                return traj
-            t = t_next
-            x = x_next
-            same_t_jumps = 0
-            guards_clear = True
-            traj.append(t, j, label_of(x, mode), x)
-            if not invariant(x, t):
-                traj.termination = LEFT_FLOW_SET
-                return traj
-            continue
-
-        t_star, edge, x_star = event
-        guards_clear = False
-        if t_star > t:
-            same_t_jumps = 0
-            traj.append(t_star, j, label_of(x_star, mode), x_star)
-            t = t_star
-        if j >= max_jumps or same_t_jumps >= SAME_TIME_JUMP_BUDGET:
-            traj.termination = MAX_JUMPS_REACHED
-            return traj
-        x = apply_jump(edge, x_star)
-        j += 1
-        same_t_jumps += 1
-        traj.append(t, j, label_of(x, mode), x)
+    stepper = Stepper(
+        system, x0, horizon, max_jumps, dt, mode0, t0, traj.append, traj.jumps
+    )
+    try:
+        stepper.advance(to_end=True)
+    except NumericalFailureError as exc:
+        traj.termination = NUMERICAL_FAILURE
+        exc.trajectory = traj
+        raise
+    traj.termination = stepper.termination
+    return traj

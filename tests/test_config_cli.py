@@ -354,3 +354,80 @@ def test_hds_seed_env_is_lowest_priority(tmp_path, monkeypatch):
     ) == 0
     with open(os.path.join(out_flag, "report.csv")) as fh:
         assert "seed = 5" in fh.read()
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+def _grid():
+    # dt must divide the horizon for the inverter: horizon = steps * dt
+    return st.integers(1, 500).flatmap(
+        lambda steps: st.floats(1e-3, 0.5 / steps).map(
+            lambda dt: {"dt": repr(dt), "horizon": repr(steps * dt)}
+        )
+    )
+
+
+_VERIFY_COMMON = {
+    "verify.samples": st.integers(1, 8).map(str),
+    "seed": st.integers(0, 2**31 - 1).map(str),
+    "max_jumps": st.integers(0, 50).map(str),
+    "verify.i_unsafe": _num(-1.0, 3.0),
+}
+_VERIFY_SMIB = st.fixed_dictionaries(
+    {"model": st.just("smib"), **_VERIFY_COMMON},
+    optional={
+        "smib.m": _num(0.01, 1.0),
+        "smib.d": _num(0.0, 1.0),
+        "smib.p_m": _num(0.0, 3.0),
+        "smib.p_e_max": _num(0.1, 3.0),
+        "smib.i_max": _num(0.0, 3.0),
+        "smib.p_min": _num(-1.0, 0.8),
+        "smib.p_max": _num(0.6, 1.5),
+        "smib.delta0": _num(-3.5, 3.5),
+        "smib.omega0": _num(-10.0, 10.0),
+        "smib.line0": st.sampled_from(["1", "2", "3"]),
+        "verify.delta_half_width": _num(0.0, 1.0),
+        "verify.omega_half_width": _num(0.0, 6.0),
+    },
+)
+_VERIFY_INVERTER = st.fixed_dictionaries(
+    {
+        "model": st.just("inverter"),
+        "inverter.profile": st.sampled_from(
+            ["0:1, 0.1:1, 0.12:0.5, 0.3:0.5, 0.32:1, 0.5:1", "0:1, 0.5:0.6"]
+        ),
+        **_VERIFY_COMMON,
+    },
+    optional={
+        "inverter.i_lim": _num(0.1, 2.0),
+        "inverter.v_low": _num(0.5, 0.85),
+        "inverter.v_high": _num(0.8, 1.0),
+        "verify.x0_half_width": _num(0.0, 0.5),
+    },
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_VERIFY_SMIB, _VERIFY_INVERTER), _grid())
+def test_verify_on_small_configs_exits_cleanly(values, grid):
+    import contextlib
+    import io
+    import tempfile
+
+    text = "".join(f"{key} = {value}\n" for key, value in {**values, **grid}.items())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "exp.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            out = os.path.join(tmp, "out")
+            code = cli_main(["verify", "--config", cfg, "--out", out])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -28,7 +28,7 @@ from hdsim import (
     swing_field,
 )
 from hdsim.estimation import NoiseModel
-from hdsim.power import GFL
+from hdsim.power import GFL, sine_power
 
 P = InverterParams()
 
@@ -321,6 +321,35 @@ def test_balanced_torque_equilibrium():
     states = traj.states
     assert np.max(np.abs(states[:, 0] - 0.5)) < 1e-12
     assert np.max(np.abs(states[:, 1])) < 1e-12
+
+
+def test_smib_without_events_evaluates_the_margin_once_per_sample_time():
+    angles = []
+    base = sine_power(1.5)
+
+    def p_e(delta):
+        angles.append(delta)
+        return base(delta)
+
+    # the equilibrium angle: |P_e| = 1 stays below i_max = 1.4, so no trip
+    params = SmibParams(p_e=p_e, p_m=1.0, i_max=1.4)
+    x0 = smib_state(np.arcsin(1.0 / 1.5), 0.0)
+    traj = simulate(smib_system(params), x0, 0.5, 5, 1e-2)
+    assert traj.jumps == [] and len(traj.samples) == 51
+    # four flow evaluations per RK4 step, one margin evaluation per sample
+    assert len(angles) == 4 * 50 + 51
+
+
+def test_smib_flow_and_margin_act_column_wise():
+    system = smib_system(SmibParams(p_m=2.0, d=0.5, p_min=0.1, p_max=0.4))
+    rng = np.random.default_rng(3)
+    angles_speeds = rng.uniform(-4.0, 4.0, (2, 400))
+    batch = np.vstack([angles_speeds, rng.choice([1.0, 2.0], (1, 400))])
+    flows = system.flow_map(batch, 0.3)
+    margins = system.jump_set(batch, 0.3)
+    for c in range(batch.shape[1]):
+        assert np.array_equal(flows[:, c], system.flow_map(batch[:, c], 0.3))
+        assert margins[c] == system.jump_set(batch[:, c], 0.3)
 
 
 def test_identical_line_switch_matches_unswitched():

@@ -4,13 +4,24 @@ import numpy as np
 import pytest
 
 from hdsim import (
+    AmbiguousTransitionError,
     ArgumentError,
+    Edge,
     FlowJumpSystem,
+    HybridAutomaton,
+    LEFT_FLOW_SET,
+    MAX_JUMPS_REACHED,
     NO_COUNTEREXAMPLE,
+    NumericalFailureError,
+    SafetyVerdict,
     SmibParams,
+    UNSAFE,
     box_sampler,
     check_safety,
     integrate_flow,
+    inverter_automaton,
+    reference_scenario,
+    simulate,
     smib_system,
     swing_field,
 )
@@ -75,3 +86,306 @@ def test_automaton_sampler_with_modes():
     )
     assert verdict.unsafe
     assert 0.3 <= verdict.witness_time <= 0.55
+
+
+def test_tuple_samples_are_states_for_a_flow_jump_system():
+    # only an automaton's sampler may return (mode, state) pairs
+    system = FlowJumpSystem(dim=2, flow_map=lambda x, t: -x)
+    verdict = check_safety(
+        system, lambda: (0.1, 0.2), lambda x: x[1] > 0.15, horizon=0.1,
+        samples=2, dt=1e-2,
+    )
+    assert verdict.unsafe and verdict.witness_time == 0.0
+    assert np.array_equal(verdict.witness_initial_state, [0.1, 0.2])
+
+
+# -- the batched sweep against the sample-by-sample loop ------------------------
+
+
+def oracle_check_safety(system, init_sampler, unsafe, horizon, samples, dt,
+                        max_jumps=100, mode0=None):
+    """The sample-by-sample loop the sweep must agree with."""
+    for i in range(samples):
+        drawn = init_sampler()
+        if isinstance(system, HybridAutomaton) and isinstance(drawn, tuple) \
+                and len(drawn) == 2:
+            m0, x0 = drawn
+        else:
+            m0, x0 = mode0, drawn
+        traj = simulate(system, x0, horizon, max_jumps, dt, mode0=m0)
+        for s in traj.samples:
+            if unsafe(s.state):
+                return SafetyVerdict(
+                    status=UNSAFE, samples_checked=i + 1, witness=traj,
+                    witness_time=s.time.t,
+                    witness_initial_state=np.asarray(x0, dtype=float),
+                )
+    return SafetyVerdict(status=NO_COUNTEREXAMPLE, samples_checked=samples)
+
+
+def assert_same_verdict(make_sampler, system, unsafe, **kwargs):
+    """Run sweep and oracle on fresh samplers; return the sweep's verdict."""
+    got = check_safety(system, make_sampler(), unsafe, **kwargs)
+    want = oracle_check_safety(system, make_sampler(), unsafe, **kwargs)
+    assert (got.status, got.samples_checked) == (want.status, want.samples_checked)
+    assert got.witness_time == want.witness_time
+    if want.unsafe:
+        assert got.witness.jump_times == want.witness.jump_times
+        assert np.array_equal(got.witness_initial_state, want.witness_initial_state)
+    return got
+
+
+def reaches(target):
+    """Column-wise predicate: the state equals ``target`` bit for bit."""
+    target = np.asarray(target, dtype=float)
+    return lambda x: (np.asarray(x).T == target).all(axis=-1)
+
+
+OUT_OF_STEP = SmibParams(p_m=2.0, d=0.5)  # slips poles: trips and restores
+
+
+def smib_sampler(seed):
+    return lambda: box_sampler([0.0, -6.0, 1.0], [1.2, 6.0, 1.0], seed)
+
+
+SMIB_RUN = dict(horizon=2.0, samples=8, dt=1e-2, max_jumps=1000)
+
+
+@pytest.fixture
+def simulate_calls(monkeypatch):
+    import hdsim.safety
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(hdsim.safety, "simulate", counted)
+    return calls
+
+
+def test_safe_sweep_matches_the_loop_and_simulates_nothing(simulate_calls):
+    system = smib_system(OUT_OF_STEP)
+    verdict = assert_same_verdict(
+        smib_sampler(1), system, lambda x: np.abs(x[1]) > 1e3, **SMIB_RUN
+    )
+    assert verdict.status == NO_COUNTEREXAMPLE and verdict.samples_checked == 8
+    assert simulate_calls == []
+
+
+def scalar_runs(system, sampler, n, **kwargs):
+    return [simulate(system, sampler(), **kwargs) for _ in range(n)]
+
+
+def test_every_column_ends_bitwise_where_simulate_ends(simulate_calls):
+    system = smib_system(OUT_OF_STEP)
+    kwargs = dict(horizon=2.0, max_jumps=1000, dt=1e-2)
+    runs = scalar_runs(system, smib_sampler(2)(), 8, **kwargs)
+    assert all(len(r.jumps) >= 2 for r in runs)
+    for k, run in enumerate(runs):
+        verdict = assert_same_verdict(
+            smib_sampler(2), system, reaches(run.final_state()), samples=8, **kwargs
+        )
+        assert verdict.samples_checked == k + 1
+        assert verdict.witness_time == run.samples[-1].time.t
+    assert len(simulate_calls) == len(runs)  # one witness run per sweep
+
+
+@pytest.mark.parametrize("side", ["state_before", "state_after"])
+def test_unsafe_only_at_a_pre_or_post_jump_sample(side, simulate_calls):
+    system = smib_system(OUT_OF_STEP)
+    runs = scalar_runs(system, smib_sampler(3)(), 8, horizon=2.0, max_jumps=1000, dt=1e-2)
+    k = 5
+    jump = runs[k].jumps[1]
+    verdict = assert_same_verdict(
+        smib_sampler(3), system, reaches(getattr(jump, side)), **SMIB_RUN
+    )
+    assert verdict.samples_checked == k + 1
+    assert verdict.witness_time == jump.t
+    assert len(simulate_calls) == 1  # the witness
+
+
+def test_inverter_columns_that_jump_onto_a_grid_time():
+    # the reference dip crosses v_low at t = 0.054, a grid time at dt = 1e-3:
+    # each column lands one grid step ahead of the sweep and waits there
+    scenario = reference_scenario()
+    automaton = inverter_automaton(scenario.params, scenario.v_grid)
+    kwargs = dict(horizon=0.2, max_jumps=10, dt=1e-3, mode0=scenario.initial_mode)
+
+    def sampler():
+        return box_sampler(scenario.x0 - 0.3, scenario.x0 + 0.3, seed=12)
+
+    runs = scalar_runs(automaton, sampler(), 6, **kwargs)
+    assert all(abs(r.jump_times[0] - 0.054) < 1e-9 for r in runs)
+    for k, run in enumerate(runs):
+        verdict = assert_same_verdict(
+            sampler, automaton, reaches(run.final_state()), samples=6, **kwargs
+        )
+        assert verdict.samples_checked == k + 1
+
+
+def test_a_predicate_that_takes_no_batch_still_gives_the_loop_verdict():
+    # max() of two arrays raises: every step is redone column by column
+    system = smib_system(OUT_OF_STEP)
+    for level in (3.0, 5.5, 1e3):
+        assert_same_verdict(
+            smib_sampler(7), system, lambda x: max(abs(x[1]), 0.0) > level, **SMIB_RUN
+        )
+
+
+def test_unsafe_at_the_initial_state():
+    system = smib_system(OUT_OF_STEP)
+    sampler = smib_sampler(4)()
+    x3 = [sampler() for _ in range(4)][3]
+    verdict = assert_same_verdict(smib_sampler(4), system, reaches(x3), **SMIB_RUN)
+    assert verdict.samples_checked == 4 and verdict.witness_time == 0.0
+
+
+@pytest.mark.parametrize("fail_at", [2, 5])
+def test_a_sampler_that_raises_surfaces_after_the_lower_samples(fail_at):
+    system = smib_system(OUT_OF_STEP)
+    first = smib_sampler(4)()
+    x3 = [first() for _ in range(4)][3]
+
+    def make_sampler():
+        base, draws = smib_sampler(4)(), iter(range(100))
+
+        def sample():
+            if next(draws) == fail_at:
+                raise ValueError("no more samples")
+            return base()
+
+        return sample
+
+    if fail_at > 3:
+        assert assert_same_verdict(make_sampler, system, reaches(x3), **SMIB_RUN).unsafe
+    else:
+        with pytest.raises(ValueError, match="no more samples"):
+            check_safety(system, make_sampler(), reaches(x3), **SMIB_RUN)
+
+
+@pytest.mark.parametrize("level", [0.52, 0.55, 0.58, 0.6])
+def test_columns_that_leave_the_flow_set(level):
+    system = FlowJumpSystem(
+        dim=1, flow_map=lambda x, t: np.ones_like(x),
+        flow_set=lambda x, t: x[0] <= 0.5,
+    )
+    verdict = assert_same_verdict(
+        lambda: box_sampler([0.0], [0.1], seed=5), system, lambda x: x[0] > level,
+        horizon=1.0, samples=12, dt=0.1,
+    )
+    assert verdict.witness is None or verdict.witness.termination == LEFT_FLOW_SET
+
+
+@pytest.mark.parametrize("n_jump", [1, 2])
+def test_jump_budget_stops_a_column(n_jump):
+    system = smib_system(OUT_OF_STEP)
+    runs = scalar_runs(system, smib_sampler(6)(), 8, horizon=2.0, max_jumps=1000, dt=1e-2)
+    target = runs[4].jumps[n_jump].state_after
+    verdict = assert_same_verdict(
+        smib_sampler(6), system, reaches(target), horizon=2.0, samples=8,
+        dt=1e-2, max_jumps=2,
+    )
+    # the third jump (n_jump 2) lies beyond the budget of two
+    assert verdict.unsafe == (n_jump < 2)
+    if verdict.unsafe:
+        assert verdict.witness.termination == MAX_JUMPS_REACHED
+
+
+def two_mode_automaton():
+    return HybridAutomaton(
+        dim=2, modes=("up", "down"),
+        flows={
+            "up": lambda x, t: np.array([x[1], np.ones_like(x[0])]),
+            "down": lambda x, t: np.array([x[1], -2.0 * np.ones_like(x[0])]),
+        },
+        edges=(
+            Edge("up", "down", guard=lambda x, t: x[0] - 1.0, reset=lambda x: x),
+            Edge("down", "up", guard=lambda x, t: -x[0], reset=lambda x: -0.5 * x),
+        ),
+    )
+
+
+@pytest.mark.parametrize("level", [0.9, 1.2, 1.5, 2.0])
+def test_mode_varying_automaton_sampler(level):
+    automaton = two_mode_automaton()
+
+    def make_sampler():
+        base = box_sampler([0.0, -1.0], [0.9, 1.0], seed=8)
+        count = iter(range(10**6))
+        return lambda: ("up" if next(count) % 2 else "down", base())
+
+    assert_same_verdict(
+        make_sampler, automaton, lambda x: np.abs(x[1]) > level,
+        horizon=3.0, samples=10, dt=1e-2,
+    )
+
+
+def ambiguous_automaton():
+    # x[0] drives two guards that cross together; x[1] drives the unsafe set
+    cross = lambda x, t: x[0] - 1.0  # noqa: E731
+    return HybridAutomaton(
+        dim=2, modes=("a", "b", "c"),
+        flows={q: lambda x, t: np.ones_like(x) for q in "abc"},
+        edges=(
+            Edge("a", "b", guard=cross, reset=lambda x: x),
+            Edge("a", "c", guard=cross, reset=lambda x: x),
+        ),
+    )
+
+
+def listed(*states):
+    return lambda: iter([np.array(s) for s in states]).__next__
+
+
+RAISES = (0.7, 0.0)  # crosses both guards at t = 0.3
+UNSAFE_AT_02 = (0.0, 0.8)  # unsafe at t = 0.2, never crosses before 0.5
+KWARGS = dict(horizon=0.5, samples=3, dt=0.1, mode0="a")
+
+
+def test_a_column_that_raises_after_a_lower_unsafe_one(simulate_calls):
+    verdict = assert_same_verdict(
+        listed((0.0, 0.0), UNSAFE_AT_02, RAISES), ambiguous_automaton(),
+        lambda x: x[1] > 0.95, **KWARGS,
+    )
+    assert verdict.samples_checked == 2
+    assert len(simulate_calls) == 1  # the witness
+
+
+def test_a_column_that_raises_before_a_lower_unsafe_one():
+    run = dict(system=ambiguous_automaton(), unsafe=lambda x: x[1] > 0.95, **KWARGS)
+    with pytest.raises(AmbiguousTransitionError) as got:
+        check_safety(init_sampler=listed((0.0, 0.0), RAISES, UNSAFE_AT_02)(), **run)
+    with pytest.raises(AmbiguousTransitionError) as want:
+        oracle_check_safety(
+            init_sampler=listed((0.0, 0.0), RAISES, UNSAFE_AT_02)(), **run
+        )
+    assert str(got.value) == str(want.value)
+
+
+def test_a_numerical_failure_surfaces_with_its_partial_trajectory():
+    system = FlowJumpSystem(
+        dim=1, flow_map=lambda x, t: np.where(x > 0.55, np.nan, 1.0),
+    )
+    run = dict(system=system, unsafe=lambda x: x[0] > 2.0, horizon=1.0, samples=4, dt=0.1)
+    with pytest.raises(NumericalFailureError) as got:
+        check_safety(init_sampler=listed([0.0], [0.1], [0.3], [0.0])(), **run)
+    with pytest.raises(NumericalFailureError) as want:
+        oracle_check_safety(init_sampler=listed([0.0], [0.1], [0.3], [0.0])(), **run)
+    assert str(got.value) == str(want.value)
+    assert got.value.trajectory.times.tolist() == want.value.trajectory.times.tolist()
+
+
+@pytest.mark.parametrize("k", [6, 9, None])
+def test_more_samples_than_one_chunk(k, monkeypatch, simulate_calls):
+    import hdsim.safety
+
+    monkeypatch.setattr(hdsim.safety, "SWEEP_CHUNK", 4)
+    system = smib_system(OUT_OF_STEP)
+    kwargs = dict(horizon=0.5, max_jumps=1000, dt=1e-2)
+    runs = scalar_runs(system, smib_sampler(9)(), 11, **kwargs)
+    unsafe = reaches(runs[k].final_state()) if k is not None else lambda x: False
+    verdict = assert_same_verdict(smib_sampler(9), system, unsafe, samples=11, **kwargs)
+    assert verdict.samples_checked == (11 if k is None else k + 1)
+    assert len(simulate_calls) == (1 if verdict.unsafe else 0)
