@@ -78,7 +78,12 @@ def check_safety(
     localized event times.  It acts column-wise like the system's flows,
     guard margins and invariants: given an ``(n, m)`` batch of states it
     returns the ``m`` per-column results, each equal to its single-state
-    result; a scalar result holds for every column.
+    result.  A result of any other shape (a constant, or a reduction such
+    as ``np.linalg.norm(x[:2]) < r``) makes that step be redone one state
+    at a time: still the right verdict, only slower.  Guard margins and
+    invariants may return one scalar for every column (a time-only guard),
+    so for them a reduction over the batch gives silently wrong verdicts.
+    A sweep left with one live sample finishes it on its own.
 
     The verdict is the one a sample-by-sample loop over :func:`simulate`
     gives: the lowest sample index that is unsafe, or that raised.  The
@@ -149,13 +154,15 @@ def _sweep(
     waiting: Dict[int, float] = {}  # column -> the later grid time it is at
     X = np.zeros((system.dim, m))
     modes = system.modes if isinstance(system, HybridAutomaton) else None
-    group = np.zeros(m, dtype=int)  # automata: index of the column's mode
+    group = np.zeros(m, dtype=int)  # index of the column's mode (automata)
     best = m  # lowest decided column so far
 
     def decide(c: int) -> None:
         nonlocal best
         best = min(best, c)
         live[best:] = False
+        for w in [w for w in waiting if w >= best]:
+            del waiting[w]
 
     def run(c: int, t_next: float, x_next=None, to_end: bool = False) -> None:
         # the scalar path: column c through its events to the grid time t_next
@@ -177,6 +184,8 @@ def _sweep(
                 waiting[c] = s.t
 
     def batch_step(cols: np.ndarray, t: float, t_next: float) -> None:
+        if cols.size == 0:
+            return
         s = steppers[cols[0]]
         try:
             x_next = rk4_step(s.flow, X[:, cols], t, t_next - t)
@@ -190,14 +199,18 @@ def _sweep(
                 flowing, x_flow = cols[clear], x_next[:, clear]
             bad = np.asarray(unsafe(x_flow), dtype=bool)
             inside = np.asarray(s.invariant(x_flow, t_next), dtype=bool)
+            batched = bad.shape == flowing.shape
         except Exception:
-            # redo the step column by column, so that an error belongs
-            # to the sample that raised it
+            batched = False
+        if not batched:
+            # redo the step column by column, so that an error belongs to
+            # the sample that raised it and an ``unsafe`` that gave no
+            # per-column answer is asked one state at a time
             x_next, clear, all_clear = None, np.zeros(cols.size, dtype=bool), False
         else:
             X[:, flowing] = x_flow
             if bad.any():
-                decide(flowing[np.broadcast_to(bad, flowing.shape)][0])
+                decide(flowing[bad][0])
             if not inside.all():  # left the flow set
                 live[flowing[~np.broadcast_to(inside, flowing.shape)]] = False
         if all_clear:
@@ -227,20 +240,22 @@ def _sweep(
             break
 
     while True:
-        for c in [c for c, t_c in waiting.items() if t_c <= t]:
-            if waiting.pop(c) == t:
-                live[c] = c < best
-            elif c < best:  # not a grid time of the sweep: finish on its own
-                run(c, t, to_end=True)
+        for c in [c for c, t_c in waiting.items() if t_c == t]:
+            del waiting[c]
+            live[c] = c < best
         cols = np.flatnonzero(live[:best])
         at_end, t_next = next_grid_time(t, 0.0, dt, horizon)
         if at_end or (cols.size == 0 and not waiting):
             break  # at the horizon every live column is done
-        if modes is None:
-            batch_step(cols, t, t_next)
-        else:
-            for q in set(group[cols].tolist()):
-                batch_step(cols[group[cols] == q], t, t_next)
+        if cols.size == 1 and not waiting:
+            # a lone column costs less on its own than as a batch of one
+            c = cols[0]
+            steppers[c].x, steppers[c].t = X[:, c].copy(), t
+            run(c, t_next, to_end=True)
+            break
+        g = group[cols]  # the modes at t, before any column of this step jumps
+        for q in np.unique(g):
+            batch_step(cols[(g == q) & (cols < best)], t, t_next)
         t = t_next
     if best == m:
         return None

@@ -20,7 +20,8 @@ StateVector = np.ndarray
 Predicate = Callable[[np.ndarray, float], bool]
 """``c(x, t)``: membership in a flow set or invariant.  It acts column-wise
 like a margin: given an ``(n, m)`` batch it returns ``m`` booleans, or one
-that holds for every column."""
+that holds for every column (a time-only predicate).  A predicate that
+reduces over the batch (``np.all(x)``) gives silently wrong results."""
 Margin = Callable[[np.ndarray, float], float]
 """``g(x, t)``: a signed guard margin, negative outside the guard set and
 non-negative inside.  Like a vector field it must be a deterministic,
@@ -31,7 +32,9 @@ the end of a step is not evaluated again at the start of the next one.
 It also acts column-wise: given an ``(n, m)`` batch of states it returns
 the ``m`` margins, each equal to the margin of its column alone, or one
 scalar that holds for every column (a time-only guard).  The safety sweep
-evaluates the guards of all its columns in one call per step."""
+evaluates the guards of all its columns in one call per step, so a margin
+that reduces over the batch (``r - np.linalg.norm(x)``) gives silently
+wrong verdicts."""
 
 # Trajectory termination reasons.
 HORIZON_REACHED = "horizon reached"

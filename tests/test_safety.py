@@ -389,3 +389,82 @@ def test_more_samples_than_one_chunk(k, monkeypatch, simulate_calls):
     verdict = assert_same_verdict(smib_sampler(9), system, unsafe, samples=11, **kwargs)
     assert verdict.samples_checked == (11 if k is None else k + 1)
     assert len(simulate_calls) == (1 if verdict.unsafe else 0)
+
+
+def alternating_modes(seed):
+    def make_sampler():
+        base = box_sampler([0.0, -1.0], [0.9, 1.0], seed=seed)
+        count = iter(range(10**6))
+        return lambda: ("up" if next(count) % 2 else "down", base())
+
+    return make_sampler
+
+
+def test_columns_that_change_mode_while_others_flow_in_the_target_mode():
+    # up -> down crossings land on the grid while other columns flow in "down"
+    automaton = two_mode_automaton()
+    kwargs = dict(horizon=3.0, max_jumps=100, dt=1e-2)
+    sampler = alternating_modes(10)()
+    runs = [simulate(automaton, x, mode0=q, **kwargs)
+            for q, x in (sampler() for _ in range(8))]
+    assert sum(j.mode_before == "up" for r in runs for j in r.jumps) >= 8
+    for k, run in enumerate(runs):
+        verdict = assert_same_verdict(
+            alternating_modes(10), automaton, reaches(run.final_state()),
+            samples=8, **kwargs,
+        )
+        assert verdict.samples_checked == k + 1
+
+
+def grid_timed_jump():
+    # jumps once, at t = 0.5 exactly: a grid time at dt = 0.01
+    return FlowJumpSystem(
+        dim=2,
+        flow_map=lambda x, t: np.array([np.ones_like(x[0]), np.zeros_like(x[1])]),
+        jump_set=lambda x, t: t - 0.5 - 10.0 * x[1],
+        jump_map=lambda x: np.array([x[0] + 1.0, 1.0]),
+    )
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+def test_every_column_jumps_onto_a_grid_time(samples):
+    system = grid_timed_jump()
+    kwargs = dict(horizon=1.0, max_jumps=10, dt=1e-2)
+
+    def make_sampler():
+        return box_sampler([0.0, 0.0], [0.1, 0.0], seed=13)
+
+    runs = scalar_runs(system, make_sampler(), samples, **kwargs)
+    assert all(r.jump_times == runs[0].jump_times for r in runs)
+    assert abs(runs[0].jump_times[0] - 0.5) < 1e-9
+    for level in (1.2, 1.55, 10.0):
+        assert_same_verdict(
+            make_sampler, system, lambda x: x[0] > level, samples=samples, **kwargs
+        )
+    for k, run in enumerate(runs):
+        verdict = assert_same_verdict(
+            make_sampler, system, reaches(run.final_state()), samples=samples, **kwargs
+        )
+        assert verdict.samples_checked == k + 1
+
+
+@pytest.mark.parametrize("radius", [0.6, 1.0, 3.0, 6.0])
+def test_an_unsafe_predicate_that_reduces_over_the_batch(radius):
+    # the norm of a batch is one scalar: the sweep must ask state by state
+    system = smib_system(OUT_OF_STEP)
+    for unsafe in (lambda x: np.linalg.norm(x[:2]) > radius,
+                   lambda x: np.linalg.norm(x[:2]) < radius,
+                   lambda x: radius > 5.0):
+        assert_same_verdict(smib_sampler(11), system, unsafe, **SMIB_RUN)
+
+
+def test_the_last_live_column_finishes_on_its_own():
+    # sample 1 is unsafe early, which leaves sample 0 as the one live column
+    system = smib_system(OUT_OF_STEP)
+    kwargs = dict(horizon=2.0, max_jumps=1000, dt=1e-2)
+    runs = scalar_runs(system, smib_sampler(2)(), 2, **kwargs)
+    end0, early1 = reaches(runs[0].final_state()), reaches(runs[1].samples[5].state)
+    verdict = assert_same_verdict(
+        smib_sampler(2), system, lambda x: end0(x) | early1(x), samples=2, **kwargs
+    )
+    assert verdict.samples_checked == 1
