@@ -66,30 +66,22 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
     out_dir = str(config["out"])
     ensure_dir(out_dir)
     if config["model"] == "smib":
-        system = smib_system(config.smib_params())
-        traj = simulate(
-            system, config.smib_x0(), float(config["horizon"]),
-            int(config["max_jumps"]), float(config["dt"]),
-        )
+        system, x0, mode0 = smib_system(config.smib_params()), config.smib_x0(), None
         columns = ("t", "j", "mode", "delta", "omega")
-        rows = (
-            (s.time.t, s.time.j, s.mode, s.state[0], s.state[1])
-            for s in traj.samples
-        )
-        path = os.path.join(out_dir, "trajectory_smib.csv")
     else:
         scenario = config.scenario()
-        automaton = inverter_automaton(scenario.params, scenario.v_grid)
-        traj = simulate(
-            automaton, scenario.x0, scenario.horizon,
-            int(config["max_jumps"]), scenario.dt,
-            mode0=scenario.initial_mode,
-        )
+        system = inverter_automaton(scenario.params, scenario.v_grid)
+        x0, mode0 = scenario.x0, scenario.initial_mode
         columns = ("t", "j", "mode", "i_d", "i_q", "v_d", "v_q")
-        rows = (
-            (s.time.t, s.time.j, s.mode, *s.state) for s in traj.samples
-        )
-        path = os.path.join(out_dir, "trajectory_inverter.csv")
+    traj = simulate(
+        system, x0, float(config["horizon"]), int(config["max_jumps"]),
+        float(config["dt"]), mode0=mode0,
+    )
+    rows = zip(
+        traj.times.tolist(), traj.jump_counts.tolist(), traj.modes,
+        *traj.states.T[: len(columns) - 3].tolist(),
+    )
+    path = os.path.join(out_dir, f"trajectory_{config['model']}.csv")
     write_trajectory_csv(path, columns, rows)
     print(f"termination: {traj.termination}")
     if traj.jumps:
@@ -100,19 +92,17 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
 
 
 def _cmd_estimate(config: ExperimentConfig) -> int:
-    which = str(config["filter"])
-    if which == "both":
+    if str(config["filter"]) == "both":
         raise ConfigError("estimate runs one filter; set filter = hybrid | continuous")
-    report, paths = run_comparison(config)
-    print(report.table())
-    print(f"runtime: {report.runtime_seconds:.3f} s")
-    for p in paths:
-        print(f"wrote {p}")
-    return 0
+    return _run_filters(config)
 
 
 def _cmd_compare(config: ExperimentConfig) -> int:
-    report, paths = run_comparison(config.with_overrides(**{"filter": "both"}))
+    return _run_filters(config.with_overrides(**{"filter": "both"}))
+
+
+def _run_filters(config: ExperimentConfig) -> int:
+    report, paths = run_comparison(config)
     print(report.table())
     print(f"runtime: {report.runtime_seconds:.3f} s")
     for p in paths:

@@ -44,15 +44,10 @@ def near_switch_windows(
 
 def _estimate_rows(t_grid, truth_states, truth_modes, truth_jumps, run: EkfRun):
     p_traces = np.trace(run.covariances, axis1=1, axis2=2)
-    for k in range(len(t_grid)):
-        yield (
-            t_grid[k], int(truth_jumps[k]), truth_modes[k],
-            truth_states[k, 0], truth_states[k, 1],
-            truth_states[k, 2], truth_states[k, 3],
-            run.means[k, 0], run.means[k, 1],
-            run.means[k, 2], run.means[k, 3],
-            p_traces[k],
-        )
+    return zip(
+        t_grid.tolist(), truth_jumps.tolist(), truth_modes,
+        *truth_states.T.tolist(), *run.means.T.tolist(), p_traces.tolist(),
+    )
 
 
 def run_comparison(

@@ -129,10 +129,6 @@ class NoiseModel:
         object.__setattr__(self, "h", h)
 
     @property
-    def state_dim(self) -> int:
-        return self.q.shape[0]
-
-    @property
     def measurement_dim(self) -> int:
         return self.r.shape[0]
 

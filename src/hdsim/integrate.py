@@ -16,14 +16,16 @@ from .errors import ArgumentError, NumericalFailureError
 VectorField = Callable[[np.ndarray, float], np.ndarray]
 """``f(x, t)``: the time derivative of the state ``x`` at time ``t``.
 
-A field (and a reset or any other map handed to
+A field (and any map handed to
 :func:`hdsim.estimation.numerical_jacobian`) acts column-wise: given an
 ``(n, m)`` array whose columns are states it returns the ``(n, m)`` array
 of their derivatives, column by column, as well as an ``(n,)`` result for
 an ``(n,)`` state.  Unpacking ``x`` by rows (``i_d, i_q, v_d, v_q = x``)
 and elementwise arithmetic give this for free.  The EKF prediction relies
 on it to advance the mean and all ``2n`` central-difference columns in one
-:func:`rk4_step`.
+:func:`rk4_step`.  A reset map takes single states; it meets a column batch
+only through ``numerical_jacobian``, when its edge has no
+``reset_jacobian``.
 
 A field must also be a deterministic, side-effect-free function of
 ``(x, t)``: event localization reuses a computed first stage for every

@@ -26,10 +26,12 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy.special import expit
 
-from .errors import ArgumentError
+from .errors import ArgumentError, ConfigError
 from .estimation import NoiseModel
 from .simulate import simulate
-from .systems import Edge, FlowJumpSystem, HybridAutomaton, HybridTrajectory
+from .systems import (
+    HORIZON_REACHED, Edge, FlowJumpSystem, HybridAutomaton, HybridTrajectory,
+)
 
 GFL = "GFL"
 GFM = "GFM"
@@ -422,7 +424,8 @@ def generate_truth_and_measurements(
 
     Measurements are ``z_k = H x_k + n_k`` on the scenario grid with
     ``n_k ~ N(0, R)`` drawn from the seeded Box-Muller stream; the same
-    seed always reproduces the identical stream.
+    seed always reproduces the identical stream.  A truth that stops
+    before the horizon (its jump budget ran out) raises ``ConfigError``.
     """
     automaton = inverter_automaton(scenario.params, scenario.v_grid)
     truth = simulate(
@@ -433,6 +436,11 @@ def generate_truth_and_measurements(
         dt=scenario.dt,
         mode0=scenario.initial_mode,
     )
+    if truth.termination != HORIZON_REACHED:
+        raise ConfigError(
+            f"the truth stopped at t={truth.times[-1]} ({truth.termination}) "
+            f"before the horizon {scenario.horizon}; raise max_jumps = {max_jumps}"
+        )
     states = truth.grid_states(0.0, scenario.dt, scenario.n_steps)
     h = scenario.noise.h
     sqrt_r = _covariance_sqrt(scenario.noise.r)

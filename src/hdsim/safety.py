@@ -115,13 +115,13 @@ def check_safety(
         i, error = found
         m0, x0 = draws[i]
         traj = simulate(system, x0, horizon, max_jumps, dt, mode0=m0)
-        for s in traj.samples:
-            if unsafe(s.state):
+        for t, x in zip(traj.times.tolist(), traj.states):
+            if unsafe(x):
                 return SafetyVerdict(
                     status=UNSAFE,
                     samples_checked=start + i + 1,
                     witness=traj,
-                    witness_time=s.time.t,
+                    witness_time=t,
                     witness_initial_state=np.asarray(x0, dtype=float),
                 )
         raise ArgumentError(

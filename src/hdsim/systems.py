@@ -2,21 +2,20 @@
 
 State vectors are plain 1-D ``float64`` numpy arrays of fixed dimension.
 Hybrid time is the pair ``(t, j)`` of ordinary time and jump count;
-trajectories are sequences of samples indexed by hybrid time together
-with the label of the active mode.
+trajectories hold samples indexed by hybrid time together with the label
+of the active mode, stored column by column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import ArgumentError
 from .integrate import VectorField
 
-StateVector = np.ndarray
 Predicate = Callable[[np.ndarray, float], bool]
 """``c(x, t)``: membership in a flow set or invariant.  It acts column-wise
 like a margin: given an ``(n, m)`` batch it returns ``m`` booleans, or one
@@ -55,20 +54,16 @@ def as_state(values, dim: Optional[int] = None) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class HybridTime:
+class HybridTime(NamedTuple):
     """A point (t, j) of the hybrid time domain."""
 
     t: float
     j: int
 
-    def __post_init__(self):
-        if self.t < 0.0 or self.j < 0:
-            raise ArgumentError(f"hybrid time must be non-negative, got {self}")
 
+class TrajectorySample(NamedTuple):
+    """One record of the ``samples`` view of a :class:`HybridTrajectory`."""
 
-@dataclass(frozen=True)
-class TrajectorySample:
     time: HybridTime
     mode: str
     state: np.ndarray
@@ -87,82 +82,94 @@ class JumpRecord:
     mode_after: str
 
 
-@dataclass
 class HybridTrajectory:
-    """Samples indexed by hybrid time plus the reason the run stopped."""
+    """Samples indexed by hybrid time plus the reason the run stopped.
 
-    samples: List[TrajectorySample] = field(default_factory=list)
-    jumps: List[JumpRecord] = field(default_factory=list)
-    termination: str = HORIZON_REACHED
+    The samples are stored as four append-only columns: ordinary time
+    ``t``, jump count ``j``, mode label and state.  ``samples`` builds the
+    :class:`TrajectorySample` records from them on each access.
+    """
+
+    def __init__(self) -> None:
+        self._t: List[float] = []
+        self._j: List[int] = []
+        self._modes: List[str] = []
+        self._states: List[np.ndarray] = []
+        self.jumps: List[JumpRecord] = []
+        self.termination: str = HORIZON_REACHED
 
     def append(self, t: float, j: int, mode: str, state: np.ndarray) -> None:
-        if self.samples:
-            last = self.samples[-1].time
-            if (t, j) < (last.t, last.j):
-                raise ArgumentError(
-                    f"hybrid time must be non-decreasing: ({t}, {j}) after {last}"
-                )
-        self.samples.append(TrajectorySample(HybridTime(t, j), mode, np.asarray(state, float)))
+        if t < 0.0 or j < 0:
+            raise ArgumentError(f"hybrid time must be non-negative, got ({t}, {j})")
+        if self._t and (t < self._t[-1] or (t == self._t[-1] and j < self._j[-1])):
+            raise ArgumentError(
+                f"hybrid time must be non-decreasing: ({t}, {j}) after "
+                f"({self._t[-1]}, {self._j[-1]})"
+            )
+        self._t.append(t)
+        self._j.append(j)
+        self._modes.append(mode)
+        self._states.append(np.asarray(state, float))
+
+    @property
+    def samples(self) -> Tuple[TrajectorySample, ...]:
+        return tuple(
+            TrajectorySample(HybridTime(t, j), mode, state)
+            for t, j, mode, state in zip(self._t, self._j, self._modes, self._states)
+        )
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.time.t for s in self.samples])
+        return np.array(self._t)
 
     @property
     def jump_counts(self) -> np.ndarray:
-        return np.array([s.time.j for s in self.samples], dtype=int)
+        return np.array(self._j, dtype=int)
 
     @property
     def states(self) -> np.ndarray:
-        return np.array([s.state for s in self.samples])
+        return np.array(self._states)
 
     @property
     def modes(self) -> List[str]:
-        return [s.mode for s in self.samples]
+        return list(self._modes)
 
     @property
     def jump_times(self) -> List[float]:
         return [r.t for r in self.jumps]
 
     def final_state(self) -> np.ndarray:
-        return self.samples[-1].state
+        return self._states[-1]
 
-    def _grid_indices(self, t0: float, dt: float, n_steps: int) -> List[int]:
+    def _grid_indices(self, t0: float, dt: float, n_steps: int) -> np.ndarray:
         """Sample index at each grid time ``t0 + k*dt``, k = 0..n_steps.
 
-        At a grid time that coincides with a jump the post-jump sample wins.
+        The index is that of the last sample within ``1e-9*max(dt, 1)`` of
+        the grid time, so at a grid time that coincides with a jump the
+        post-jump sample wins.
         """
-        indices: List[int] = []
         tol = 1e-9 * max(dt, 1.0)
-        idx = 0
-        n = len(self.samples)
-        for k in range(n_steps + 1):
-            tk = t0 + k * dt
-            while idx < n and self.samples[idx].time.t < tk - tol:
-                idx += 1
-            if idx >= n or abs(self.samples[idx].time.t - tk) > tol:
-                raise ArgumentError(f"no trajectory sample at grid time {tk}")
-            while idx + 1 < n and abs(self.samples[idx + 1].time.t - tk) <= tol:
-                idx += 1
-            indices.append(idx)
-        return indices
+        grid = t0 + np.arange(n_steps + 1) * dt
+        times = np.array(self._t + [np.inf])  # index -1 finds no sample
+        idx = np.searchsorted(times, grid + tol, side="right") - 1
+        missing = np.abs(times[idx] - grid) > tol
+        if missing.any():
+            tk = float(grid[np.argmax(missing)])
+            raise ArgumentError(f"no trajectory sample at grid time {tk}")
+        return idx
 
     def grid_states(self, t0: float, dt: float, n_steps: int) -> np.ndarray:
         """States on the uniform grid, post-jump state at coincidences."""
-        return np.array(
-            [self.samples[i].state for i in self._grid_indices(t0, dt, n_steps)]
-        )
+        return self.states[self._grid_indices(t0, dt, n_steps)]
 
     def grid_modes(self, t0: float, dt: float, n_steps: int) -> List[str]:
         """Mode labels on the uniform grid, post-jump label at coincidences."""
-        return [self.samples[i].mode for i in self._grid_indices(t0, dt, n_steps)]
+        modes = np.array(self._modes, dtype=object)
+        return modes[self._grid_indices(t0, dt, n_steps)].tolist()
 
     def grid_jump_counts(self, t0: float, dt: float, n_steps: int) -> np.ndarray:
         """Jump counts on the uniform grid, post-jump count at coincidences."""
-        return np.array(
-            [self.samples[i].time.j for i in self._grid_indices(t0, dt, n_steps)],
-            dtype=int,
-        )
+        return self.jump_counts[self._grid_indices(t0, dt, n_steps)]
 
 
 def _always_true(x: np.ndarray, t: float) -> bool:

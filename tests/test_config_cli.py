@@ -207,33 +207,61 @@ def test_compare_writes_three_files_and_is_byte_deterministic(tmp_path):
 
 # An out-of-step SMIB (p_m above the transfer limit): line 1 trips and is
 # restored nine times in 5 s, each crossing of the state-dependent guard
-# localized on the RK4 interpolant.  SHA-256 of the simulate trajectory and
-# of a verify sweep whose witness is the first localized trip, taken before
-# the event path began reusing its RK4 stages, states and margins.
+# localized on the RK4 interpolant.  The SMIB digests are of the simulate
+# trajectory and of a verify sweep whose witness is the first localized
+# trip, taken before the event path began reusing its RK4 stages, states
+# and margins.  The inverter digests are of the seed-42 reference
+# simulate, with its two time-triggered switches, and of a reference
+# verify whose witness exceeds i_lim after the first switch, taken before
+# trajectories were stored as columns.
 SMIB_TRIPS = (
     "model = smib\nhorizon = 5.0\ndt = 0.01\nmax_jumps = 1000000\n"
     "smib.p_m = 2.0\nsmib.d = 0.5\nsmib.p_e_max = 1.5\n"
+    "verify.samples = 5\nverify.delta_half_width = 0.6\n"
+    "verify.omega_half_width = 6\nseed = 7\n"
 )
-GOLDEN_SMIB_DIGESTS = {
-    ("simulate", "trajectory_smib.csv"):
+INVERTER_REF = "model = inverter\nseed = 42\n"
+GOLDEN_EVENT_PATH_DIGESTS = {
+    # test id: (config, command, output file, SHA-256)
+    "simulate-trajectory_smib.csv": (
+        SMIB_TRIPS, "simulate", "trajectory_smib.csv",
         "801543bb0f386142e0964724e75ab52e4d31a494d8ea97330fd241b4f95c52d4",
-    ("verify", "verify_report.txt"):
+    ),
+    "verify-verify_report.txt": (
+        SMIB_TRIPS, "verify", "verify_report.txt",
         "b90c72e47e3b707fabe92bd1108b9a2c990362419e01643b873b062a159faba7",
+    ),
+    "simulate-trajectory_inverter.csv": (
+        INVERTER_REF, "simulate", "trajectory_inverter.csv",
+        "8042125d1d6f21d08185b83fd91f52c814be064bfbc4882b52defd4289ae2cf6",
+    ),
+    "verify-inverter-verify_report.txt": (
+        INVERTER_REF, "verify", "verify_report.txt",
+        "b62bcd3de2fd3ccb52837ecfc5d518976bcfbafdd6bdc349555f30f9e8bd1eeb",
+    ),
 }
 
 
-@pytest.mark.parametrize("command, name", sorted(GOLDEN_SMIB_DIGESTS))
-def test_smib_event_path_bytes_are_pinned(tmp_path, command, name):
-    sweep = (
-        "verify.samples = 5\nverify.delta_half_width = 0.6\n"
-        "verify.omega_half_width = 6\nseed = 7\n"
-    )
-    cfg = write_cfg(tmp_path, SMIB_TRIPS + sweep)
+@pytest.mark.parametrize("case", sorted(GOLDEN_EVENT_PATH_DIGESTS))
+def test_smib_event_path_bytes_are_pinned(tmp_path, case):
+    text, command, name, golden = GOLDEN_EVENT_PATH_DIGESTS[case]
+    cfg = write_cfg(tmp_path, text)
     out = str(tmp_path / "out")
     assert cli_main([command, "--config", cfg, "--out", out]) == 0
     with open(os.path.join(out, name), "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    assert digest == GOLDEN_SMIB_DIGESTS[command, name]
+    assert digest == golden
+
+
+@pytest.mark.parametrize("command", ["compare", "estimate"])
+def test_truth_stopped_by_its_jump_budget_exits_1_naming_it(tmp_path, capsys, command):
+    # the reference truth switches at 0.054, which a zero jump budget forbids
+    cfg = write_cfg(tmp_path, "max_jumps = 0\nfilter = hybrid\n")
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the truth stopped at t=0.054 (max jumps reached) before the "
+        "horizon 0.2; raise max_jumps = 0\n"
+    )
 
 
 def test_covariance_overflow_is_a_typed_error_naming_its_time(tmp_path, capsys):
@@ -369,14 +397,14 @@ def _grid():
     )
 
 
-_VERIFY_COMMON = {
+_SMALL_COMMON = {
     "verify.samples": st.integers(1, 8).map(str),
     "seed": st.integers(0, 2**31 - 1).map(str),
     "max_jumps": st.integers(0, 50).map(str),
     "verify.i_unsafe": _num(-1.0, 3.0),
 }
-_VERIFY_SMIB = st.fixed_dictionaries(
-    {"model": st.just("smib"), **_VERIFY_COMMON},
+_SMALL_SMIB = st.fixed_dictionaries(
+    {"model": st.just("smib"), **_SMALL_COMMON},
     optional={
         "smib.m": _num(0.01, 1.0),
         "smib.d": _num(0.0, 1.0),
@@ -392,13 +420,13 @@ _VERIFY_SMIB = st.fixed_dictionaries(
         "verify.omega_half_width": _num(0.0, 6.0),
     },
 )
-_VERIFY_INVERTER = st.fixed_dictionaries(
+_SMALL_INVERTER = st.fixed_dictionaries(
     {
         "model": st.just("inverter"),
         "inverter.profile": st.sampled_from(
             ["0:1, 0.1:1, 0.12:0.5, 0.3:0.5, 0.32:1, 0.5:1", "0:1, 0.5:0.6"]
         ),
-        **_VERIFY_COMMON,
+        **_SMALL_COMMON,
     },
     optional={
         "inverter.i_lim": _num(0.1, 2.0),
@@ -407,16 +435,27 @@ _VERIFY_INVERTER = st.fixed_dictionaries(
         "verify.x0_half_width": _num(0.0, 0.5),
     },
 )
+_SMALL_CONFIGS = {
+    "verify": st.one_of(_SMALL_SMIB, _SMALL_INVERTER),
+    "simulate": st.one_of(_SMALL_SMIB, _SMALL_INVERTER),
+    "estimate": st.builds(
+        lambda values, which: {**values, "filter": which},
+        _SMALL_INVERTER, st.sampled_from(["hybrid", "continuous"]),
+    ),
+    "compare": _SMALL_INVERTER,
+}
 
 
+@pytest.mark.parametrize("command", sorted(_SMALL_CONFIGS))
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.one_of(_VERIFY_SMIB, _VERIFY_INVERTER), _grid())
-def test_verify_on_small_configs_exits_cleanly(values, grid):
+@given(data=st.data())
+def test_small_configs_exit_cleanly(command, data):
     import contextlib
     import io
     import tempfile
 
-    text = "".join(f"{key} = {value}\n" for key, value in {**values, **grid}.items())
+    values = {**data.draw(_SMALL_CONFIGS[command]), **data.draw(_grid())}
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "exp.cfg")
@@ -424,7 +463,7 @@ def test_verify_on_small_configs_exits_cleanly(values, grid):
             fh.write(text)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             out = os.path.join(tmp, "out")
-            code = cli_main(["verify", "--config", cfg, "--out", out])
+            code = cli_main([command, "--config", cfg, "--out", out])
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
     if code == 0:

@@ -7,9 +7,12 @@ bugs, not degenerate inputs.
 """
 
 import numpy as np
+import pytest
 
 from hdsim import (
+    ArgumentError,
     FlowJumpSystem,
+    HybridTrajectory,
     SwitchedSystem,
     lift_state,
     lift_switched,
@@ -123,3 +126,44 @@ def test_simulation_is_deterministic():
         assert sa.time.t == sb.time.t
         assert sa.time.j == sb.time.j
         assert np.array_equal(sa.state, sb.state)
+
+
+def _walk_grid_indices(times, t0, dt, n_steps):
+    """Grid alignment as a walk over the grid steps: the reference for the
+    one ``np.searchsorted`` of ``HybridTrajectory`` (``None``: no sample)."""
+    indices, tol, idx, n = [], 1e-9 * max(dt, 1.0), 0, len(times)
+    for k in range(n_steps + 1):
+        tk = t0 + k * dt
+        while idx < n and times[idx] < tk - tol:
+            idx += 1
+        if idx >= n or abs(times[idx] - tk) > tol:
+            return None
+        while idx + 1 < n and abs(times[idx + 1] - tk) <= tol:
+            idx += 1
+        indices.append(idx)
+    return indices
+
+
+def test_grid_alignment_matches_the_reference_walk():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        dt = float(rng.choice([1e-3, 0.1, 3.0]))
+        n_steps = int(rng.integers(0, 12))
+        tol = 1e-9 * max(dt, 1.0)
+        # samples on, near, just outside the tolerance of, and between grid times
+        offsets = [0.0, 0.0, 0.0, 0.4 * tol, -0.4 * tol, 3.0 * tol, -3.0 * tol, 0.5 * dt]
+        times = sorted(
+            max(0.0, k * dt + float(rng.choice(offsets)))
+            for k in range(n_steps + 2)
+            for _ in range(int(rng.integers(1, 4)))
+        )
+        traj = HybridTrajectory()
+        for i, t in enumerate(times):
+            traj.append(t, i, "q", np.array([float(i)]))
+        want = _walk_grid_indices(times, 0.0, dt, n_steps)
+        if want is None:
+            with pytest.raises(ArgumentError, match="no trajectory sample"):
+                traj.grid_jump_counts(0.0, dt, n_steps)
+        else:
+            assert traj.grid_jump_counts(0.0, dt, n_steps).tolist() == want
+            assert traj.grid_states(0.0, dt, n_steps)[:, 0].tolist() == want

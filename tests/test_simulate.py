@@ -14,6 +14,8 @@ from hdsim import (
     FlowJumpSystem,
     HORIZON_REACHED,
     HybridAutomaton,
+    HybridTime,
+    HybridTrajectory,
     LEFT_FLOW_SET,
     MAX_JUMPS_REACHED,
     NoiseModel,
@@ -112,6 +114,87 @@ def test_left_flow_set_termination():
     for align in (traj.grid_states, traj.grid_modes, traj.grid_jump_counts):
         with pytest.raises(ArgumentError):
             align(0.0, 1e-2, 100)
+
+
+def _hand_built():
+    # a jump at the grid time 0.2 and one between grid times, at 0.25
+    traj = HybridTrajectory()
+    for t, j, mode, x in (
+        (0.0, 0, "a", 0.0),
+        (0.1, 0, "a", 1.0),
+        (0.2, 0, "a", 2.0),
+        (0.2, 1, "b", 20.0),
+        (0.25, 1, "b", 25.0),
+        (0.25, 2, "a", 26.0),
+        (0.3, 2, "a", 3.0),
+    ):
+        traj.append(t, j, mode, np.array([x]))
+    return traj
+
+
+def test_trajectory_columns_and_samples():
+    traj = _hand_built()
+    assert traj.times.tolist() == [0.0, 0.1, 0.2, 0.2, 0.25, 0.25, 0.3]
+    assert traj.jump_counts.tolist() == [0, 0, 0, 1, 1, 2, 2]
+    assert traj.modes == ["a", "a", "a", "b", "b", "a", "a"]
+    assert traj.states.shape == (7, 1)
+    assert traj.states[:, 0].tolist() == [0.0, 1.0, 2.0, 20.0, 25.0, 26.0, 3.0]
+    assert len(traj.samples) == 7
+    post = traj.samples[3]
+    assert post.time == HybridTime(0.2, 1) and (post.time.t, post.time.j) == (0.2, 1)
+    assert post.mode == "b" and post.state.tolist() == [20.0]
+    assert traj.final_state().tolist() == [3.0]
+
+
+def test_grid_alignment_takes_the_post_jump_sample_at_a_coincidence():
+    traj = _hand_built()
+    # 3 * 0.1 is 0.30000000000000004, within the tolerance of the sample at 0.3
+    assert traj.grid_states(0.0, 0.1, 3)[:, 0].tolist() == [0.0, 1.0, 20.0, 3.0]
+    assert traj.grid_modes(0.0, 0.1, 3) == ["a", "a", "b", "a"]
+    assert traj.grid_jump_counts(0.0, 0.1, 3).tolist() == [0, 0, 1, 2]
+
+
+@pytest.mark.parametrize("dt", [0.1, 10.0])
+def test_grid_alignment_tolerance_is_1e_9_of_max_dt_1(dt):
+    tol = 1e-9 * max(dt, 1.0)
+    for offset in (0.5 * tol, -0.5 * tol):
+        traj = HybridTrajectory()
+        traj.append(0.0, 0, "a", np.zeros(1))
+        traj.append(dt + offset, 0, "a", np.ones(1))
+        assert traj.grid_states(0.0, dt, 1)[:, 0].tolist() == [0.0, 1.0]
+    for offset in (2.0 * tol, -2.0 * tol):
+        traj = HybridTrajectory()
+        traj.append(0.0, 0, "a", np.zeros(1))
+        traj.append(dt + offset, 0, "a", np.ones(1))
+        if offset < 0.0:
+            traj.append(2.0 * dt, 0, "a", np.ones(1))
+        with pytest.raises(ArgumentError, match=f"no trajectory sample at grid time {dt}"):
+            traj.grid_states(0.0, dt, 1)
+
+
+def test_grid_alignment_of_a_truncated_trajectory_raises():
+    traj = _hand_built()
+    for align in (traj.grid_states, traj.grid_modes, traj.grid_jump_counts):
+        with pytest.raises(ArgumentError, match="grid time 0.4"):
+            align(0.0, 0.1, 4)
+    with pytest.raises(ArgumentError, match="grid time 0.0"):
+        HybridTrajectory().grid_states(0.0, 0.1, 1)
+
+
+@pytest.mark.parametrize(
+    "t, j", [(0.2, 0), (0.25, 1), (0.29, 5), (-1.0, 0), (0.4, -1)]
+)
+def test_append_rejects_decreasing_or_negative_hybrid_time(t, j):
+    traj = _hand_built()
+    with pytest.raises(ArgumentError, match="hybrid time must be"):
+        traj.append(t, j, "a", np.zeros(1))
+    assert len(traj.samples) == 7
+
+
+@pytest.mark.parametrize("t, j", [(-0.1, 0), (0.0, -1)])
+def test_first_sample_must_have_non_negative_hybrid_time(t, j):
+    with pytest.raises(ArgumentError, match="non-negative"):
+        HybridTrajectory().append(t, j, "a", np.zeros(1))
 
 
 def test_same_time_zeno_budget():
