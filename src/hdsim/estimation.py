@@ -18,6 +18,7 @@ raise :class:`NumericalFailureError` naming the time, mode and edge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -133,6 +134,22 @@ class NoiseModel:
         return self.r.shape[0]
 
 
+@lru_cache(maxsize=None)
+def _perturbation_indices(n: int):
+    """Flat indices of ``(i, 1 + i)`` and ``(i, 1 + n + i)`` in an
+    ``(n, 2n+1)`` C-ordered batch: where ``+h_i`` and ``-h_i`` go."""
+    plus = np.arange(n) * (2 * n + 2) + 1
+    return plus, plus + n
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """Read-only ``n x n`` identity shared by every update of that size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _value_and_jacobian(fn: Callable[[np.ndarray], np.ndarray], x):
     """``(fn(x), J)`` from one call of ``fn`` on the ``(n, 2n+1)`` column batch
     ``[x, x + h_i e_i, x - h_i e_i]``, ``h_i = 1e-6*max(1, |x_i|)``.
@@ -148,9 +165,10 @@ def _value_and_jacobian(fn: Callable[[np.ndarray], np.ndarray], x):
     n = x.size
     step = JACOBIAN_STEP_SCALE * np.maximum(1.0, np.abs(x))
     cols = np.repeat(x[:, None], 2 * n + 1, axis=1)
-    diag = np.arange(n)
-    cols[diag, diag + 1] += step
-    cols[diag, diag + 1 + n] -= step
+    plus, minus = _perturbation_indices(n)
+    flat = cols.reshape(-1)
+    flat[plus] += step
+    flat[minus] -= step
     try:
         y = np.asarray(fn(cols), dtype=float)
         if y.shape != cols.shape:
@@ -237,7 +255,7 @@ def ekf_update(belief: GaussianBelief, z, noise: NoiseModel) -> GaussianBelief:
         raise NumericalFailureError("non-finite Kalman gain")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = belief.mean + k_gain @ (z - h @ belief.mean)
-        p_post = symmetrize((np.eye(belief.dim) - k_gain @ h) @ p)
+        p_post = symmetrize((_identity(belief.dim) - k_gain @ h) @ p)
     if not (np.isfinite(mean).all() and np.isfinite(p_post).all()):
         raise NumericalFailureError("updated belief is not finite")
     scale = max(1.0, float(np.max(np.abs(p_post))))

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ArgumentError, ConfigError
 from .estimation import NoiseModel
@@ -169,8 +168,18 @@ def gfm_flow(x, p: InverterParams) -> np.ndarray:
 
 
 def mode_sigmoid(v_grid: float, p: InverterParams) -> float:
-    """Smooth GFL-activation weight: 1 well above the threshold, 0 below."""
-    return float(expit(p.sigmoid_gain * (v_grid - p.sigmoid_mid)))
+    """Smooth GFL-activation weight: 1 well above the threshold, 0 below.
+
+    The logistic ``1 / (1 + exp(-z))`` with ``z = gain*(v_grid - mid)``;
+    below ``z ~ -709`` ``exp(-z)`` overflows and the weight is 0.0.
+    ``math.exp`` keeps it a scalar call and matches
+    ``scipy.special.expit`` bit for bit (pinned in the tests).
+    """
+    z = p.sigmoid_gain * (v_grid - p.sigmoid_mid)
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:
+        return 0.0
 
 
 def blended_flow(x, v_grid: float, p: InverterParams) -> np.ndarray:

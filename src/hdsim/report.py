@@ -26,20 +26,35 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _cell_format(cell) -> str:
+    """``%`` conversion for one CSV cell: text as is, integers in decimal,
+    anything else as a float in the 17-digit form of :func:`fmt`."""
+    if isinstance(cell, str):
+        return "%s"
+    if isinstance(cell, (int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
 def write_trajectory_csv(path: str, columns: Sequence[str], rows) -> None:
-    """Write a trajectory table; non-float 'mode' cells pass through as text."""
+    """Write a trajectory table; non-float 'mode' cells pass through as text.
+
+    Each row is formatted by one ``%`` template, built once per sequence
+    of cell types.
+    """
+    templates: Dict[tuple, str] = {}
+
+    def line(row) -> str:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_cell_format, row)) + "\n"
+        return template % row
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, str):
-                    cells.append(cell)
-                elif isinstance(cell, (int, np.integer)):
-                    cells.append(str(int(cell)))
-                else:
-                    cells.append(fmt(cell))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(map(line, rows))
 
 
 def read_trajectory_csv(path: str) -> Tuple[List[str], List[List[str]]]:

@@ -77,6 +77,42 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert float(row[4]) == orig[4]
 
 
+def _old_per_cell_line(row):
+    # The writer's text before rows were formatted by one template.
+    cells = []
+    for cell in row:
+        if isinstance(cell, str):
+            cells.append(cell)
+        elif isinstance(cell, (int, np.integer)):
+            cells.append(str(int(cell)))
+        else:
+            cells.append(fmt(cell))
+    return ",".join(cells) + "\n"
+
+
+def test_trajectory_csv_cells_keep_their_per_cell_text(tmp_path):
+    rng = np.random.default_rng(11)
+    rows = [
+        ("GFL", 3, np.int64(-7), 0.1, np.float64(2.5e-300)),
+        ("GFM", True, np.int32(0), float("nan"), float("inf")),
+        ("50%", -4, np.int64(2**62), -0.0, float("-inf")),
+        [np.str_("x"), 0, np.uint8(255), np.float64(-0.0), np.float64("nan")],
+        ("GFL", 1, 2, 3, 4.0),  # an int where the other rows hold floats
+    ]
+    rows += [
+        ("GFL", int(k), np.int64(k), float(a), np.float64(b))
+        for k, a, b in zip(
+            rng.integers(-10**9, 10**9, 200),
+            rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
+            rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200),
+        )
+    ]
+    path = tmp_path / "cells.csv"
+    write_trajectory_csv(str(path), ("a", "b", "c", "d", "e"), iter(rows))
+    expected = "a,b,c,d,e\n" + "".join(map(_old_per_cell_line, rows))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def sample_report():
     report = RmseReport(filters=("hybrid", "continuous"))
     for f in report.filters:

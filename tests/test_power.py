@@ -1,8 +1,15 @@
 """Inverter and SMIB model checks."""
 
+import os
+import subprocess
+import sys
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import expit
 
 from hdsim import (
     ArgumentError,
@@ -115,6 +122,61 @@ def test_blend_far_above_threshold_is_nearly_gfl():
     f_gfm = gfm_flow(x, P)
     gap = np.linalg.norm(f_gfm - f_gfl)
     assert np.linalg.norm(blended_flow(x, v, P) - f_gfl) <= 1e-4 * gap
+
+
+def test_sigmoid_equals_expit_bitwise_on_a_dense_voltage_grid():
+    v = np.linspace(0.0, 1.5, 300_001)
+    ours = np.array([mode_sigmoid(x, P) for x in v.tolist()])
+    theirs = np.array([expit(P.sigmoid_gain * (x - P.sigmoid_mid)) for x in v.tolist()])
+    assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
+
+
+def test_sigmoid_equals_expit_bitwise_on_random_arguments():
+    # gain 1 and midpoint 0 make the argument z = v_grid itself
+    unit = replace(P, sigmoid_gain=1.0, sigmoid_mid=0.0)
+    z = np.random.default_rng(9).uniform(-800.0, 800.0, 200_000)
+    ours = np.array([mode_sigmoid(x, unit) for x in z.tolist()])
+    theirs = np.array([expit(x) for x in z.tolist()])
+    assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
+
+
+def test_sigmoid_edge_values():
+    unit = replace(P, sigmoid_gain=1.0, sigmoid_mid=0.0)
+    assert mode_sigmoid(0.0, unit) == 0.5
+    assert mode_sigmoid(-0.0, unit) == 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mode_sigmoid(-709.0, unit) == expit(-709.0) > 0.0
+        for z in (-710.0, -745.0, -1e6, -1e308):
+            assert mode_sigmoid(z, unit) == 0.0 == expit(z)
+        assert mode_sigmoid(float("inf"), P) == 1.0 == expit(np.inf)
+        assert mode_sigmoid(float("-inf"), P) == 0.0 == expit(-np.inf)
+        sharp = replace(P, sigmoid_gain=1e6)
+        for v in (0.0, 0.8499, P.sigmoid_mid, 0.8500001, 0.85 + 1e-9, 1.0, 1.5):
+            expected = expit(1e6 * (v - P.sigmoid_mid))
+            assert mode_sigmoid(v, sharp) == expected
+            assert isinstance(mode_sigmoid(v, sharp), float)
+
+
+def test_cold_start_imports_no_scipy():
+    code = (
+        "import sys\n"
+        "import hdsim, hdsim.cli\n"
+        "from hdsim import InverterParams, SmibParams, blended_field, "
+        "inverter_automaton, mode_sigmoid, smib_system\n"
+        "p = InverterParams()\n"
+        "inverter_automaton(p, lambda t: 1.0)\n"
+        "blended_field(p, lambda t: 1.0)\n"
+        "smib_system(SmibParams())\n"
+        "mode_sigmoid(0.9, p)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_blend_of_identical_fields_is_that_field():
