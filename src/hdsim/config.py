@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .errors import ArgumentError, ConfigError
-from .estimation import DEFAULT_P0, NoiseModel
+from .estimation import DEFAULT_P0
 from .power import (
     DEFAULT_MAX_JUMPS,
     REFERENCE_Q_INTENSITY,
@@ -26,6 +26,7 @@ from .power import (
     InverterScenario,
     PiecewiseLinearProfile,
     SmibParams,
+    reference_noise,
     reference_scenario,
     sine_power,
     smib_state,
@@ -222,20 +223,6 @@ class ExperimentConfig:
             tau_i=v["inverter.tau_i"],
         )
 
-    def noise_model(self) -> NoiseModel:
-        v = self.values
-        dt = float(v["dt"])
-        q = float(v["noise.q"]) * dt * np.eye(4)
-        r = np.diag(
-            [
-                float(v["noise.r_id"]) ** 2,
-                float(v["noise.r_iq"]) ** 2,
-                float(v["noise.r_vd"]) ** 2,
-                float(v["noise.r_vq"]) ** 2,
-            ]
-        )
-        return NoiseModel(q=q, r=r, h=np.eye(4))
-
     def scenario(self) -> InverterScenario:
         v = self.values
         profile = PiecewiseLinearProfile(
@@ -249,7 +236,11 @@ class ExperimentConfig:
             seed=int(v["seed"]),
             x0=np.asarray(v["inverter.x0"], dtype=float),
             params=self.inverter_params(),
-            noise=self.noise_model(),
+            noise=reference_noise(
+                float(v["noise.q"]),
+                [v["noise.r_id"], v["noise.r_iq"], v["noise.r_vd"], v["noise.r_vq"]],
+                float(v["dt"]),
+            ),
         )
 
     def smib_params(self) -> SmibParams:

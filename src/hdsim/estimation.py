@@ -3,14 +3,14 @@
 The filter follows the classic two-step recursion.  Prediction advances
 the mean one RK4 step and propagates covariance through the numerical
 Jacobian of that one-step transition map; the correction is the standard
-gain/mean/covariance update.  When the process model is a hybrid
-automaton, the mean moves through the simulator's stepping core
-(:func:`hdsim.simulate.next_event`), so the filter fires, localizes and
-disambiguates guards exactly as :func:`hdsim.simulate.simulate` does.
-At an event the belief is predicted to the event time, the mean passes
-through the reset map, and the covariance passes through the saltation
-matrix, which extends the reset Jacobian with the vector-field
-discontinuity across the guard surface.  More than
+gain/mean/covariance update.  The mean moves through the simulator's
+stepping core (:func:`hdsim.simulate.next_event`), so the filter fires,
+localizes and disambiguates guards exactly as
+:func:`hdsim.simulate.simulate` does; a continuous process model is one
+mode with no edges.  At an event the belief is predicted to the event
+time, the mean passes through the reset map, and the covariance passes
+through the saltation matrix, which extends the reset Jacobian with the
+vector-field discontinuity across the guard surface.  More than
 ``SAME_TIME_JUMP_BUDGET`` jumps at one instant (Zeno-like chattering)
 raise :class:`NumericalFailureError` naming the time, mode and edge.
 """
@@ -384,10 +384,12 @@ def run_ekf(
     """Run the EKF over a scenario with either a hybrid or a continuous model.
 
     ``process`` is the hybrid automaton (explicit switching, resets, and
-    saltation transport) or a blended continuous vector field ``f(x, t)``.
+    saltation transport) or a blended continuous vector field ``f(x, t)``,
+    which runs as the one mode ``"blended"`` with no edges.
     ``scenario`` supplies the grid (``horizon``, ``dt``), the initial state
     and mode, and the noise model; ``measurements`` is the ``(n_steps+1, m)``
-    stream aligned with the grid, one row per grid time starting at t=0.
+    stream aligned with the grid, one row per grid time starting at t=0
+    (a 1-D stream is one column).
 
     The filter is initialized at the true initial state with covariance
     ``p0 * I`` and corrected with the measurement at every grid time,
@@ -415,13 +417,11 @@ def run_ekf(
             f"{noise.measurement_dim}"
         )
 
-    hybrid = isinstance(process, HybridAutomaton)
-    if hybrid:
+    if isinstance(process, HybridAutomaton):
         mode = scenario.initial_mode
-        flow = process.flows[mode]
+        flow, edges = process.flows[mode], process.outgoing(mode)
     else:
-        mode = "blended"
-        flow = process
+        mode, flow, edges = "blended", process, []
 
     belief = GaussianBelief(scenario.x0, p0 * np.eye(scenario.x0.size))
     belief = _update_at(belief, z[0], noise, 0.0, mode)
@@ -442,24 +442,23 @@ def run_ekf(
     for k in range(1, n_steps + 1):
         t_cur = (k - 1) * dt
         t_k = k * dt
-        while hybrid:
-            # Guards enabled at (mean, t_cur) fire before any prediction.
-            # Otherwise the prediction's mean is the step's RK4 end state,
-            # which the guard scan takes as is; at an event it is dropped.
-            edges = process.outgoing(mode)
-            _, event = next_event(edges, flow, belief.mean, t_cur, t_cur)
-            if event is None and t_k > t_cur:
+        while True:
+            # The prediction's mean is the step's RK4 end state, which the
+            # guard scan takes as is.  A guard enabled at (mean, t_cur)
+            # fires first, and at any event the prediction is dropped.
+            predicted = None
+            if t_k > t_cur:
                 predicted = ekf_predict(
                     belief, flow, t_k - t_cur, noise,
                     t0=t_cur, q_scale=(t_k - t_cur) / dt,
                 )
-                _, event = next_event(
-                    edges, flow, belief.mean, t_cur, t_k,
-                    guards_clear=True, x_next=predicted.mean,
-                )
-                if event is None:
-                    belief, t_cur, same_t_jumps = predicted, t_k, 0
+            _, event = next_event(
+                edges, flow, belief.mean, t_cur, t_k,
+                x_next=None if predicted is None else predicted.mean,
+            )
             if event is None:
+                if predicted is not None:
+                    belief, t_cur, same_t_jumps = predicted, t_k, 0
                 break
             t_star, edge, _ = event
             if t_star > t_cur:
@@ -478,14 +477,9 @@ def run_ekf(
             belief, mode, flow = _jump_belief(
                 process, edge, belief, mode, t_cur, jumps, j
             )
+            edges = process.outgoing(mode)
             j += 1
             same_t_jumps += 1
-        if t_k > t_cur:
-            belief = ekf_predict(
-                belief, flow, t_k - t_cur, noise,
-                t0=t_cur, q_scale=(t_k - t_cur) / dt,
-            )
-            same_t_jumps = 0
         belief = _update_at(belief, z[k], noise, t_k, mode)
         times[k] = t_k
         means[k] = belief.mean

@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,7 +78,8 @@ class PiecewiseLinearProfile:
         return float(slope * (t - xs[j]) + ys[j])
 
     def crossing_times(self, level: float) -> Tuple[float, ...]:
-        """Analytic crossing times of ``level``, in order (for tests/reports)."""
+        """Analytic crossing times of ``level``, in order, each instant once
+        (a breakpoint on the level too); a plateau on it gives both ends."""
         out = []
         for (t0, v0), (t1, v1) in zip(
             zip(self.times, self.values), zip(self.times[1:], self.values[1:])
@@ -87,7 +88,9 @@ class PiecewiseLinearProfile:
                 continue
             s = (level - v0) / (v1 - v0)
             if 0.0 <= s <= 1.0:
-                out.append(t0 + s * (t1 - t0))
+                t = t1 if s == 1.0 else t0 + s * (t1 - t0)
+                if not out or out[-1] != t:
+                    out.append(t)
         return tuple(out)
 
 
@@ -297,27 +300,22 @@ def gfm_system_matrices(p: InverterParams) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def reference_noise(
-    q_diagonal: float = REFERENCE_Q_INTENSITY,
-    sigma_current: float = REFERENCE_SIGMA_CURRENT,
-    sigma_voltage: float = REFERENCE_SIGMA_VOLTAGE,
+    q: float = REFERENCE_Q_INTENSITY,
+    sigmas: Sequence[float] = (
+        REFERENCE_SIGMA_CURRENT, REFERENCE_SIGMA_CURRENT,
+        REFERENCE_SIGMA_VOLTAGE, REFERENCE_SIGMA_VOLTAGE,
+    ),
     dt: float = 1e-4,
 ) -> NoiseModel:
-    """Default noise model on the [i_d, i_q, v_d, v_q] state.
+    """Noise model on the [i_d, i_q, v_d, v_q] state.
 
     Every state is measured directly (H = I).  The continuous-time
-    process-noise intensity ``q_diagonal * I`` is discretized per step as
-    ``Q dt``; measurement standard deviations are per-channel.
+    process-noise intensity ``q * I`` is discretized per step as ``Q dt``;
+    ``sigmas`` are the four per-channel measurement standard deviations,
+    R = diag(sigma^2).
     """
-    q = q_diagonal * dt * np.eye(4)
-    r = np.diag(
-        [
-            sigma_current**2,
-            sigma_current**2,
-            sigma_voltage**2,
-            sigma_voltage**2,
-        ]
-    )
-    return NoiseModel(q=q, r=r, h=np.eye(4))
+    r = np.diag([float(s) ** 2 for s in sigmas])
+    return NoiseModel(q=q * dt * np.eye(4), r=r, h=np.eye(4))
 
 
 def reference_profile() -> PiecewiseLinearProfile:

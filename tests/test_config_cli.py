@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdsim import cli_main, load_config, parse_config_text, reference_scenario
+from hdsim import (
+    cli_main, generate_truth_and_measurements, load_config, parse_config_text,
+    reference_scenario,
+)
 from hdsim.config import SCHEMA, ExperimentConfig, resolve_seed
 from hdsim.compare import run_comparison
 from hdsim.errors import ConfigError, NumericalFailureError
@@ -317,6 +320,18 @@ def test_estimate_single_filter_runs(tmp_path):
     ihat_d = header.index("ihat_d")
     worst = max(abs(float(r[i_d]) - float(r[ihat_d])) for r in rows)
     assert worst <= 1e-6
+
+
+def test_compare_with_one_noiseless_channel_runs(tmp_path):
+    # R is singular but not zero: the measurement noise takes its square
+    # root from an eigendecomposition, and only the v_d channel is exact
+    cfg = write_cfg(tmp_path, "noise.r_vd = 0\nhorizon = 0.06\n")
+    assert cli_main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    scenario = load_config(cfg).scenario()
+    truth, z = generate_truth_and_measurements(scenario)
+    grid = truth.grid_states(0.0, scenario.dt, scenario.n_steps)
+    exact = [np.array_equal(z[:, i], grid[:, i]) for i in range(4)]
+    assert exact == [False, False, True, False]
 
 
 def test_simulate_inverter_csv_round_trips(tmp_path):

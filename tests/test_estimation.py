@@ -296,17 +296,19 @@ def test_covariance_stays_symmetric_psd_through_random_sequences():
 
 
 def test_state_independent_guard_reduces_to_reset_jacobian():
-    xi = saltation_matrix(
-        reset=lambda x: x.copy(),
-        f_pre=lambda x, t: -x,
-        f_post=lambda x, t: -2 * x,
-        guard_gradient=None,
-        x_minus=np.array([1.0, 2.0]),
-        t=0.5,
-    )
+    # no gradient, or one that is zero everywhere (a time-only guard)
     d_reset = numerical_jacobian(lambda x: x.copy(), np.array([1.0, 2.0]))
-    assert np.array_equal(xi.matrix, d_reset)  # bitwise-equal construction path
-    assert np.max(np.abs(xi.matrix - np.eye(2))) < 1e-9
+    for guard_gradient in (None, lambda x, t: np.zeros(2)):
+        xi = saltation_matrix(
+            reset=lambda x: x.copy(),
+            f_pre=lambda x, t: -x,
+            f_post=lambda x, t: -2 * x,
+            guard_gradient=guard_gradient,
+            x_minus=np.array([1.0, 2.0]),
+            t=0.5,
+        )
+        assert np.array_equal(xi.matrix, d_reset)  # bitwise-equal construction path
+        assert np.max(np.abs(xi.matrix - np.eye(2))) < 1e-9
 
 
 def test_identity_reset_matched_fields_gives_identity():

@@ -325,6 +325,23 @@ def test_profile_lookup_is_bitwise_np_interp(profile):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("times, values, want", [
+    # through a breakpoint on the level, touching it, a plateau on it
+    ((0.0, 0.05, 0.1, 0.2), (1.0, 0.8, 0.5, 1.0), (0.05, 0.16)),
+    ((0.0, 0.05, 0.1), (1.0, 0.8, 1.0), (0.05,)),
+    ((0.0, 0.05, 0.1, 0.2), (1.0, 0.8, 0.8, 1.0), (0.05, 0.1)),
+    ((0.0, 0.05, 0.1), (1.0, 0.9, 1.0), ()),
+    # two dips, each crossing down then up, in time order
+    ((0.0, 0.05, 0.06, 0.12, 0.13, 0.2, 0.25, 0.26, 0.3),
+     (1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 0.6, 1.0, 1.0),
+     (0.054, 0.126, 0.225, 0.255)),
+], ids=["through-breakpoint", "touch", "plateau", "none", "two-dips"])
+def test_crossing_times_list_each_instant_once(times, values, want):
+    got = PiecewiseLinearProfile(times, values).crossing_times(0.8)
+    assert len(got) == len(want)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 # -- scenarios, truth, measurements -------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Full filter runs over the inverter scenario."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -144,6 +145,9 @@ def test_state_dependent_guard_jump_times_match_simulate():
     assert np.allclose([r.t for r in run.jumps], truth.jump_times, rtol=0.0,
                        atol=1e-9)
     assert np.max(np.abs(run.means - z)) <= 1e-9
+    flat = run_ekf(automaton, sc, z[:, 0])  # a 1-D stream is one column
+    assert np.array_equal(flat.means, run.means)
+    assert np.array_equal(flat.covariances, run.covariances)
 
 
 def test_hybrid_step_without_event_evaluates_the_field_four_times():
@@ -187,3 +191,24 @@ def test_beliefs_are_validated_once_per_run_and_once_per_jump(monkeypatch):
     checks.clear()
     run_ekf(decay, sc, z)
     assert len(checks) == 1
+
+
+@pytest.mark.parametrize("model", ["scalar", "inverter"])
+def test_a_field_runs_as_a_one_mode_automaton_with_no_edges(model):
+    # the continuous filter is the hybrid recursion whose scan never fires
+    if model == "scalar":
+        sc = scalar_scenario(horizon=0.5, dt=1e-2, r=1e-2)
+        sc.initial_mode = "blended"
+        field, z = decay, np.linspace(1.0, 0.5, sc.n_steps + 1)
+    else:
+        sc = reference_scenario(seed=4, horizon=0.08)
+        _, z = generate_truth_and_measurements(sc)
+        sc = replace(sc, initial_mode="blended")
+        field = blended_field(sc.params, sc.v_grid)
+    one_mode = HybridAutomaton(dim=sc.x0.size, modes=("blended",),
+                               flows={"blended": field}, edges=())
+    bare, automaton = run_ekf(field, sc, z), run_ekf(one_mode, sc, z)
+    assert bare.means.tobytes() == automaton.means.tobytes()
+    assert bare.covariances.tobytes() == automaton.covariances.tobytes()
+    assert bare.modes == automaton.modes
+    assert automaton.jumps == [] and not automaton.jump_counts.any()

@@ -25,6 +25,7 @@ from hdsim import (
     smib_system,
     swing_field,
 )
+from hdsim.simulate import Stepper
 
 
 def test_contracting_system_stays_safe():
@@ -225,6 +226,28 @@ def test_inverter_columns_that_jump_onto_a_grid_time():
         assert verdict.samples_checked == k + 1
 
 
+def test_columns_that_jump_onto_a_grid_time_rejoin_the_batch(monkeypatch):
+    # finishing them on the scalar path instead would leave a safe inverter
+    # sweep scalar after its first switch: 14 times slower at 200 samples
+    scenario = reference_scenario()
+    automaton = inverter_automaton(scenario.params, scenario.v_grid)
+    flags = []
+    advance = Stepper.advance
+
+    def counted(self, x_next=None, to_end=False):
+        flags.append(to_end)
+        return advance(self, x_next, to_end)
+
+    monkeypatch.setattr(Stepper, "advance", counted)
+    verdict = check_safety(
+        automaton, box_sampler(scenario.x0 - 0.3, scenario.x0 + 0.3, seed=12),
+        lambda x: np.abs(x[0]) > 100.0, horizon=0.2, samples=6, dt=1e-3,
+        max_jumps=10, mode0=scenario.initial_mode,
+    )
+    assert verdict.status == NO_COUNTEREXAMPLE
+    assert len(flags) == 6 * 3 and not any(flags)  # t = 0 and two switches
+
+
 def test_a_predicate_that_takes_no_batch_still_gives_the_loop_verdict():
     # max() of two arrays raises: every step is redone column by column
     system = smib_system(OUT_OF_STEP)
@@ -320,6 +343,29 @@ def test_mode_varying_automaton_sampler(level):
         make_sampler, automaton, lambda x: np.abs(x[1]) > level,
         horizon=3.0, samples=10, dt=1e-2,
     )
+
+
+@pytest.mark.parametrize("bad", [("nowhere", [0.5, 0.0]), ("up", [np.nan, 0.0])],
+                         ids=["unknown-mode", "non-finite-state"])
+@pytest.mark.parametrize("level", [2.0, 1e3])
+def test_a_sample_that_cannot_start_surfaces_after_the_lower_samples(bad, level):
+    automaton = two_mode_automaton()
+
+    def make_sampler():
+        good, count = alternating_modes(8)(), iter(range(10**6))
+        return lambda: bad if next(count) == 3 else good()
+
+    unsafe = lambda x: np.abs(x[1]) > level  # noqa: E731
+    run = dict(horizon=3.0, samples=6, dt=1e-2)
+    if level == 2.0:  # sample 1 turns unsafe at t = 2.42, after 3 failed to start
+        verdict = assert_same_verdict(make_sampler, automaton, unsafe, **run)
+        assert verdict.samples_checked == 2 and verdict.witness_time > 2.0
+        return
+    with pytest.raises(ArgumentError) as got:
+        check_safety(automaton, make_sampler(), unsafe, **run)
+    with pytest.raises(ArgumentError) as want:
+        oracle_check_safety(automaton, make_sampler(), unsafe, **run)
+    assert str(got.value) == str(want.value)
 
 
 def ambiguous_automaton():
