@@ -5,7 +5,15 @@ MLD systems, guard-localized simulation on hybrid time domains, an
 extended Kalman filter with saltation-matrix covariance transport, and
 the grid-following/grid-forming inverter and two-line SMIB studies built
 on top of them.
+
+Hybrid stepping has one implementation, :mod:`hdsim.simulate`; the
+independent loops the tests compare it against live in ``tests/oracles.py``.  The
+switched, PWA and MLD formalisms (``hdsim.switched``, ``hdsim.pwa``,
+``hdsim.mld``) load on first use of one of their names, so importing
+``hdsim`` or running the command-line driver does not import them.
 """
+
+import importlib
 
 from .errors import (
     AmbiguousTransitionError,
@@ -18,7 +26,7 @@ from .errors import (
     UncoveredStateError,
 )
 from .events import LOCATE_TOL, locate_event
-from .integrate import integrate_flow, rk4_step
+from .integrate import rk4_step
 from .systems import (
     Edge,
     FlowJumpSystem,
@@ -33,9 +41,6 @@ from .systems import (
     TrajectorySample,
 )
 from .simulate import simulate
-from .switched import SwitchedSystem, lift_state, lift_switched, simulate_switched
-from .pwa import PwaSystem, pwa_step
-from .mld import MldSystem, mld_step
 from .safety import NO_COUNTEREXAMPLE, UNSAFE, SafetyVerdict, box_sampler, check_safety
 from .estimation import (
     EkfRun,
@@ -72,7 +77,6 @@ from .power import (
     sine_power,
     smib_state,
     smib_system,
-    swing_field,
 )
 from .metrics import rmse
 from .config import ExperimentConfig, load_config, parse_config_text
@@ -81,3 +85,22 @@ from .report import RmseReport, read_report_csv, read_trajectory_csv
 from .cli import cli_main
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "SwitchedSystem": "switched",
+    "lift_state": "switched",
+    "lift_switched": "switched",
+    "PwaSystem": "pwa",
+    "pwa_step": "pwa",
+    "MldSystem": "mld",
+    "mld_step": "mld",
+}
+
+
+def __getattr__(name):
+    """Load a name of an optional formalism from its module on first use."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value

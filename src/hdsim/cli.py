@@ -122,7 +122,7 @@ def _cmd_verify(config: ExperimentConfig) -> int:
 
     if config["model"] == "smib":
         params = config.smib_params()
-        system = smib_system(params)
+        system, mode0 = smib_system(params), None
         if threshold <= 0.0:
             threshold = params.i_max
         d0 = float(config["smib.delta0"])
@@ -130,32 +130,29 @@ def _cmd_verify(config: ExperimentConfig) -> int:
         dhw = float(config["verify.delta_half_width"])
         whw = float(config["verify.omega_half_width"])
         line0 = float(int(config["smib.line0"]))
-        base = box_sampler(
+        sampler = box_sampler(
             [d0 - dhw, w0 - whw, line0], [d0 + dhw, w0 + whw, line0], seed
         )
-        sampler = base
 
         def unsafe(x) -> bool:
             return abs(params.p_e(x[0])) > threshold - 1e-9
 
-        verdict = check_safety(
-            system, sampler, unsafe, horizon, n_samples, dt, max_jumps=max_jumps
-        )
     else:
         scenario = config.scenario()
         if threshold <= 0.0:
             threshold = scenario.params.i_lim
         hw = float(config["verify.x0_half_width"])
-        automaton = inverter_automaton(scenario.params, scenario.v_grid)
+        system = inverter_automaton(scenario.params, scenario.v_grid)
+        mode0 = scenario.initial_mode
         sampler = box_sampler(scenario.x0 - hw, scenario.x0 + hw, seed)
 
         def unsafe(x) -> bool:
             return np.maximum(np.abs(x[0]), np.abs(x[1])) > threshold - 1e-9
 
-        verdict = check_safety(
-            automaton, sampler, unsafe, horizon, n_samples, dt,
-            max_jumps=max_jumps, mode0=scenario.initial_mode,
-        )
+    verdict = check_safety(
+        system, sampler, unsafe, horizon, n_samples, dt,
+        max_jumps=max_jumps, mode0=mode0,
+    )
 
     path = os.path.join(out_dir, "verify_report.txt")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -21,46 +21,34 @@ LOCATE_TOL = 1e-9
 _POLISH_ITERS = 8
 
 
-def locate_event(
-    margin: Callable,
-    t_lo: float,
-    t_hi: float,
-    interpolant: Optional[Callable] = None,
-    tol: float = LOCATE_TOL,
-) -> Optional[float]:
+def locate_event(margin: Callable, t_lo: float, t_hi: float) -> Optional[float]:
     """Locate the first time in ``[t_lo, t_hi]`` where ``margin`` reaches zero.
 
-    ``margin`` (and ``interpolant``) is called once per probe time, and
-    each value is reused for the rest of the search, so both must be
-    deterministic and free of side effects.
+    ``margin`` is called once per probe time, and each value is reused for
+    the rest of the search, so it must be deterministic and free of side
+    effects.
 
     Parameters
     ----------
     margin : callable
-        Signed guard margin.  Called as ``margin(t)``, or as
-        ``margin(interpolant(t), t)`` when ``interpolant`` is given.
+        Signed guard margin as a function of time, ``margin(t)``.  A guard
+        on the state composes with an interpolant first, as
+        :func:`hdsim.simulate.next_event` does.
     t_lo, t_hi : float
         Bracket endpoints, ``t_hi > t_lo``.
-    interpolant : callable, optional
-        Maps a query time to the state at that time (e.g. a partial RK4
-        step from the last accepted sample).
-    tol : float
-        Final bracket width in seconds.
 
     Returns
     -------
     float or None
-        The crossing time, or ``None`` when the margin does not change
-        sign on the bracket.  If the margin is already non-negative at
-        ``t_lo``, returns ``t_lo``.
+        The crossing time, within ``LOCATE_TOL``, or ``None`` when the
+        margin does not change sign on the bracket.  If the margin is
+        already non-negative at ``t_lo``, returns ``t_lo``.
     """
     if t_hi <= t_lo:
         raise ArgumentError(f"t_hi must exceed t_lo (got [{t_lo}, {t_hi}])")
 
     def m(t: float) -> float:
-        if interpolant is None:
-            return float(margin(t))
-        return float(margin(interpolant(t), t))
+        return float(margin(t))
 
     m_lo = m(t_lo)
     if m_lo >= 0.0:
@@ -70,7 +58,7 @@ def locate_event(
         return None
 
     lo, hi = t_lo, t_hi
-    while hi - lo > tol:
+    while hi - lo > LOCATE_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -81,7 +69,7 @@ def locate_event(
             lo, m_lo = mid, m_mid
 
     # Regula-falsi polish: exact for margins linear in t, and tightens
-    # smooth crossings well below `tol` without leaving the bracket.
+    # smooth crossings well below `LOCATE_TOL` without leaving the bracket.
     for _ in range(_POLISH_ITERS):
         denom = m_hi - m_lo
         if denom <= 0.0:

@@ -7,11 +7,9 @@ can split a step without changing the arithmetic of neighbouring steps.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
-
-from .errors import ArgumentError, NumericalFailureError
 
 VectorField = Callable[[np.ndarray, float], np.ndarray]
 """``f(x, t)``: the time derivative of the state ``x`` at time ``t``.
@@ -51,56 +49,3 @@ def rk4_step(
     k3 = field(x + 0.5 * h * k2, t + 0.5 * h)
     k4 = field(x + h * k3, t + h)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate_flow(
-    field: VectorField,
-    x0: np.ndarray,
-    t0: float,
-    t1: float,
-    dt: float,
-) -> List[Tuple[float, np.ndarray]]:
-    """Integrate ``dx/dt = field(x, t)`` from ``t0`` to ``t1`` with fixed step ``dt``.
-
-    Returns the dense list of ``(time, state)`` samples, starting with
-    ``(t0, x0)`` and ending exactly at ``t1`` (the final step is shortened
-    when ``t1 - t0`` is not an integer number of steps).
-
-    Raises
-    ------
-    ArgumentError
-        If ``t1 <= t0`` or ``dt <= 0``.
-    NumericalFailureError
-        If the state or derivative becomes non-finite; the message names
-        the offending time.
-    """
-    if t1 <= t0:
-        raise ArgumentError(f"t1 must exceed t0 (got t0={t0}, t1={t1})")
-    if dt <= 0.0:
-        raise ArgumentError(f"dt must be positive (got {dt})")
-    x = np.asarray(x0, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise NumericalFailureError(f"non-finite initial state at t={t0}", time=t0)
-    d0 = np.asarray(field(x, t0), dtype=float)
-    if not np.all(np.isfinite(d0)):
-        raise NumericalFailureError(f"non-finite derivative at t={t0}", time=t0)
-
-    samples: List[Tuple[float, np.ndarray]] = [(t0, x.copy())]
-    t = t0
-    k = 0
-    while t < t1:
-        k += 1
-        t_next = t0 + k * dt
-        if t_next > t1 - 1e-15 * max(1.0, abs(t1)):
-            t_next = t1
-        h = t_next - t
-        if h <= 0.0:
-            break
-        x = rk4_step(field, x, t, h)
-        if not np.all(np.isfinite(x)):
-            raise NumericalFailureError(
-                f"non-finite state after step ending at t={t_next}", time=t_next
-            )
-        t = t_next
-        samples.append((t, x.copy()))
-    return samples

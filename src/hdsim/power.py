@@ -566,13 +566,3 @@ def smib_system(p: SmibParams) -> FlowJumpSystem:
         jump_map=jump_map,
         mode_label=label,
     )
-
-
-def swing_field(p: SmibParams) -> Callable[[np.ndarray, float], np.ndarray]:
-    """The bare 2-state swing vector field (no line label), for oracles."""
-
-    def flow(x, t):
-        delta, omega = x
-        return np.array([omega, (p.p_m - p.p_e(delta) - p.d * omega) / p.m])
-
-    return flow

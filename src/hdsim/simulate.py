@@ -121,7 +121,7 @@ def next_event(
 
     located: List[Tuple[float, Edge]] = []
     for e in crossed:
-        t_star = locate_event(e.guard, t, t_next, interpolant)
+        t_star = locate_event(lambda s: e.guard(interpolant(s), s), t, t_next)
         if t_star is not None:
             located.append((t_star, e))
     if not located:

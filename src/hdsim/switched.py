@@ -1,12 +1,16 @@
-"""Switched systems, their flow/jump lift, and direct piecewise integration.
+"""Switched systems and their flow/jump lift.
 
 A switched system pairs a family of vector fields with a piecewise-constant
 switching signal.  The lift augments the state with the active segment
 index: the flow leaves the index constant and a time-triggered jump
 increments it at each switch instant, which reproduces the switched
-dynamics inside the flow/jump formalism.  ``simulate_switched`` integrates
-the segments directly (no event machinery) and serves as the independent
-reference the lift is checked against.
+dynamics inside the flow/jump formalism, so :func:`hdsim.simulate.simulate`
+steps it like any other hybrid system.  The independent reference the
+lift is checked against, a direct segment-by-segment integration, is a
+test oracle in ``tests/oracles.py``.
+
+``hdsim`` loads this module (like ``hdsim.pwa`` and ``hdsim.mld``) on
+first use of one of its names, so the command-line driver never imports it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ArgumentError
-from .integrate import rk4_step
-from .systems import FlowJumpSystem, HORIZON_REACHED, HybridTrajectory, JumpRecord
+from .systems import FlowJumpSystem
 
 
 @dataclass(frozen=True)
@@ -109,59 +112,3 @@ def lift_state(sw: SwitchedSystem, z0, t0: float = 0.0) -> np.ndarray:
     """Initial augmented state for the lift of ``sw`` starting at ``t0``."""
     z0 = np.asarray(z0, dtype=float)
     return np.concatenate([z0, [float(sw.segment_of(t0))]])
-
-
-def simulate_switched(
-    sw: SwitchedSystem,
-    x0,
-    horizon: float,
-    dt: float,
-    t0: float = 0.0,
-) -> HybridTrajectory:
-    """Integrate the switched system directly, segment by segment.
-
-    Walks the same uniform grid as :func:`hdsim.simulate.simulate`, splitting
-    any step that straddles a switch instant exactly at that instant, and
-    records a pre/post sample pair there so the trajectory shape matches
-    the lifted simulation sample for sample.
-    """
-    if horizon <= 0.0 or dt <= 0.0:
-        raise ArgumentError("horizon and dt must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    t = t0
-    t_end = t0 + horizon
-    seg = sw.segment_of(t0)
-    traj = HybridTrajectory()
-    j = 0
-    traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
-    k = 0
-    while t < t_end - 1e-15 * max(1.0, abs(t_end)):
-        k_next = int(np.floor((t - t0) / dt + 1e-9)) + 1
-        t_next = min(t0 + k_next * dt, t_end)
-        # Split at the next switch instant when it falls inside this step.
-        if seg < len(sw.switch_times) and t < sw.switch_times[seg] <= t_next:
-            s = sw.switch_times[seg]
-            if s > t:
-                x = rk4_step(sw.fields[sw.mode_sequence[seg] - 1], x, t, s - t)
-                t = s
-            traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
-            traj.jumps.append(
-                JumpRecord(
-                    t=t,
-                    j_before=j,
-                    edge="switch",
-                    state_before=x.copy(),
-                    state_after=x.copy(),
-                    mode_before=f"mode {sw.mode_sequence[seg]}",
-                    mode_after=f"mode {sw.mode_sequence[seg + 1]}",
-                )
-            )
-            seg += 1
-            j += 1
-            traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
-            continue
-        x = rk4_step(sw.fields[sw.mode_sequence[seg] - 1], x, t, t_next - t)
-        t = t_next
-        traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
-    traj.termination = HORIZON_REACHED
-    return traj

@@ -1,0 +1,149 @@
+"""Independent reference implementations the tests compare ``hdsim`` against.
+
+The package steps every model through :class:`hdsim.simulate.Stepper`.
+These loops step without it, on the same fixed RK4 grid, so a test can
+check the guard-localized simulation against a computation that shares
+none of its event machinery:
+
+* :func:`integrate_flow` integrates one vector field with no events;
+* :func:`simulate_switched` integrates a switched system segment by
+  segment, splitting steps at the known switch instants, which the
+  lift-equivalence tests compare bitwise with the lifted simulation;
+* :func:`swing_field` is the bare two-state SMIB swing field, without
+  the line label the simulated system carries.
+
+They are kept test references, not part of the library API; their
+arithmetic must not change, or the bitwise comparisons stop meaning
+anything.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, List, Tuple
+
+import numpy as np
+
+from hdsim.errors import ArgumentError, NumericalFailureError
+from hdsim.integrate import VectorField, rk4_step
+from hdsim.power import SmibParams
+from hdsim.switched import SwitchedSystem
+from hdsim.systems import HORIZON_REACHED, HybridTrajectory, JumpRecord
+
+
+def integrate_flow(
+    field: VectorField,
+    x0: np.ndarray,
+    t0: float,
+    t1: float,
+    dt: float,
+) -> List[Tuple[float, np.ndarray]]:
+    """Integrate ``dx/dt = field(x, t)`` from ``t0`` to ``t1`` with fixed step ``dt``.
+
+    Returns the dense list of ``(time, state)`` samples, starting with
+    ``(t0, x0)`` and ending exactly at ``t1`` (the final step is shortened
+    when ``t1 - t0`` is not an integer number of steps).
+
+    Raises
+    ------
+    ArgumentError
+        If ``t1 <= t0`` or ``dt <= 0``.
+    NumericalFailureError
+        If the state or derivative becomes non-finite; the message names
+        the offending time.
+    """
+    if t1 <= t0:
+        raise ArgumentError(f"t1 must exceed t0 (got t0={t0}, t1={t1})")
+    if dt <= 0.0:
+        raise ArgumentError(f"dt must be positive (got {dt})")
+    x = np.asarray(x0, dtype=float).copy()
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailureError(f"non-finite initial state at t={t0}", time=t0)
+    d0 = np.asarray(field(x, t0), dtype=float)
+    if not np.all(np.isfinite(d0)):
+        raise NumericalFailureError(f"non-finite derivative at t={t0}", time=t0)
+
+    samples: List[Tuple[float, np.ndarray]] = [(t0, x.copy())]
+    t = t0
+    k = 0
+    while t < t1:
+        k += 1
+        t_next = t0 + k * dt
+        if t_next > t1 - 1e-15 * max(1.0, abs(t1)):
+            t_next = t1
+        h = t_next - t
+        if h <= 0.0:
+            break
+        x = rk4_step(field, x, t, h)
+        if not np.all(np.isfinite(x)):
+            raise NumericalFailureError(
+                f"non-finite state after step ending at t={t_next}", time=t_next
+            )
+        t = t_next
+        samples.append((t, x.copy()))
+    return samples
+
+
+def simulate_switched(
+    sw: SwitchedSystem,
+    x0,
+    horizon: float,
+    dt: float,
+    t0: float = 0.0,
+) -> HybridTrajectory:
+    """Integrate the switched system directly, segment by segment.
+
+    Walks the same uniform grid as :func:`hdsim.simulate.simulate`, splitting
+    any step that straddles a switch instant exactly at that instant, and
+    records a pre/post sample pair there so the trajectory shape matches
+    the lifted simulation sample for sample.
+    """
+    if horizon <= 0.0 or dt <= 0.0:
+        raise ArgumentError("horizon and dt must be positive")
+    x = np.asarray(x0, dtype=float).copy()
+    t = t0
+    t_end = t0 + horizon
+    seg = sw.segment_of(t0)
+    traj = HybridTrajectory()
+    j = 0
+    traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
+    k = 0
+    while t < t_end - 1e-15 * max(1.0, abs(t_end)):
+        k_next = int(np.floor((t - t0) / dt + 1e-9)) + 1
+        t_next = min(t0 + k_next * dt, t_end)
+        # Split at the next switch instant when it falls inside this step.
+        if seg < len(sw.switch_times) and t < sw.switch_times[seg] <= t_next:
+            s = sw.switch_times[seg]
+            if s > t:
+                x = rk4_step(sw.fields[sw.mode_sequence[seg] - 1], x, t, s - t)
+                t = s
+            traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
+            traj.jumps.append(
+                JumpRecord(
+                    t=t,
+                    j_before=j,
+                    edge="switch",
+                    state_before=x.copy(),
+                    state_after=x.copy(),
+                    mode_before=f"mode {sw.mode_sequence[seg]}",
+                    mode_after=f"mode {sw.mode_sequence[seg + 1]}",
+                )
+            )
+            seg += 1
+            j += 1
+            traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
+            continue
+        x = rk4_step(sw.fields[sw.mode_sequence[seg] - 1], x, t, t_next - t)
+        t = t_next
+        traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
+    traj.termination = HORIZON_REACHED
+    return traj
+
+
+def swing_field(p: SmibParams) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The bare 2-state swing vector field (no line label), for oracles."""
+
+    def flow(x, t):
+        delta, omega = x
+        return np.array([omega, (p.p_m - p.p_e(delta) - p.d * omega) / p.m])
+
+    return flow

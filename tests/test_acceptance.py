@@ -25,7 +25,6 @@ from hdsim import (
     ekf_predict,
     ekf_update,
     generate_truth_and_measurements,
-    integrate_flow,
     inverter_automaton,
     lift_state,
     lift_switched,
@@ -38,10 +37,8 @@ from hdsim import (
     run_ekf,
     saltation_matrix,
     simulate,
-    simulate_switched,
     smib_state,
     smib_system,
-    swing_field,
 )
 from hdsim.power import (
     InverterParams,
@@ -53,6 +50,8 @@ from hdsim.power import (
     gfm_flow,
     gfm_system_matrices,
 )
+
+from oracles import integrate_flow, simulate_switched, swing_field
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:

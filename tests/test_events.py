@@ -37,10 +37,9 @@ def test_degenerate_bracket_rejected():
 
 
 def test_interpolant_threading():
-    # state x(t) = t^2, guard margin x - 0.25 crosses at t = 0.5
-    t = locate_event(
-        lambda x, t: x - 0.25, 0.0, 1.0, interpolant=lambda s: s * s
-    )
+    # state x(t) = t^2, guard margin x - 0.25 crosses at t = 0.5; the
+    # caller composes guard and interpolant into one margin of time
+    t = locate_event(lambda t: t * t - 0.25, 0.0, 1.0)
     assert abs(t - 0.5) <= 1e-9
 
 

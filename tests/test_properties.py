@@ -17,8 +17,9 @@ from hdsim import (
     lift_state,
     lift_switched,
     simulate,
-    simulate_switched,
 )
+
+from oracles import simulate_switched
 
 
 def random_switched_system(rng):

@@ -179,3 +179,28 @@ def test_random_feasibility_verdicts():
                                e5=slack - 1.0, **sys_mats)
         with pytest.raises(InfeasibleError):
             mld_step(infeasible, x, u, delta, z)
+
+
+
+def test_optional_formalisms_import_from_the_package():
+    import hdsim
+    from hdsim import (
+        MldSystem,
+        PwaSystem,
+        SwitchedSystem,
+        lift_state,
+        lift_switched,
+        mld,
+        mld_step,
+        pwa,
+        pwa_step,
+        switched,
+    )
+
+    assert (SwitchedSystem, lift_state, lift_switched) == (
+        switched.SwitchedSystem, switched.lift_state, switched.lift_switched
+    )
+    assert (PwaSystem, pwa_step) == (pwa.PwaSystem, pwa.pwa_step)
+    assert (MldSystem, mld_step) == (mld.MldSystem, mld.mld_step)
+    with pytest.raises(AttributeError):
+        getattr(hdsim, "no_such_name")

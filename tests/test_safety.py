@@ -18,14 +18,14 @@ from hdsim import (
     UNSAFE,
     box_sampler,
     check_safety,
-    integrate_flow,
     inverter_automaton,
     reference_scenario,
     simulate,
     smib_system,
-    swing_field,
 )
 from hdsim.simulate import Stepper
+
+from oracles import integrate_flow, swing_field
 
 
 def test_contracting_system_stays_safe():

@@ -309,9 +309,9 @@ def test_one_localization_probes_each_time_once(monkeypatch):
     real_locate = simulate_module.locate_event
 
     def recording_locate(margin, *args, **kwargs):
-        def recorded(state, t):
+        def recorded(t):
             probe_times.append(t)
-            return margin(state, t)
+            return margin(t)
 
         return real_locate(recorded, *args, **kwargs)
 

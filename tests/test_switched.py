@@ -8,12 +8,12 @@ import pytest
 from hdsim import (
     ArgumentError,
     SwitchedSystem,
-    integrate_flow,
     lift_state,
     lift_switched,
     simulate,
-    simulate_switched,
 )
+
+from oracles import integrate_flow, simulate_switched
 
 
 def test_signal_is_right_continuous():
