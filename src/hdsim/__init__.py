@@ -46,7 +46,6 @@ from .estimation import (
     EkfRun,
     GaussianBelief,
     NoiseModel,
-    SaltationMatrix,
     ekf_predict,
     ekf_update,
     numerical_jacobian,

@@ -193,8 +193,10 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         # anything else to a usage error.
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
-        config = _prepare(args)
-        return _COMMANDS[args.command](config)
+        # an overflowing model surfaces as a non-finite state, which the
+        # simulator and the filter report as one typed error
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](_prepare(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

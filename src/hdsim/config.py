@@ -141,7 +141,6 @@ class ExperimentConfig:
     """Resolved configuration: schema defaults overlaid with file values."""
 
     values: Dict[str, object] = field(default_factory=dict)
-    source: Optional[str] = None
     explicit: frozenset = frozenset()
 
     def __post_init__(self):
@@ -200,10 +199,7 @@ class ExperimentConfig:
     def with_overrides(self, **kv) -> "ExperimentConfig":
         merged = dict(self.values)
         merged.update(kv)
-        return ExperimentConfig(
-            values=merged, source=self.source,
-            explicit=self.explicit | frozenset(kv),
-        )
+        return ExperimentConfig(values=merged, explicit=self.explicit | frozenset(kv))
 
     # -- model builders ----------------------------------------------------
 
@@ -274,12 +270,18 @@ class ExperimentConfig:
                 continue
             val = self.values[key]
             if isinstance(val, tuple) and val and isinstance(val[0], tuple):
-                out[key] = ", ".join(f"{t:g}:{v:g}" for t, v in val)
+                out[key] = ", ".join(f"{_echo(t)}:{_echo(v)}" for t, v in val)
             elif isinstance(val, tuple):
-                out[key] = ", ".join(f"{x:g}" for x in val)
+                out[key] = ", ".join(_echo(x) for x in val)
             else:
                 out[key] = str(val)
         return out
+
+
+def _echo(x: float) -> str:
+    """``x`` in ``:g`` form when that reads back as ``x``, else its repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def parse_config_text(text: str, source: Optional[str] = None) -> ExperimentConfig:
@@ -298,7 +300,7 @@ def parse_config_text(text: str, source: Optional[str] = None) -> ExperimentConf
         if key not in SCHEMA:
             raise ConfigError(f"{source or '<config>'}:{lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)
-    return ExperimentConfig(values=values, source=source)
+    return ExperimentConfig(values=values)
 
 
 def load_config(path: Optional[str]) -> ExperimentConfig:

@@ -45,6 +45,24 @@ def symmetrize(p: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
+def _checked_covariance(p, name, error, symmetric=False) -> np.ndarray:
+    """``p`` symmetrized, once it passed the covariance test; else ``error``.
+
+    With ``scale = max(1, max|p|)``, ``p`` must be symmetric within
+    ``SYMMETRY_TOL * scale`` (skipped when it is ``symmetric`` by
+    construction) and its smallest eigenvalue at least ``PSD_TOL * scale``.
+    """
+    scale = max(1.0, float(np.max(np.abs(p))))
+    if not symmetric:
+        if np.max(np.abs(p - p.T)) > SYMMETRY_TOL * scale:
+            raise error(f"{name} is not symmetric within tolerance")
+        p = symmetrize(p)
+    min_eig = float(np.linalg.eigvalsh(p)[0])
+    if min_eig < PSD_TOL * scale:
+        raise error(f"{name} is not PSD (min eigenvalue {min_eig:.3e})")
+    return p
+
+
 @dataclass
 class GaussianBelief:
     """State estimate as mean and covariance.
@@ -70,16 +88,7 @@ class GaussianBelief:
             raise ArgumentError(f"covariance must be ({n}, {n}), got {p.shape}")
         if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(p)):
             raise ArgumentError("belief entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(p))))
-        if np.max(np.abs(p - p.T)) > SYMMETRY_TOL * scale:
-            raise ArgumentError("covariance is not symmetric within tolerance")
-        p = symmetrize(p)
-        min_eig = float(np.linalg.eigvalsh(p)[0])
-        if min_eig < PSD_TOL * scale:
-            raise ArgumentError(
-                f"covariance is not PSD (min eigenvalue {min_eig:.3e})"
-            )
-        self.covariance = p
+        self.covariance = _checked_covariance(p, "covariance", ArgumentError)
 
     @classmethod
     def _computed(cls, mean: np.ndarray, covariance: np.ndarray) -> "GaussianBelief":
@@ -119,14 +128,8 @@ class NoiseModel:
             raise ArgumentError(
                 f"H must be ({r.shape[0]}, {q.shape[0]}), got {h.shape}"
             )
-        for name, m in (("Q", q), ("R", r)):
-            scale = max(1.0, float(np.max(np.abs(m))))
-            if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * scale:
-                raise ArgumentError(f"{name} must be symmetric")
-            if float(np.linalg.eigvalsh(symmetrize(m))[0]) < PSD_TOL * scale:
-                raise ArgumentError(f"{name} must be positive semidefinite")
-        object.__setattr__(self, "q", symmetrize(q))
-        object.__setattr__(self, "r", symmetrize(r))
+        object.__setattr__(self, "q", _checked_covariance(q, "Q", ArgumentError))
+        object.__setattr__(self, "r", _checked_covariance(r, "R", ArgumentError))
         object.__setattr__(self, "h", h)
 
     @property
@@ -258,30 +261,10 @@ def ekf_update(belief: GaussianBelief, z, noise: NoiseModel) -> GaussianBelief:
         p_post = symmetrize((_identity(belief.dim) - k_gain @ h) @ p)
     if not (np.isfinite(mean).all() and np.isfinite(p_post).all()):
         raise NumericalFailureError("updated belief is not finite")
-    scale = max(1.0, float(np.max(np.abs(p_post))))
-    min_eig = float(np.linalg.eigvalsh(p_post)[0])
-    if min_eig < PSD_TOL * scale:
-        raise NumericalFailureError(
-            f"updated covariance is not PSD (min eigenvalue {min_eig:.3e})"
-        )
+    p_post = _checked_covariance(
+        p_post, "updated covariance", NumericalFailureError, symmetric=True
+    )
     return GaussianBelief._computed(mean, p_post)
-
-
-@dataclass(frozen=True)
-class SaltationMatrix:
-    """First-order trajectory sensitivity across one jump."""
-
-    matrix: np.ndarray
-    jump_time: float
-    edge: str = ""
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ArgumentError("saltation matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise ArgumentError("saltation matrix entries must be finite")
-        object.__setattr__(self, "matrix", m)
 
 
 def saltation_matrix(
@@ -293,8 +276,8 @@ def saltation_matrix(
     t: float,
     reset_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     edge: str = "",
-) -> SaltationMatrix:
-    """Build the saltation matrix at a localized jump.
+) -> np.ndarray:
+    """Build the ``(n, n)`` saltation matrix Xi at a localized jump.
 
     For a transversal state-dependent guard g with gradient ``grad``:
 
@@ -304,45 +287,48 @@ def saltation_matrix(
     the zero vector — the exogenous, time-triggered case) the jump time
     does not vary with the state and Xi reduces to the reset Jacobian
     exactly.  The caller must hand in ``x_minus`` on the guard surface.
+    A Xi that is not square or not finite raises :class:`ArgumentError`.
     """
     x_minus = np.asarray(x_minus, dtype=float)
     if reset_jacobian is not None:
-        d_reset = np.asarray(reset_jacobian(x_minus), dtype=float)
+        xi = np.asarray(reset_jacobian(x_minus), dtype=float)
     else:
-        d_reset = numerical_jacobian(reset, x_minus)
+        xi = numerical_jacobian(reset, x_minus)
 
-    if guard_gradient is None:
-        return SaltationMatrix(d_reset, jump_time=t, edge=edge)
-    grad = np.asarray(guard_gradient(x_minus, t), dtype=float)
-    if not np.any(grad):
-        return SaltationMatrix(d_reset, jump_time=t, edge=edge)
-
-    f_minus = np.asarray(f_pre(x_minus, t), dtype=float)
-    denom = float(grad @ f_minus)
-    if abs(denom) < TRANSVERSALITY_TOL:
-        raise GrazingError(
-            f"guard {edge or '?'} is grazing at t={t}: grad.f_pre = {denom:.3e}"
-        )
-    f_plus = np.asarray(f_post(np.asarray(reset(x_minus), dtype=float), t), dtype=float)
-    xi = d_reset + np.outer(f_plus - d_reset @ f_minus, grad) / denom
-    return SaltationMatrix(xi, jump_time=t, edge=edge)
+    grad = None if guard_gradient is None else guard_gradient(x_minus, t)
+    if grad is not None and np.any(grad):  # a state-dependent guard
+        grad = np.asarray(grad, dtype=float)
+        f_minus = np.asarray(f_pre(x_minus, t), dtype=float)
+        denom = float(grad @ f_minus)
+        if abs(denom) < TRANSVERSALITY_TOL:
+            raise GrazingError(
+                f"guard {edge or '?'} is grazing at t={t}: grad.f_pre = {denom:.3e}"
+            )
+        x_plus = np.asarray(reset(x_minus), dtype=float)
+        f_plus = np.asarray(f_post(x_plus, t), dtype=float)
+        xi = xi + np.outer(f_plus - xi @ f_minus, grad) / denom
+    if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
+        raise ArgumentError("saltation matrix must be square")
+    if not np.all(np.isfinite(xi)):
+        raise ArgumentError("saltation matrix entries must be finite")
+    return xi
 
 
 def propagate_belief_through_jump(
     belief: GaussianBelief,
     reset: Callable[[np.ndarray], np.ndarray],
-    xi: SaltationMatrix,
+    xi: np.ndarray,
 ) -> GaussianBelief:
     """Map a belief through a jump: mean by the reset, covariance by Xi P Xi^T."""
-    m = xi.matrix
-    if m.shape != (belief.dim, belief.dim):
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (belief.dim, belief.dim):
         raise ArgumentError(
-            f"saltation matrix is {m.shape}, belief dimension is {belief.dim}"
+            f"saltation matrix is {xi.shape}, belief dimension is {belief.dim}"
         )
     mean = np.asarray(reset(belief.mean), dtype=float)
     if mean.shape != belief.mean.shape:
         raise ArgumentError("reset changed the state dimension")
-    p = symmetrize(m @ belief.covariance @ m.T)
+    p = symmetrize(xi @ belief.covariance @ xi.T)
     return GaussianBelief(mean, p)
 
 

@@ -343,8 +343,9 @@ class InverterScenario:
         if self.horizon <= 0.0 or self.dt <= 0.0:
             raise ArgumentError("horizon and dt must be positive")
         ratio = self.horizon / self.dt
-        if abs(self.horizon - round(ratio) * self.dt) > 1e-12:
-            raise ArgumentError("dt must divide the horizon within 1e-12")
+        tol = 1e-12 * max(1.0, self.horizon)
+        if abs(self.horizon - round(ratio) * self.dt) > tol:
+            raise ArgumentError(f"dt must divide the horizon within {tol:g}")
         if self.v_grid.times[0] > 0.0 or self.v_grid.times[-1] < self.horizon - 1e-12:
             raise ArgumentError("the grid profile must cover [0, horizon]")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))

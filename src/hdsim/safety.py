@@ -83,7 +83,7 @@ def check_safety(
     at a time: still the right verdict, only slower.  Guard margins and
     invariants may return one scalar for every column (a time-only guard),
     so for them a reduction over the batch gives silently wrong verdicts.
-    A sweep left with one live sample finishes it on its own.
+    A sweep left with one sample still running finishes it on its own.
 
     The verdict is the one a sample-by-sample loop over :func:`simulate`
     gives: the lowest sample index that is unsafe, or that raised.  The
@@ -148,10 +148,8 @@ def _sweep(
     """
     m = len(draws)
     steppers: List[Stepper] = []
-    hit = np.zeros(m, dtype=bool)  # some scalar-path sample was unsafe
     errors: Dict[int, Exception] = {}
-    live = np.zeros(m, dtype=bool)  # at the sweep's grid time, not terminated
-    waiting: Dict[int, float] = {}  # column -> the later grid time it is at
+    at = np.full(m, np.inf)  # the grid time a column stands at; inf once done
     X = np.zeros((system.dim, m))
     modes = system.modes if isinstance(system, HybridAutomaton) else None
     group = np.zeros(m, dtype=int)  # index of the column's mode (automata)
@@ -160,28 +158,27 @@ def _sweep(
     def decide(c: int) -> None:
         nonlocal best
         best = min(best, c)
-        live[best:] = False
-        for w in [w for w in waiting if w >= best]:
-            del waiting[w]
+        at[best:] = np.inf
 
-    def run(c: int, t_next: float, x_next=None, to_end: bool = False) -> None:
-        # the scalar path: column c through its events to the grid time t_next
+    def run(c: int, t: float, x_next=None, to_end: bool = False) -> None:
+        # the scalar path: column c from (X[:, c], t) through its events to
+        # the next grid time
         s = steppers[c]
+        s.x, s.t = X[:, c].copy(), t
         try:
             running = s.advance(x_next, to_end)
         except Exception as exc:  # surfaces after the lower samples
             errors[c] = exc
-            running = False
-        if hit[c] or c in errors:
             decide(c)
             return
-        live[c] = running and s.t == t_next
+        if best <= c:  # the sink met an unsafe sample
+            return
+        # a jump within 1e-9 dt of the next grid time skips it: s.t is later
+        at[c] = s.t if running else np.inf
         if running:
             X[:, c] = s.x
             if modes:
                 group[c] = modes.index(s.mode)
-            if s.t != t_next:  # a jump within 1e-9 dt of t_next skips it
-                waiting[c] = s.t
 
     def batch_step(cols: np.ndarray, t: float, t_next: float) -> None:
         if cols.size == 0:
@@ -209,49 +206,46 @@ def _sweep(
             x_next, clear, all_clear = None, np.zeros(cols.size, dtype=bool), False
         else:
             X[:, flowing] = x_flow
+            at[flowing] = t_next
+            if not inside.all():  # left the flow set
+                at[flowing[~np.broadcast_to(inside, flowing.shape)]] = np.inf
             if bad.any():
                 decide(flowing[bad][0])
-            if not inside.all():  # left the flow set
-                live[flowing[~np.broadcast_to(inside, flowing.shape)]] = False
         if all_clear:
             return
         for k in np.flatnonzero(~clear):
             c = cols[k]
             if c < best:
-                steppers[c].x, steppers[c].t = X[:, c].copy(), t
-                run(c, t_next, None if x_next is None else x_next[:, k])
+                run(c, t, None if x_next is None else x_next[:, k])
 
     _, t = next_grid_time(0.0, 0.0, dt, horizon)
     for c, (m0, x0) in enumerate(draws):
 
         def sink(t, j, mode, x, c=c):
             if unsafe(x):
-                hit[c] = True
+                decide(c)
 
         try:
             steppers.append(Stepper(system, x0, horizon, max_jumps, dt, m0, 0.0, sink))
         except Exception as exc:
             errors[c] = exc
-        if c in errors or hit[c]:
             decide(c)
+        if best <= c:
             break
-        run(c, t)  # the first step also fires the guards enabled at t = 0
+        X[:, c] = steppers[c].x  # run hands X[:, c] to the stepper
+        run(c, 0.0)  # the first step also fires the guards enabled at t = 0
         if best <= c:
             break
 
     while True:
-        for c in [c for c, t_c in waiting.items() if t_c == t]:
-            del waiting[c]
-            live[c] = c < best
-        cols = np.flatnonzero(live[:best])
+        cols = np.flatnonzero(at[:best] == t)
+        open_cols = np.count_nonzero(np.isfinite(at[:best]))
         at_end, t_next = next_grid_time(t, 0.0, dt, horizon)
-        if at_end or (cols.size == 0 and not waiting):
-            break  # at the horizon every live column is done
-        if cols.size == 1 and not waiting:
+        if at_end or open_cols == 0:
+            break  # at the horizon every column at t is done
+        if cols.size == 1 and open_cols == 1:
             # a lone column costs less on its own than as a batch of one
-            c = cols[0]
-            steppers[c].x, steppers[c].t = X[:, c].copy(), t
-            run(c, t_next, to_end=True)
+            run(cols[0], t, to_end=True)
             break
         g = group[cols]  # the modes at t, before any column of this step jumps
         for q in np.unique(g):

@@ -237,8 +237,8 @@ def test_saltation_consistency():
         t=t_star,
         reset_jacobian=lambda x: current_clamp_jacobian(x, p),
     )
-    assert np.all(xi.matrix[0, :3] >= 0.0)  # clamped row keeps only the guard term
-    sensitivity = expm(a_post * (horizon - t_star)) @ xi.matrix @ expm(a_pre * t_star)
+    assert np.all(xi[0, :3] >= 0.0)  # clamped row keeps only the guard term
+    sensitivity = expm(a_post * (horizon - t_star)) @ xi @ expm(a_pre * t_star)
 
     base = through_jump(x0)
     rng = np.random.default_rng(8)
@@ -264,7 +264,7 @@ def test_saltation_consistency():
         t=t_star,
         reset_jacobian=lambda x: current_clamp_jacobian(x, p),
     )
-    exo_ok = np.array_equal(xi_exo.matrix, current_clamp_jacobian(x_minus, p))
+    exo_ok = np.array_equal(xi_exo, current_clamp_jacobian(x_minus, p))
 
     ok = slope_ok and exo_ok
     report("4 saltation consistency", ok,

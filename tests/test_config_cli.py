@@ -49,6 +49,24 @@ def test_parse_with_comments_and_sections():
     assert config["model"] == "smib"
     assert config["smib.i_max"] == 1.25
     assert config["inverter.profile"] == ((0.0, 1.0), (0.1, 0.5), (0.2, 1.0))
+    # dt divides a long horizon within a tolerance relative to the horizon
+    long = parse_config_text(
+        "horizon = 54321.1\ndt = 0.1\ninverter.profile = 0:1, 54321.1:1\n"
+    )
+    assert long.scenario().n_steps == 543211
+
+
+def test_resolved_config_echo_reads_back_as_the_same_values():
+    config = parse_config_text(
+        "inverter.x0 = 0.123456789, 0, 1.0000001, 0\n"
+        "inverter.profile = 0:1, 0.1:0.9, 0.12345678:0.5, 0.2:0.987654321\n"
+    )
+    echo = "".join(f"{k} = {v}\n" for k, v in config.resolved_items().items())
+    assert parse_config_text(echo).values == config.values
+    # values that :g keeps exactly are echoed as before
+    assert ExperimentConfig().resolved_items()["inverter.profile"] == (
+        "0:1, 0.05:1, 0.06:0.5, 0.12:0.5, 0.13:1, 0.2:1"
+    )
 
 
 def test_unknown_key_rejected():
@@ -104,6 +122,27 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert cli_main(["compare", "--frobnicate"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("simulate", "inverter.l_pu = 1e-300"),
+        ("verify", "inverter.tau_v = 1e-300"),
+        ("compare", "inverter.tau_v = 1e-300"),
+        ("compare", "inverter.tau_i = 1e-300"),
+        ("simulate", "model = smib\nsmib.m = 1e-300"),
+        ("verify", "model = smib\nsmib.m = 1e-300"),
+    ],
+)
+def test_overflowing_model_exits_2_with_one_line_error(tmp_path, capsys, command, text):
+    cfg = write_cfg(tmp_path, text + "\nhorizon = 0.01\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

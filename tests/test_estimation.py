@@ -18,6 +18,7 @@ from hdsim import (
     propagate_belief_through_jump,
     saltation_matrix,
 )
+from hdsim.estimation import SYMMETRY_TOL
 from hdsim.integrate import rk4_step
 from hdsim.power import (
     InverterParams,
@@ -91,6 +92,14 @@ def test_belief_symmetrizes_and_validates():
         GaussianBelief(np.zeros(2), np.array([[1.0, 0.5], [-0.5, 1.0]]))
     with pytest.raises(ArgumentError):
         GaussianBelief(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+    # both tolerances scale with max(1, max|P|)
+    big = GaussianBelief(np.zeros(2), np.array([[1e6, 1e-7], [0.0, 1e6]]))
+    assert big.covariance[0, 1] == big.covariance[1, 0] == 5e-8
+    with pytest.raises(ArgumentError, match="not symmetric"):
+        GaussianBelief(np.zeros(2), np.array([[1e6, 1e-5], [0.0, 1e6]]))
+    GaussianBelief(np.zeros(2), np.diag([1e6, -1e-5]))
+    with pytest.raises(ArgumentError, match="not PSD"):
+        GaussianBelief(np.zeros(2), np.diag([1e6, -1e-3]))
 
 
 def test_noise_model_validation():
@@ -98,6 +107,19 @@ def test_noise_model_validation():
         NoiseModel(q=np.eye(2), r=np.eye(2), h=np.eye(3))
     with pytest.raises(ArgumentError):
         NoiseModel(q=-np.eye(2), r=np.eye(2), h=np.eye(2))
+    skew = np.array([[1.0, 0.5], [-0.5, 1.0]])
+    with pytest.raises(ArgumentError, match="Q is not symmetric"):
+        NoiseModel(q=skew, r=np.eye(2), h=np.eye(2))
+    with pytest.raises(ArgumentError, match="R is not symmetric"):
+        NoiseModel(q=np.eye(2), r=skew, h=np.eye(2))
+    with pytest.raises(ArgumentError, match="R is not PSD"):
+        NoiseModel(q=np.eye(2), r=np.diag([1.0, -1.0]), h=np.eye(2))
+    # asymmetry within SYMMETRY_TOL is accepted and symmetrized
+    near = np.array([[1.0, 0.5 * SYMMETRY_TOL], [0.0, 1.0]])
+    noise = NoiseModel(q=near, r=near, h=np.eye(2))
+    for m in (noise.q, noise.r):
+        assert np.array_equal(m, m.T)
+        assert m[0, 1] == 0.25 * SYMMETRY_TOL
 
 
 # -- ekf_predict -------------------------------------------------------------
@@ -307,8 +329,20 @@ def test_state_independent_guard_reduces_to_reset_jacobian():
             x_minus=np.array([1.0, 2.0]),
             t=0.5,
         )
-        assert np.array_equal(xi.matrix, d_reset)  # bitwise-equal construction path
-        assert np.max(np.abs(xi.matrix - np.eye(2))) < 1e-9
+        assert np.array_equal(xi, d_reset)  # bitwise-equal construction path
+        assert np.max(np.abs(xi - np.eye(2))) < 1e-9
+    # a given reset Jacobian that is not square, or not finite, is refused
+    for bad, message in ((np.ones((2, 3)), "square"), (np.diag([1.0, np.nan]), "finite")):
+        with pytest.raises(ArgumentError, match=message):
+            saltation_matrix(
+                reset=lambda x: x.copy(),
+                f_pre=lambda x, t: -x,
+                f_post=lambda x, t: -2 * x,
+                guard_gradient=None,
+                x_minus=np.array([1.0, 2.0]),
+                t=0.5,
+                reset_jacobian=lambda x, bad=bad: bad,
+            )
 
 
 def test_identity_reset_matched_fields_gives_identity():
@@ -323,7 +357,7 @@ def test_identity_reset_matched_fields_gives_identity():
         t=0.0,
         reset_jacobian=lambda x: np.eye(2),
     )
-    assert np.max(np.abs(xi.matrix - np.eye(2))) < 1e-12
+    assert np.max(np.abs(xi - np.eye(2))) < 1e-12
 
 
 def test_clamp_reset_zeroes_clamped_row():
@@ -338,8 +372,8 @@ def test_clamp_reset_zeroes_clamped_row():
         t=0.054,
         reset_jacobian=lambda x: current_clamp_jacobian(x, p),
     )
-    assert np.array_equal(xi.matrix[0], np.zeros(4))
-    assert xi.matrix[1, 1] == 1.0
+    assert np.array_equal(xi[0], np.zeros(4))
+    assert xi[1, 1] == 1.0
 
 
 def test_grazing_guard_raises():
@@ -365,21 +399,15 @@ def test_transversal_saltation_standard_formula():
         x_minus=np.array([1.0]),
         t=0.0,
     )
-    assert abs(xi.matrix[0, 0] - 3.0) < 1e-6
+    assert abs(xi[0, 0] - 3.0) < 1e-6
 
 
 # -- belief propagation through jumps ---------------------------------------
 
 
-def make_xi(matrix):
-    from hdsim import SaltationMatrix
-
-    return SaltationMatrix(np.asarray(matrix, dtype=float), jump_time=0.0)
-
-
 def test_identity_jump_keeps_belief():
     belief = GaussianBelief(np.array([1.0, 2.0]), 0.3 * np.eye(2))
-    out = propagate_belief_through_jump(belief, lambda x: x.copy(), make_xi(np.eye(2)))
+    out = propagate_belief_through_jump(belief, lambda x: x.copy(), np.eye(2))
     assert np.array_equal(out.mean, belief.mean)
     assert np.max(np.abs(out.covariance - belief.covariance)) < 1e-15
 
@@ -387,7 +415,7 @@ def test_identity_jump_keeps_belief():
 def test_scaling_jump_scales_covariance():
     belief = GaussianBelief(np.zeros(2), np.eye(2))
     out = propagate_belief_through_jump(
-        belief, lambda x: 2.0 * x, make_xi(2.0 * np.eye(2))
+        belief, lambda x: 2.0 * x, 2.0 * np.eye(2)
     )
     assert np.max(np.abs(out.covariance - 4.0 * np.eye(2))) < 1e-12
 
@@ -395,7 +423,7 @@ def test_scaling_jump_scales_covariance():
 def test_clamped_jump_zeroes_row_and_column():
     p = InverterParams()
     x = np.array([2.0, 0.3, 0.85, 0.02])
-    xi = make_xi(current_clamp_jacobian(x, p))
+    xi = current_clamp_jacobian(x, p)
     cov = np.arange(1.0, 17.0).reshape(4, 4)
     cov = 0.5 * (cov + cov.T) + 8.0 * np.eye(4)
     belief = GaussianBelief(x, cov)
@@ -403,11 +431,11 @@ def test_clamped_jump_zeroes_row_and_column():
     assert np.all(out.covariance[0, :] == 0.0)
     assert np.all(out.covariance[:, 0] == 0.0)
     assert out.mean[0] == p.i_lim
-    expected = xi.matrix @ cov @ xi.matrix.T
+    expected = xi @ cov @ xi.T
     assert np.max(np.abs(out.covariance - expected)) < 1e-12
 
 
 def test_dimension_mismatch_rejected():
     belief = GaussianBelief(np.zeros(2), np.eye(2))
     with pytest.raises(ArgumentError):
-        propagate_belief_through_jump(belief, lambda x: x, make_xi(np.eye(3)))
+        propagate_belief_through_jump(belief, lambda x: x, np.eye(3))
