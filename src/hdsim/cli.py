@@ -25,7 +25,6 @@ import numpy as np
 from .compare import run_comparison
 from .config import ExperimentConfig, load_config, resolve_seed
 from .errors import ConfigError, HdsimError
-from .power import inverter_automaton, smib_system
 from .report import ensure_dir, fmt, write_trajectory_csv
 from .safety import box_sampler, check_safety
 from .simulate import simulate
@@ -65,13 +64,10 @@ def _prepare(args) -> ExperimentConfig:
 def _cmd_simulate(config: ExperimentConfig) -> int:
     out_dir = str(config["out"])
     ensure_dir(out_dir)
+    system, x0, mode0 = config.system()
     if config["model"] == "smib":
-        system, x0, mode0 = smib_system(config.smib_params()), config.smib_x0(), None
         columns = ("t", "j", "mode", "delta", "omega")
     else:
-        scenario = config.scenario()
-        system = inverter_automaton(scenario.params, scenario.v_grid)
-        x0, mode0 = scenario.x0, scenario.initial_mode
         columns = ("t", "j", "mode", "i_d", "i_q", "v_d", "v_q")
     traj = simulate(
         system, x0, float(config["horizon"]), int(config["max_jumps"]),
@@ -120,35 +116,26 @@ def _cmd_verify(config: ExperimentConfig) -> int:
     max_jumps = int(config["max_jumps"])
     threshold = float(config["verify.i_unsafe"])
 
+    system, x0, mode0 = config.system()
     if config["model"] == "smib":
         params = config.smib_params()
-        system, mode0 = smib_system(params), None
-        if threshold <= 0.0:
-            threshold = params.i_max
-        d0 = float(config["smib.delta0"])
-        w0 = float(config["smib.omega0"])
-        dhw = float(config["verify.delta_half_width"])
-        whw = float(config["verify.omega_half_width"])
-        line0 = float(int(config["smib.line0"]))
-        sampler = box_sampler(
-            [d0 - dhw, w0 - whw, line0], [d0 + dhw, w0 + whw, line0], seed
-        )
+        default = params.i_max
+        half = np.array([config["verify.delta_half_width"],
+                         config["verify.omega_half_width"], 0.0], dtype=float)
 
         def unsafe(x) -> bool:
             return abs(params.p_e(x[0])) > threshold - 1e-9
 
     else:
-        scenario = config.scenario()
-        if threshold <= 0.0:
-            threshold = scenario.params.i_lim
-        hw = float(config["verify.x0_half_width"])
-        system = inverter_automaton(scenario.params, scenario.v_grid)
-        mode0 = scenario.initial_mode
-        sampler = box_sampler(scenario.x0 - hw, scenario.x0 + hw, seed)
+        default = config.inverter_params().i_lim
+        half = float(config["verify.x0_half_width"])
 
         def unsafe(x) -> bool:
             return np.maximum(np.abs(x[0]), np.abs(x[1])) > threshold - 1e-9
 
+    if threshold <= 0.0:
+        threshold = default
+    sampler = box_sampler(x0 - half, x0 + half, seed)
     verdict = check_safety(
         system, sampler, unsafe, horizon, n_samples, dt,
         max_jumps=max_jumps, mode0=mode0,

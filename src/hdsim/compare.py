@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -50,12 +50,10 @@ def _estimate_rows(t_grid, truth_states, truth_modes, truth_jumps, run: EkfRun):
     )
 
 
-def run_comparison(
-    config: ExperimentConfig, out_dir: Optional[str] = None
-) -> Tuple[RmseReport, List[str]]:
+def run_comparison(config: ExperimentConfig) -> Tuple[RmseReport, List[str]]:
     """Generate one seeded truth/measurement stream, run the configured
-    filters on the identical stream, and persist trajectory CSVs plus the
-    RMSE report.
+    filters on the identical stream, and write trajectory CSVs plus the
+    RMSE report to the directory ``config["out"]``.
 
     Returns the report and the list of files written.
     """
@@ -65,7 +63,7 @@ def run_comparison(
             f"got model = {config['model']}"
         )
     t_start = time.perf_counter()
-    out_dir = out_dir if out_dir is not None else str(config["out"])
+    out_dir = str(config["out"])
     ensure_dir(out_dir)
     scenario = config.scenario()
     truth, measurements = generate_truth_and_measurements(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -26,11 +26,14 @@ from .power import (
     InverterScenario,
     PiecewiseLinearProfile,
     SmibParams,
+    inverter_automaton,
     reference_noise,
     reference_scenario,
     sine_power,
     smib_state,
+    smib_system,
 )
+from .systems import FlowJumpSystem, HybridAutomaton
 
 _INT = "int"
 _FLOAT = "float"
@@ -181,11 +184,7 @@ class ExperimentConfig:
         # error.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                if v["model"] == "smib":
-                    self.smib_params()
-                    self.smib_x0()
-                else:
-                    self.scenario()
+                self.system()
         except ArgumentError as exc:
             raise ConfigError(f"invalid {v['model']} model: {exc}") from exc
         except ArithmeticError as exc:
@@ -256,6 +255,17 @@ class ExperimentConfig:
         return smib_state(
             float(v["smib.delta0"]), float(v["smib.omega0"]), int(v["smib.line0"])
         )
+
+    def system(
+        self,
+    ) -> Tuple[Union[FlowJumpSystem, HybridAutomaton], np.ndarray, Optional[str]]:
+        """The configured model as ``(system, x0, mode0)``, as
+        :func:`hdsim.simulate.simulate` takes it."""
+        if self.values["model"] == "smib":
+            return smib_system(self.smib_params()), self.smib_x0(), None
+        scenario = self.scenario()
+        automaton = inverter_automaton(scenario.params, scenario.v_grid)
+        return automaton, scenario.x0, scenario.initial_mode
 
     def resolved_items(self) -> Dict[str, str]:
         """Every schema key with its resolved value, for report echoing.

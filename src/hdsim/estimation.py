@@ -25,13 +25,8 @@ import numpy as np
 
 from .errors import ArgumentError, GrazingError, HdsimError, NumericalFailureError
 from .integrate import rk4_step
-from .simulate import SAME_TIME_JUMP_BUDGET, next_event
-from .systems import (
-    HybridAutomaton,
-    HybridTrajectory,
-    JumpRecord,
-    VectorField,
-)
+from .simulate import SAME_TIME_JUMP_BUDGET, next_event, quiet_overflow
+from .systems import HybridAutomaton, JumpRecord, VectorField
 
 JACOBIAN_STEP_SCALE = 1e-6
 SYMMETRY_TOL = 1e-12
@@ -343,24 +338,8 @@ class EkfRun:
     jump_counts: np.ndarray
     jumps: List[JumpRecord] = field(default_factory=list)
 
-    def trajectory(self) -> HybridTrajectory:
-        """Estimate trajectory on the hybrid time domain (with jump records)."""
-        traj = HybridTrajectory()
-        jump_iter = iter(self.jumps)
-        pending = next(jump_iter, None)
-        for k, t in enumerate(self.times):
-            while pending is not None and pending.t <= t:
-                traj.append(pending.t, pending.j_before, pending.mode_before,
-                            pending.state_before)
-                traj.jumps.append(pending)
-                traj.append(pending.t, pending.j_before + 1, pending.mode_after,
-                            pending.state_after)
-                pending = next(jump_iter, None)
-            traj.append(float(t), int(self.jump_counts[k]), self.modes[k],
-                        self.means[k])
-        return traj
 
-
+@quiet_overflow
 def run_ekf(
     process: Union[HybridAutomaton, VectorField],
     scenario,

@@ -35,8 +35,6 @@ from .systems import (
 GFL = "GFL"
 GFM = "GFM"
 
-INVARIANT_TOL = 1e-6
-
 # Default noise magnitudes of the reference estimation experiment: white
 # process noise of intensity 1e-2 on every state (discretized per step as
 # Q dt), 0.004 pu measurement noise on the voltage channels and 0.01 pu on
@@ -223,6 +221,11 @@ def inverter_automaton(
     currents; GFM->GFL applies no reset.  Both guards are
     state-independent, so their saltation matrices reduce to the reset
     Jacobians.
+
+    The modes have no invariants: a guard enabled at the start of a step
+    fires before the flow (jump priority) and a step without an event ends
+    with its guard negative, so GFL flows only while ``v_grid > v_low``
+    and GFM only while ``v_grid < v_high``.
     """
 
     def gfl_field(x, t):
@@ -251,16 +254,11 @@ def inverter_automaton(
             label="GFM->GFL",
         ),
     )
-    invariants = {
-        GFL: lambda x, t: v_grid(t) >= p.v_low - INVARIANT_TOL,
-        GFM: lambda x, t: v_grid(t) <= p.v_high + INVARIANT_TOL,
-    }
     return HybridAutomaton(
         dim=4,
         modes=(GFL, GFM),
         flows={GFL: gfl_field, GFM: gfm_field},
         edges=edges,
-        invariants=invariants,
     )
 
 
@@ -388,31 +386,25 @@ def reference_scenario(
 class GaussianStream:
     """Box-Muller Gaussian stream over a seeded 64-bit PCG64 generator.
 
-    Identical seeds give bit-identical streams within one build of this
-    package (the contract needed for byte-reproducible experiments).
+    Each pair of uniforms gives a cosine and then a sine normal.  Identical
+    seeds give bit-identical streams within one build of this package (the
+    contract needed for byte-reproducible experiments).
     """
 
     def __init__(self, seed: int):
         self._uniforms = np.random.default_rng(np.random.PCG64(seed))
-        self._spare: Optional[float] = None
-
-    def normal(self) -> float:
-        if self._spare is not None:
-            z = self._spare
-            self._spare = None
-            return z
-        u1 = self._uniforms.random()
-        u2 = self._uniforms.random()
-        radius = math.sqrt(-2.0 * math.log(1.0 - u1))
-        angle = 2.0 * math.pi * u2
-        self._spare = radius * math.sin(angle)
-        return radius * math.cos(angle)
 
     def normals(self, shape) -> np.ndarray:
-        out = np.empty(int(np.prod(shape)))
-        for i in range(out.size):
-            out[i] = self.normal()
-        return out.reshape(shape)
+        """Standard normals of ``shape``; an odd count drops its last sine."""
+        n = int(np.prod(shape))
+        u = self._uniforms.random(2 * ((n + 1) // 2)).tolist()
+        out = []
+        for u1, u2 in zip(u[::2], u[1::2]):
+            radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+            angle = 2.0 * math.pi * u2
+            out.append(radius * math.cos(angle))
+            out.append(radius * math.sin(angle))
+        return np.array(out[:n], dtype=float).reshape(shape)
 
 
 def _covariance_sqrt(r: np.ndarray) -> np.ndarray:

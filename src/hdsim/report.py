@@ -91,9 +91,6 @@ class RmseReport:
     resolved: Dict[str, str] = field(default_factory=dict)
     runtime_seconds: float = 0.0
 
-    def value(self, filt: str, state: str, window: str) -> float:
-        return self.entries[(filt, state, window)]
-
     def table(self) -> str:
         """Aligned text table: one row per filter, near-switch and overall groups."""
         col_names = [f"near:{s}" for s in self.states] + [

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .integrate import rk4_step
-from .simulate import Stepper, next_grid_time, simulate
+from .simulate import Stepper, next_grid_time, quiet_overflow, simulate
 from .systems import FlowJumpSystem, HybridAutomaton, HybridTrajectory
 
 NO_COUNTEREXAMPLE = "no-counterexample-found"
@@ -59,6 +59,7 @@ def box_sampler(lo, hi, seed: int) -> Callable[[], np.ndarray]:
     return sample
 
 
+@quiet_overflow
 def check_safety(
     system: Union[FlowJumpSystem, HybridAutomaton],
     init_sampler: Callable,
@@ -72,7 +73,8 @@ def check_safety(
     """Falsify a safety property by simulating sampled initial states.
 
     ``init_sampler`` returns an initial state per call; for an automaton
-    it may return a ``(mode, state)`` pair when the mode varies.  It is
+    it may return a ``(mode, state)`` pair when the mode varies (a tuple
+    of two is that pair only when its first entry is a ``str``).  It is
     called in chunks of ``SWEEP_CHUNK`` draws.  ``unsafe`` is a predicate
     on the continuous state, evaluated at every recorded sample including
     localized event times.  It acts column-wise like the system's flows,
@@ -103,7 +105,8 @@ def check_safety(
             except Exception as exc:  # surfaces after the lower samples
                 draw_error = exc
                 break
-            if is_automaton and isinstance(drawn, tuple) and len(drawn) == 2:
+            pair = isinstance(drawn, tuple) and len(drawn) == 2
+            if is_automaton and pair and isinstance(drawn[0], str):
                 draws.append(drawn)
             else:
                 draws.append((mode0, drawn))

@@ -49,6 +49,11 @@ from .systems import (
 SAME_TIME_JUMP_BUDGET = 10
 """Consecutive jumps allowed at one instant before declaring Zeno-like stop."""
 
+quiet_overflow = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+"""Decorator of the library entry points: an overflowing model gives a
+non-finite state, which they raise as :class:`NumericalFailureError`
+instead of emitting numpy floating-point warnings."""
+
 
 def next_event(
     edges: List[Edge],
@@ -294,6 +299,7 @@ class Stepper:
         return False
 
 
+@quiet_overflow
 def simulate(
     system: Union[FlowJumpSystem, HybridAutomaton],
     x0,

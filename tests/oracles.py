@@ -10,7 +10,9 @@ none of its event machinery:
   segment, splitting steps at the known switch instants, which the
   lift-equivalence tests compare bitwise with the lifted simulation;
 * :func:`swing_field` is the bare two-state SMIB swing field, without
-  the line label the simulated system carries.
+  the line label the simulated system carries;
+* :func:`box_muller_normals` draws the measurement-noise stream one
+  normal at a time, keeping each pair's sine for the next draw.
 
 They are kept test references, not part of the library API; their
 arithmetic must not change, or the bitwise comparisons stop meaning
@@ -19,6 +21,7 @@ anything.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -147,3 +150,26 @@ def swing_field(p: SmibParams) -> Callable[[np.ndarray, float], np.ndarray]:
         return np.array([omega, (p.p_m - p.p_e(delta) - p.d * omega) / p.m])
 
     return flow
+
+
+def box_muller_normals(seed: int, shape) -> np.ndarray:
+    """Standard normals of ``shape`` from a seeded PCG64 stream, one at a time.
+
+    Each draw either returns the sine kept from the last uniform pair or
+    takes a new pair ``(u1, u2)``, returns ``r cos(a)`` and keeps
+    ``r sin(a)``, with ``r = sqrt(-2 log(1 - u1))`` and ``a = 2 pi u2``.
+    """
+    uniforms = np.random.default_rng(np.random.PCG64(seed))
+    out = np.empty(int(np.prod(shape)))
+    spare = None
+    for i in range(out.size):
+        if spare is not None:
+            out[i], spare = spare, None
+            continue
+        u1 = uniforms.random()
+        u2 = uniforms.random()
+        radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+        angle = 2.0 * math.pi * u2
+        spare = radius * math.sin(angle)
+        out[i] = radius * math.cos(angle)
+    return out.reshape(shape)

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdsim import (
-    cli_main, generate_truth_and_measurements, load_config, parse_config_text,
-    reference_scenario,
+    blended_field, check_safety, cli_main, generate_truth_and_measurements,
+    inverter_automaton, load_config, parse_config_text, reference_scenario,
+    run_ekf, simulate, smib_system,
 )
 from hdsim.config import SCHEMA, ExperimentConfig, resolve_seed
 from hdsim.compare import run_comparison
@@ -143,6 +144,41 @@ def test_overflowing_model_exits_2_with_one_line_error(tmp_path, capsys, command
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "entry, text",
+    [
+        ("simulate", "inverter.l_pu = 1e-300"),
+        ("check_safety", "inverter.l_pu = 1e-300"),
+        ("hybrid", "inverter.l_pu = 1e-300"),
+        ("continuous", "inverter.l_pu = 1e-300"),
+        ("simulate", "model = smib\nsmib.m = 1e-300"),
+        ("check_safety", "model = smib\nsmib.m = 1e-300"),
+    ],
+)
+def test_overflowing_model_is_a_typed_error_of_the_library(entry, text):
+    config = parse_config_text(text + "\nhorizon = 0.01\n")
+    if config["model"] == "smib":
+        system, x0, mode0 = smib_system(config.smib_params()), config.smib_x0(), None
+    else:
+        sc = config.scenario()
+        system, x0, mode0 = inverter_automaton(sc.params, sc.v_grid), sc.x0, "GFL"
+    horizon, dt = float(config["horizon"]), float(config["dt"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError):
+            if entry == "simulate":
+                simulate(system, x0, horizon, 10, dt, mode0=mode0)
+            elif entry == "check_safety":
+                check_safety(
+                    system, lambda: x0, lambda x: np.zeros_like(x[0], dtype=bool),
+                    horizon, 3, dt, max_jumps=10, mode0=mode0,
+                )
+            else:
+                blended = blended_field(sc.params, sc.v_grid)
+                process = system if entry == "hybrid" else blended
+                run_ekf(process, sc, np.zeros((sc.n_steps + 1, 4)))
 
 
 @pytest.mark.parametrize(
@@ -321,7 +357,7 @@ def test_update_losing_psd_is_a_typed_error_naming_time_and_mode(tmp_path, capsy
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError) as err:
-            run_comparison(load_config(cfg), str(tmp_path / "lib"))
+            run_comparison(load_config(cfg).with_overrides(out=str(tmp_path / "lib")))
         code = cli_main(["compare", "--config", cfg, "--out", str(tmp_path / "o")])
     message = str(err.value)
     assert "not PSD" in message and "t=0.0004" in message and "'GFL'" in message

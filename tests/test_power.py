@@ -33,9 +33,9 @@ from hdsim import (
     smib_system,
 )
 from hdsim.estimation import NoiseModel
-from hdsim.power import GFL, sine_power
+from hdsim.power import GFL, GaussianStream, sine_power
 
-from oracles import integrate_flow, swing_field
+from oracles import box_muller_normals, integrate_flow, swing_field
 
 P = InverterParams()
 
@@ -272,6 +272,12 @@ def test_hysteresis_alternates_edges_on_random_profiles():
         edges = [r.edge for r in traj.jumps]
         for first, second in zip(edges, edges[1:]):
             assert first != second  # strict alternation under hysteresis
+        # the guards keep each mode in its domain
+        for s in traj.samples:
+            if s.mode == GFL:
+                assert profile(s.time.t) >= P.v_low - 1e-6
+            else:
+                assert profile(s.time.t) <= P.v_high + 1e-6
         for r in traj.jumps:
             v_at_jump = profile(r.t)
             if r.edge == "GFL->GFM":
@@ -471,3 +477,12 @@ def test_line_restoration_band():
         assert modes[0] == "line2" and modes[1] == "line1"
         pe_at_restore = params.p_e(traj.jumps[1].state_before[0])
         assert params.p_min - 1e-6 <= pe_at_restore <= params.p_max + 1e-6
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 3), (2001, 4)])
+def test_normals_are_the_one_at_a_time_box_muller_stream(shape):
+    for seed in (0, 42):
+        got = GaussianStream(seed).normals(shape)
+        want = box_muller_normals(seed, shape)
+        assert got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()

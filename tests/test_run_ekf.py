@@ -85,13 +85,15 @@ def test_estimate_trajectory_obeys_hybrid_time():
     sc = reference_scenario(seed=3)
     _, z = generate_truth_and_measurements(sc)
     run = run_ekf(inverter_automaton(sc.params, sc.v_grid), sc, z)
-    traj = run.trajectory()
-    keys = [(s.time.t, s.time.j) for s in traj.samples]
-    assert keys == sorted(keys)
-    assert traj.jump_counts[-1] == 2
-    # pre/post mean samples recorded at the localized jump times
-    jump_ts = [r.t for r in traj.jumps]
-    assert abs(jump_ts[0] - 0.054) <= 1e-9
+    assert np.all(np.diff(run.times) > 0.0)
+    assert np.all(np.diff(run.jump_counts) >= 0)
+    assert run.jump_counts[-1] == 2
+    # each jump lies in the grid step where the jump count passes j_before
+    assert [r.j_before for r in run.jumps] == [0, 1]
+    for r in run.jumps:
+        k = np.flatnonzero(run.jump_counts > r.j_before)[0]
+        assert run.times[k - 1] <= r.t <= run.times[k]
+    assert abs(run.jumps[0].t - 0.054) <= 1e-9
 
 
 def test_blended_filter_never_jumps():

@@ -109,7 +109,7 @@ def oracle_check_safety(system, init_sampler, unsafe, horizon, samples, dt,
     for i in range(samples):
         drawn = init_sampler()
         if isinstance(system, HybridAutomaton) and isinstance(drawn, tuple) \
-                and len(drawn) == 2:
+                and len(drawn) == 2 and isinstance(drawn[0], str):
             m0, x0 = drawn
         else:
             m0, x0 = mode0, drawn
@@ -290,15 +290,22 @@ def test_a_sampler_that_raises_surfaces_after_the_lower_samples(fail_at):
 
 @pytest.mark.parametrize("level", [0.52, 0.55, 0.58, 0.6])
 def test_columns_that_leave_the_flow_set(level):
-    system = FlowJumpSystem(
-        dim=1, flow_map=lambda x, t: np.ones_like(x),
-        flow_set=lambda x, t: x[0] <= 0.5,
-    )
-    verdict = assert_same_verdict(
-        lambda: box_sampler([0.0], [0.1], seed=5), system, lambda x: x[0] > level,
-        horizon=1.0, samples=12, dt=0.1,
-    )
-    assert verdict.witness is None or verdict.witness.termination == LEFT_FLOW_SET
+    # a flow set, and the same set as the invariant of a one-mode automaton
+    for system, mode0 in (
+        (FlowJumpSystem(
+            dim=1, flow_map=lambda x, t: np.ones_like(x),
+            flow_set=lambda x, t: x[0] <= 0.5,
+        ), None),
+        (HybridAutomaton(
+            dim=1, modes=("a",), flows={"a": lambda x, t: np.ones_like(x)}, edges=(),
+            invariants={"a": lambda x, t: x[0] <= 0.5},
+        ), "a"),
+    ):
+        verdict = assert_same_verdict(
+            lambda: box_sampler([0.0], [0.1], seed=5), system, lambda x: x[0] > level,
+            horizon=1.0, samples=12, dt=0.1, mode0=mode0,
+        )
+        assert verdict.witness is None or verdict.witness.termination == LEFT_FLOW_SET
 
 
 @pytest.mark.parametrize("n_jump", [1, 2])
@@ -343,6 +350,28 @@ def test_mode_varying_automaton_sampler(level):
         make_sampler, automaton, lambda x: np.abs(x[1]) > level,
         horizon=3.0, samples=10, dt=1e-2,
     )
+
+
+@pytest.mark.parametrize("level", [0.9, 1e3])
+def test_a_two_entry_tuple_draw_is_a_state(level):
+    # the automaton's states have two entries, so (0.1, 0.2) is a state
+    # like the array [0.1, 0.2], not a (mode, state) pair
+    automaton = two_mode_automaton()
+    unsafe = lambda x: np.abs(x[1]) > level  # noqa: E731
+    run = dict(horizon=3.0, samples=10, dt=1e-2, mode0="up")
+
+    def draws(as_tuple):
+        base = box_sampler([0.0, -1.0], [0.9, 1.0], seed=8)
+        return (lambda: tuple(base().tolist())) if as_tuple else base
+
+    got = check_safety(automaton, draws(True), unsafe, **run)
+    want = check_safety(automaton, draws(False), unsafe, **run)
+    assert (got.status, got.samples_checked, got.witness_time) == (
+        want.status, want.samples_checked, want.witness_time
+    )
+    assert want.unsafe == (level < 2.0)
+    if want.unsafe:
+        assert np.array_equal(got.witness_initial_state, want.witness_initial_state)
 
 
 @pytest.mark.parametrize("bad", [("nowhere", [0.5, 0.0]), ("up", [np.nan, 0.0])],

@@ -102,18 +102,24 @@ def test_post_jump_samples_return_to_grid():
 
 
 def test_left_flow_set_termination():
-    system = FlowJumpSystem(
-        dim=1,
-        flow_map=lambda x, t: np.ones(1),
-        flow_set=lambda x, t: x[0] <= 0.5,
-    )
-    traj = simulate(system, np.array([0.0]), 1.0, max_jumps=0, dt=1e-2)
-    assert traj.termination == LEFT_FLOW_SET
-    assert traj.final_state()[0] > 0.5
-    # the run stopped early, so every grid alignment lacks the later samples
-    for align in (traj.grid_states, traj.grid_modes, traj.grid_jump_counts):
-        with pytest.raises(ArgumentError):
-            align(0.0, 1e-2, 100)
+    # a flow set, and the same set as the invariant of a one-mode automaton
+    for system, mode0 in (
+        (FlowJumpSystem(
+            dim=1, flow_map=lambda x, t: np.ones(1),
+            flow_set=lambda x, t: x[0] <= 0.5,
+        ), None),
+        (HybridAutomaton(
+            dim=1, modes=("a",), flows={"a": lambda x, t: np.ones(1)}, edges=(),
+            invariants={"a": lambda x, t: x[0] <= 0.5},
+        ), "a"),
+    ):
+        traj = simulate(system, np.array([0.0]), 1.0, max_jumps=0, dt=1e-2, mode0=mode0)
+        assert traj.termination == LEFT_FLOW_SET
+        assert traj.final_state()[0] > 0.5
+        # the run stopped early, so every grid alignment lacks the later samples
+        for align in (traj.grid_states, traj.grid_modes, traj.grid_jump_counts):
+            with pytest.raises(ArgumentError):
+                align(0.0, 1e-2, 100)
 
 
 def _hand_built():
