@@ -23,11 +23,11 @@ from typing import List, Optional
 import numpy as np
 
 from .compare import run_comparison
-from .config import ExperimentConfig, load_config, resolve_seed
+from .config import ExperimentConfig, read_values
 from .errors import ConfigError, HdsimError
 from .report import ensure_dir, fmt, write_trajectory_csv
 from .safety import box_sampler, check_safety
-from .simulate import simulate
+from .simulate import quiet_overflow, simulate
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -53,12 +53,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _prepare(args) -> ExperimentConfig:
-    config = load_config(args.config)
-    seed = resolve_seed(config, args.seed)
-    overrides = {"seed": seed}
+    """The run's one config: the file's values overlaid with ``--seed`` (else
+    ``HDS_SEED`` if the file sets no seed), ``--out`` and compare's filter."""
+    values = read_values(args.config)
+    if args.seed is not None:
+        values["seed"] = args.seed
+    elif "seed" not in values and "HDS_SEED" in os.environ:
+        env = os.environ["HDS_SEED"]
+        try:
+            values["seed"] = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"HDS_SEED must be an integer, got {env!r}") from exc
     if args.out is not None:
-        overrides["out"] = args.out
-    return config.with_overrides(**overrides)
+        values["out"] = args.out
+    if args.command == "compare":
+        values["filter"] = "both"
+    return ExperimentConfig(values=values)
 
 
 def _cmd_simulate(config: ExperimentConfig) -> int:
@@ -91,10 +101,6 @@ def _cmd_estimate(config: ExperimentConfig) -> int:
     if str(config["filter"]) == "both":
         raise ConfigError("estimate runs one filter; set filter = hybrid | continuous")
     return _run_filters(config)
-
-
-def _cmd_compare(config: ExperimentConfig) -> int:
-    return _run_filters(config.with_overrides(**{"filter": "both"}))
 
 
 def _run_filters(config: ExperimentConfig) -> int:
@@ -165,11 +171,12 @@ def _cmd_verify(config: ExperimentConfig) -> int:
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
-    "compare": _cmd_compare,
+    "compare": _run_filters,
     "verify": _cmd_verify,
 }
 
 
+@quiet_overflow
 def cli_main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = _build_parser()
@@ -180,10 +187,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         # anything else to a usage error.
         return 0 if exc.code == 0 else USAGE_ERROR
     try:
-        # an overflowing model surfaces as a non-finite state, which the
-        # simulator and the filter report as one typed error
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _COMMANDS[args.command](_prepare(args))
+        return _COMMANDS[args.command](_prepare(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

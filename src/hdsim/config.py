@@ -141,13 +141,11 @@ def _parse_value(key: str, raw: str):
 
 @dataclass
 class ExperimentConfig:
-    """Resolved configuration: schema defaults overlaid with file values."""
+    """Resolved configuration: schema defaults overlaid with ``values``."""
 
     values: Dict[str, object] = field(default_factory=dict)
-    explicit: frozenset = frozenset()
 
     def __post_init__(self):
-        self.explicit = frozenset(self.explicit) | frozenset(self.values)
         resolved = {k: spec[1] for k, spec in SCHEMA.items()}
         resolved.update(self.values)
         self.values = v = resolved
@@ -194,11 +192,6 @@ class ExperimentConfig:
 
     def __getitem__(self, key: str):
         return self.values[key]
-
-    def with_overrides(self, **kv) -> "ExperimentConfig":
-        merged = dict(self.values)
-        merged.update(kv)
-        return ExperimentConfig(values=merged, explicit=self.explicit | frozenset(kv))
 
     # -- model builders ----------------------------------------------------
 
@@ -294,7 +287,7 @@ def _echo(x: float) -> str:
     return text if float(text) == x else repr(float(x))
 
 
-def parse_config_text(text: str, source: Optional[str] = None) -> ExperimentConfig:
+def _parse_values(text: str, source: Optional[str]) -> Dict[str, object]:
     values: Dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -310,29 +303,28 @@ def parse_config_text(text: str, source: Optional[str] = None) -> ExperimentConf
         if key not in SCHEMA:
             raise ConfigError(f"{source or '<config>'}:{lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)
-    return ExperimentConfig(values=values)
+    return values
+
+
+def read_values(path: Optional[str]) -> Dict[str, object]:
+    """The values a config file sets, parsed but not yet validated; ``None``
+    sets none.  :class:`ExperimentConfig` validates them."""
+    if path is None:
+        return {}
+    if not os.path.isfile(path):
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    return _parse_values(text, path)
+
+
+def parse_config_text(text: str, source: Optional[str] = None) -> ExperimentConfig:
+    return ExperimentConfig(values=_parse_values(text, source))
 
 
 def load_config(path: Optional[str]) -> ExperimentConfig:
     """Load a config file; ``None`` yields the built-in defaults."""
-    if path is None:
-        return ExperimentConfig()
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=path)
-
-
-def resolve_seed(config: ExperimentConfig, flag_seed: Optional[int]) -> int:
-    """Seed priority: --seed flag, then config file, then HDS_SEED, then default."""
-    if flag_seed is not None:
-        return int(flag_seed)
-    if "seed" in config.explicit:
-        return int(config["seed"])
-    env = os.environ.get("HDS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"HDS_SEED must be an integer, got {env!r}") from exc
-    return int(config["seed"])
+    return ExperimentConfig(values=read_values(path))

@@ -173,7 +173,7 @@ def _value_and_jacobian(fn: Callable[[np.ndarray], np.ndarray], x):
             y = np.broadcast_to(y, (y.shape[0] if y.ndim == 2 else 1, cols.shape[1]))
     except HdsimError:  # ArgumentError is a ValueError too: pass it on as is
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ArgumentError(
             f"map must act on each column of its input; on a {cols.shape} "
             f"batch: {exc}"
@@ -200,6 +200,7 @@ def numerical_jacobian(fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     return jac
 
 
+@quiet_overflow
 def ekf_predict(
     belief: GaussianBelief,
     flow: VectorField,
@@ -222,8 +223,7 @@ def ekf_predict(
     )
     if not np.all(np.isfinite(mean_next)):
         raise NumericalFailureError(f"prediction diverged at t={t0 + dt}", time=t0 + dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_next = symmetrize(f_jac @ belief.covariance @ f_jac.T + q_scale * noise.q)
+    p_next = symmetrize(f_jac @ belief.covariance @ f_jac.T + q_scale * noise.q)
     if not np.isfinite(p_next).all():
         raise NumericalFailureError(
             f"predicted covariance overflowed at t={t0 + dt}", time=t0 + dt
@@ -231,6 +231,7 @@ def ekf_predict(
     return GaussianBelief._computed(mean_next, p_next)
 
 
+@quiet_overflow
 def ekf_update(belief: GaussianBelief, z, noise: NoiseModel) -> GaussianBelief:
     """Measurement correction: K = P H^T S^-1, mean += K innovation,
     P = (I - K H) P, then symmetrization.
@@ -251,9 +252,8 @@ def ekf_update(belief: GaussianBelief, z, noise: NoiseModel) -> GaussianBelief:
         raise NumericalFailureError(f"singular innovation covariance: {exc}") from exc
     if not np.all(np.isfinite(k_gain)):
         raise NumericalFailureError("non-finite Kalman gain")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = belief.mean + k_gain @ (z - h @ belief.mean)
-        p_post = symmetrize((_identity(belief.dim) - k_gain @ h) @ p)
+    mean = belief.mean + k_gain @ (z - h @ belief.mean)
+    p_post = symmetrize((_identity(belief.dim) - k_gain @ h) @ p)
     if not (np.isfinite(mean).all() and np.isfinite(p_post).all()):
         raise NumericalFailureError("updated belief is not finite")
     p_post = _checked_covariance(

@@ -50,9 +50,10 @@ SAME_TIME_JUMP_BUDGET = 10
 """Consecutive jumps allowed at one instant before declaring Zeno-like stop."""
 
 quiet_overflow = np.errstate(over="ignore", invalid="ignore", divide="ignore")
-"""Decorator of the library entry points: an overflowing model gives a
-non-finite state, which they raise as :class:`NumericalFailureError`
-instead of emitting numpy floating-point warnings."""
+"""Decorator of the library and command-line entry points: an overflowing
+model gives a non-finite state, which they raise as a typed error instead
+of numpy warnings.  Only a decorator: the one instance used in a ``with``
+block cannot be entered twice."""
 
 
 def next_event(
@@ -153,6 +154,8 @@ def next_grid_time(t: float, t0: float, dt: float, t_end: float) -> Tuple[bool, 
     if t >= t_end - 1e-15 * max(1.0, abs(t_end)):
         return True, t
     k = math.floor((t - t0) / dt + 1e-9) + 1
+    while t0 + k * dt <= t:  # t - t0 loses digits when abs(t0) >> dt
+        k += 1
     return False, min(t0 + k * dt, t_end)
 
 

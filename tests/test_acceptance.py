@@ -431,8 +431,8 @@ def test_byte_determinism(tmp_path):
     config = ExperimentConfig(values={"seed": 42, "filter": "both"})
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
-    _, paths_a = run_comparison(config.with_overrides(out=out_a))
-    _, paths_b = run_comparison(config.with_overrides(out=out_b))
+    _, paths_a = run_comparison(ExperimentConfig(values={**config.values, "out": out_a}))
+    _, paths_b = run_comparison(ExperimentConfig(values={**config.values, "out": out_b}))
     identical = True
     for pa, pb in zip(paths_a, paths_b):
         with open(pa, "rb") as fa, open(pb, "rb") as fb:

@@ -14,7 +14,8 @@ from hdsim import (
     inverter_automaton, load_config, parse_config_text, reference_scenario,
     run_ekf, simulate, smib_system,
 )
-from hdsim.config import SCHEMA, ExperimentConfig, resolve_seed
+from hdsim import cli
+from hdsim.config import SCHEMA, ExperimentConfig
 from hdsim.compare import run_comparison
 from hdsim.errors import ConfigError, NumericalFailureError
 from hdsim.report import read_trajectory_csv
@@ -90,24 +91,93 @@ def test_missing_equals_rejected():
         parse_config_text("just some words")
 
 
-def test_seed_precedence(monkeypatch):
-    monkeypatch.delenv("HDS_SEED", raising=False)
-    default = ExperimentConfig()
-    assert resolve_seed(default, None) == 42
-    monkeypatch.setenv("HDS_SEED", "7")
-    assert resolve_seed(default, None) == 7
-    explicit = parse_config_text("seed = 9")
-    assert resolve_seed(explicit, None) == 9  # config beats env
-    assert resolve_seed(explicit, 3) == 3  # flag beats config
-    monkeypatch.setenv("HDS_SEED", "oops")
-    with pytest.raises(ConfigError):
-        resolve_seed(default, None)
-
-
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _resolved_seed(argv):
+    """The seed of the config one command line resolves to."""
+    return cli._prepare(cli._build_parser().parse_args(["simulate", *argv]))["seed"]
+
+
+def test_seed_precedence(tmp_path, monkeypatch):
+    seeded = write_cfg(tmp_path, "seed = 9\n", "seeded.cfg")
+    unseeded = write_cfg(tmp_path, "dt = 1e-4\n", "unseeded.cfg")
+    monkeypatch.delenv("HDS_SEED", raising=False)
+    assert _resolved_seed([]) == 42  # the default
+    assert _resolved_seed(["--config", unseeded]) == 42
+    monkeypatch.setenv("HDS_SEED", "7")
+    assert _resolved_seed([]) == 7  # env beats default
+    assert _resolved_seed(["--config", unseeded]) == 7
+    assert _resolved_seed(["--config", seeded]) == 9  # file beats env
+    assert _resolved_seed(["--config", seeded, "--seed", "3"]) == 3  # flag beats file
+    assert _resolved_seed(["--seed", "3"]) == 3  # flag beats env
+    # a bad HDS_SEED is an error only when it would be used
+    monkeypatch.setenv("HDS_SEED", "oops")
+    assert _resolved_seed(["--seed", "3"]) == 3
+    assert _resolved_seed(["--config", seeded]) == 9
+    with pytest.raises(ConfigError, match="HDS_SEED must be an integer, got 'oops'"):
+        _resolved_seed(["--config", unseeded])
+    with pytest.raises(ConfigError, match="HDS_SEED"):
+        _resolved_seed([])
+
+
+def test_file_values_the_command_line_replaces_are_not_read(tmp_path):
+    # one validation of the resolved values: a file value that a flag or
+    # the command replaces is never used, so it is not checked either
+    cfg = write_cfg(tmp_path, "seed = -1\nfilter = median\n")
+    args = cli._build_parser().parse_args(["compare", "--config", cfg, "--seed", "3"])
+    config = cli._prepare(args)
+    assert (config["seed"], config["filter"]) == (3, "both")
+    with pytest.raises(ConfigError, match="filter must be one of"):
+        cli._prepare(cli._build_parser().parse_args(["estimate", "--config", cfg]))
+
+
+def test_bad_hds_seed_exits_1_only_when_used(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, "horizon = 0.001\n")
+    monkeypatch.setenv("HDS_SEED", "oops")
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: HDS_SEED must be an integer, got 'oops'\n"
+    argv = ["simulate", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "o")]
+    assert cli_main(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["compare", "estimate", "verify", "simulate"])
+def test_one_validated_config_per_run(tmp_path, monkeypatch, command):
+    cfg = write_cfg(
+        tmp_path, "horizon = 0.01\nfilter = hybrid\nverify.samples = 2\n"
+    )
+    validate = ExperimentConfig.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    out = str(tmp_path / "o")
+    argv = [command, "--config", cfg, "--seed", "5", "--out", out]
+    assert cli_main(argv) == 0
+    assert len(calls) == 1
+    assert (calls[0]["seed"], calls[0]["out"]) == (5, out)
+    if command == "compare":
+        assert calls[0]["filter"] == "both"
+
+
+def test_non_utf8_config_is_a_config_error_naming_file_and_byte(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"seed = 4\xff2\n")
+    with pytest.raises(ConfigError, match=r"latin\.cfg: not UTF-8 text at byte 8"):
+        load_config(str(path))
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: not UTF-8 text at byte 8\n"
+    # the offset counts from the start of the file, past any read buffer
+    path.write_bytes(b"# " + b"x" * 20000 + b"\r\nseed = 4\xff2\n")
+    with pytest.raises(ConfigError, match="not UTF-8 text at byte 20012"):
+        load_config(str(path))
 
 
 def test_missing_config_file_names_path(tmp_path, capsys):
@@ -356,8 +426,9 @@ def test_update_losing_psd_is_a_typed_error_naming_time_and_mode(tmp_path, capsy
     cfg = write_cfg(tmp_path, "noise.q = 1e300\nhorizon = 0.01\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        values = {**load_config(cfg).values, "out": str(tmp_path / "lib")}
         with pytest.raises(NumericalFailureError) as err:
-            run_comparison(load_config(cfg).with_overrides(out=str(tmp_path / "lib")))
+            run_comparison(ExperimentConfig(values=values))
         code = cli_main(["compare", "--config", cfg, "--out", str(tmp_path / "o")])
     message = str(err.value)
     assert "not PSD" in message and "t=0.0004" in message and "'GFL'" in message

@@ -18,6 +18,7 @@ from hdsim import (
     propagate_belief_through_jump,
     saltation_matrix,
 )
+from hdsim import run_ekf
 from hdsim.estimation import SYMMETRY_TOL
 from hdsim.integrate import rk4_step
 from hdsim.power import (
@@ -29,6 +30,7 @@ from hdsim.power import (
     gfm_flow,
     reference_noise,
     reference_profile,
+    reference_scenario,
 )
 
 
@@ -439,3 +441,56 @@ def test_dimension_mismatch_rejected():
     belief = GaussianBelief(np.zeros(2), np.eye(2))
     with pytest.raises(ArgumentError):
         propagate_belief_through_jump(belief, lambda x: x, np.eye(3))
+
+
+def test_scalar_math_map_is_an_argument_error():
+    # math.sin takes one number, not a row of the column batch
+    with pytest.raises(ArgumentError, match="map must act on each column"):
+        numerical_jacobian(lambda x: np.array([math.sin(x[0]), x[1]]), [0.3, 0.4])
+
+
+def test_scalar_float_flow_is_an_argument_error_of_predict():
+    belief = GaussianBelief([0.3, 0.4], np.eye(2))
+    noise = NoiseModel(q=1e-4 * np.eye(2), r=[[1.0]], h=[[1.0, 0.0]])
+    with pytest.raises(ArgumentError, match="map must act on each column"):
+        ekf_predict(belief, lambda x, t: np.array([-float(x[0]), x[1]]), 0.01, noise)
+
+
+_NOISE = NoiseModel(q=1e-4 * np.eye(2), r=[[1.0]], h=[[1.0, 0.0]])
+_BELIEF = GaussianBelief([0.3, 0.4], np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(lambda: GaussianBelief(np.zeros((2, 2)), np.eye(4)),
+                     "mean must be a vector", id="mean"),
+        pytest.param(lambda: GaussianBelief([0.0, 0.0], np.eye(3)),
+                     r"covariance must be \(2, 2\), got \(3, 3\)", id="shape"),
+        pytest.param(lambda: GaussianBelief([np.nan, 0.0], np.eye(2)),
+                     "belief entries must be finite", id="finite"),
+        pytest.param(lambda: NoiseModel(q=np.ones((2, 3)), r=[[1.0]], h=[[1.0, 0.0]]),
+                     "Q must be square", id="q"),
+        pytest.param(lambda: NoiseModel(q=np.eye(2), r=np.ones((1, 2)), h=[[1.0, 0.0]]),
+                     "R must be square", id="r"),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.0, _NOISE),
+                     "dt must be positive, got 0.0", id="predict-dt"),
+        pytest.param(lambda: ekf_update(_BELIEF, [1.0, 2.0], _NOISE),
+                     "measurement must have length 1", id="update-z"),
+        pytest.param(
+            lambda: propagate_belief_through_jump(_BELIEF, lambda x: x[:1], np.eye(2)),
+            "reset changed the state dimension", id="reset-dim",
+        ),
+        pytest.param(
+            lambda: run_ekf(
+                lambda x, t: -x,
+                reference_scenario(),
+                np.zeros((reference_scenario().n_steps + 1, 3)),
+            ),
+            "measurement rows have length 3, expected 4", id="measurement-row",
+        ),
+    ],
+)
+def test_estimation_input_checks(call, fragment):
+    with pytest.raises(ArgumentError, match=fragment):
+        call()

@@ -543,3 +543,15 @@ def test_the_last_live_column_finishes_on_its_own():
         smib_sampler(2), system, lambda x: end0(x) | early1(x), samples=2, **kwargs
     )
     assert verdict.samples_checked == 1
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        pytest.param([0.0, 0.0], [1.0], id="shape"),
+        pytest.param([0.0, 1.0], [1.0, 0.5], id="order"),
+    ],
+)
+def test_safety_input_checks(lo, hi):
+    with pytest.raises(ArgumentError, match="box bounds must have equal shape with hi >= lo"):
+        box_sampler(lo, hi, seed=0)

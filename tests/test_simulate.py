@@ -25,7 +25,8 @@ from hdsim import (
 )
 from hdsim.integrate import rk4_step
 from hdsim.power import SmibParams, smib_state, smib_system
-from hdsim.simulate import next_event
+from hdsim.simulate import next_event, next_grid_time
+from hdsim.systems import as_state
 
 
 def decay(x, t):
@@ -377,3 +378,106 @@ def test_flow_steps_evaluate_each_guard_once_per_sample_time():
     traj = simulate(automaton, np.array([1.0]), 0.1, max_jumps=1, dt=0.01, mode0="a")
     assert traj.termination == HORIZON_REACHED
     assert calls == list(traj.times)
+
+
+@pytest.mark.parametrize("t0, dt", [(1000.0, 1e-6), (1e4, 1e-4), (1.0, 1e-9)])
+def test_grid_walk_advances_far_from_t0(t0, dt):
+    # (t - t0) / dt rounds below the grid index here; the next grid time
+    # must still lie ahead of t
+    t = t0
+    for _ in range(10):
+        _, t_next = next_grid_time(t, t0, dt, t0 + 1.0)
+        assert t_next > t
+        t = t_next
+
+
+def test_simulate_far_from_t0_reaches_the_horizon():
+    calls = []
+
+    def flow_set(x, t):
+        # a stalled grid walk checks the invariant on every pass: fail,
+        # do not hang
+        calls.append(t)
+        if len(calls) > 10**4:
+            raise RuntimeError("the grid walk stalled")
+        return True
+
+    system = FlowJumpSystem(dim=1, flow_map=decay, flow_set=flow_set)
+    traj = simulate(system, [1.0], 1e-4, max_jumps=0, dt=1e-6, t0=1000.0)
+    assert traj.termination == HORIZON_REACHED
+    assert len(traj.times) == 101
+    assert np.all(np.diff(traj.times) > 0)
+
+
+def _always(x, t):
+    return 1.0
+
+
+def _identity(x):
+    return x
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: next_event(
+                [Edge("a", "a", _always, _identity, label="one"),
+                 Edge("a", "a", _always, _identity, label="two")],
+                decay, np.array([1.0]), 0.0, 0.1,
+            ),
+            AmbiguousTransitionError, "guards simultaneously enabled at t=0.0: one, two",
+            id="two-guards-enabled",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 0.0, 1, 0.1),
+            ArgumentError, "horizon must be positive", id="horizon",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 1, -0.1),
+            ArgumentError, "dt must be positive", id="dt",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, -1, 0.1),
+            ArgumentError, "max_jumps must be non-negative", id="max-jumps",
+        ),
+        pytest.param(
+            lambda: simulate(
+                FlowJumpSystem(1, decay, flow_set=lambda x, t: False),
+                [1.0], 1.0, 1, 0.1,
+            ),
+            ArgumentError, "outside both the flow set and the jump set", id="x0",
+        ),
+    ],
+)
+def test_simulate_input_checks(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(lambda: as_state(np.zeros((2, 2))),
+                     r"state must be a 1-D vector, got shape \(2, 2\)", id="ndim"),
+        pytest.param(lambda: as_state([1.0, 2.0], 3),
+                     "state has dimension 2, expected 3", id="dim"),
+        pytest.param(lambda: FlowJumpSystem(0, decay),
+                     "dimension must be >= 1, got 0", id="flow-jump-dim"),
+        pytest.param(lambda: HybridAutomaton(0, ("a",), {"a": decay}, ()),
+                     "dimension must be >= 1, got 0", id="automaton-dim"),
+        pytest.param(lambda: HybridAutomaton(1, (), {}, ()),
+                     "at least one mode", id="no-modes"),
+        pytest.param(lambda: HybridAutomaton(1, ("a",), {}, ()),
+                     "mode 'a' has no flow", id="no-flow"),
+        pytest.param(
+            lambda: HybridAutomaton(
+                1, ("a",), {"a": decay}, (Edge("a", "b", _always, _identity),)
+            ),
+            "edge 'a->b' references unknown modes", id="edge-mode",
+        ),
+    ],
+)
+def test_systems_input_checks(call, fragment):
+    with pytest.raises(ArgumentError, match=fragment):
+        call()
