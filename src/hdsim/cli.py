@@ -20,8 +20,6 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from .compare import run_comparison
 from .config import ExperimentConfig, read_values
 from .errors import ConfigError, HdsimError
@@ -74,21 +72,17 @@ def _prepare(args) -> ExperimentConfig:
 def _cmd_simulate(config: ExperimentConfig) -> int:
     out_dir = str(config["out"])
     ensure_dir(out_dir)
-    system, x0, mode0 = config.system()
-    if config["model"] == "smib":
-        columns = ("t", "j", "mode", "delta", "omega")
-    else:
-        columns = ("t", "j", "mode", "i_d", "i_q", "v_d", "v_q")
+    model = config.system()
     traj = simulate(
-        system, x0, float(config["horizon"]), int(config["max_jumps"]),
-        float(config["dt"]), mode0=mode0,
+        model.system, model.x0, float(config["horizon"]), int(config["max_jumps"]),
+        float(config["dt"]), mode0=model.mode0,
     )
     rows = zip(
         traj.times.tolist(), traj.jump_counts.tolist(), traj.modes,
-        *traj.states.T[: len(columns) - 3].tolist(),
+        *traj.states.T[: len(model.states)].tolist(),
     )
     path = os.path.join(out_dir, f"trajectory_{config['model']}.csv")
-    write_trajectory_csv(path, columns, rows)
+    write_trajectory_csv(path, ("t", "j", "mode") + model.states, rows)
     print(f"termination: {traj.termination}")
     if traj.jumps:
         instants = ", ".join(fmt(t) for t in traj.jump_times)
@@ -121,30 +115,17 @@ def _cmd_verify(config: ExperimentConfig) -> int:
     dt = float(config["dt"])
     max_jumps = int(config["max_jumps"])
     threshold = float(config["verify.i_unsafe"])
-
-    system, x0, mode0 = config.system()
-    if config["model"] == "smib":
-        params = config.smib_params()
-        default = params.i_max
-        half = np.array([config["verify.delta_half_width"],
-                         config["verify.omega_half_width"], 0.0], dtype=float)
-
-        def unsafe(x) -> bool:
-            return abs(params.p_e(x[0])) > threshold - 1e-9
-
-    else:
-        default = config.inverter_params().i_lim
-        half = float(config["verify.x0_half_width"])
-
-        def unsafe(x) -> bool:
-            return np.maximum(np.abs(x[0]), np.abs(x[1])) > threshold - 1e-9
-
+    model = config.system()
     if threshold <= 0.0:
-        threshold = default
-    sampler = box_sampler(x0 - half, x0 + half, seed)
+        threshold = model.current_limit
+
+    def unsafe(x) -> bool:
+        return model.current(x) > threshold - 1e-9
+
+    sampler = box_sampler(model.x0 - model.half, model.x0 + model.half, seed)
     verdict = check_safety(
-        system, sampler, unsafe, horizon, n_samples, dt,
-        max_jumps=max_jumps, mode0=mode0,
+        model.system, sampler, unsafe, horizon, n_samples, dt,
+        max_jumps=max_jumps, mode0=model.mode0,
     )
 
     path = os.path.join(out_dir, "verify_report.txt")
@@ -191,10 +172,7 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except HdsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
-    except OSError as exc:
+    except (HdsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

@@ -8,9 +8,10 @@ loudly instead of silently running defaults.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,13 +34,8 @@ from .power import (
     smib_state,
     smib_system,
 )
+from .report import INVERTER_STATES
 from .systems import FlowJumpSystem, HybridAutomaton
-
-_INT = "int"
-_FLOAT = "float"
-_STR = "str"
-_FLOATS = "float-list"
-_PROFILE = "profile"
 
 # Model, scenario and filter defaults come from their single sources in
 # ``power`` and ``estimation``.
@@ -47,54 +43,69 @@ _INV = InverterParams()
 _SMIB = SmibParams()
 _REF = reference_scenario()
 
-# key -> (type, default, description)
-SCHEMA: Dict[str, Tuple[str, object, str]] = {
-    "model": (_STR, "inverter", "model to run: inverter | smib"),
-    "filter": (_STR, "both", "filter(s) to run: hybrid | continuous | both"),
-    "seed": (_INT, _REF.seed, "measurement-noise seed (flag > config > HDS_SEED env)"),
-    "horizon": (_FLOAT, _REF.horizon, "simulation horizon in seconds"),
-    "dt": (_FLOAT, _REF.dt, "fixed integration / measurement step in seconds"),
-    "near_switch_window": (_FLOAT, 0.005, "half-width of near-switch RMSE windows (s)"),
-    "max_jumps": (_INT, DEFAULT_MAX_JUMPS, "jump budget per simulation"),
-    "out": (_STR, ".", "output directory (overridden by --out)"),
-    "inverter.l_pu": (_FLOAT, _INV.l_pu, "filter inductance, per-unit"),
-    "inverter.r_pu": (_FLOAT, _INV.r_pu, "filter resistance, per-unit"),
-    "inverter.omega": (_FLOAT, _INV.omega, "grid angular frequency, per-unit"),
-    "inverter.v_ref": (_FLOAT, _INV.v_ref, "GFM d-axis voltage reference, per-unit"),
-    "inverter.i_lim": (_FLOAT, _INV.i_lim, "GFM current clamp, per-unit"),
-    "inverter.v_low": (_FLOAT, _INV.v_low, "GFL->GFM threshold, per-unit"),
-    "inverter.v_high": (_FLOAT, _INV.v_high, "GFM->GFL threshold, per-unit"),
-    "inverter.sigmoid_k": (_FLOAT, _INV.sigmoid_gain, "blend sharpness gain"),
-    "inverter.sigmoid_vth": (_FLOAT, _INV.sigmoid_mid, "blend midpoint voltage, per-unit"),
-    "inverter.tau_v": (_FLOAT, _INV.tau_v, "GFL voltage-tracking time constant (s)"),
-    "inverter.tau_i": (_FLOAT, _INV.tau_i, "GFM current-tracking time constant (s)"),
-    "inverter.x0": (_FLOATS, tuple(float(v) for v in _REF.x0), "initial [i_d, i_q, v_d, v_q]"),
+
+def _floats(raw: str) -> Tuple[float, ...]:
+    return tuple(float(part) for part in raw.split(",") if part.strip())
+
+
+def _profile(raw: str) -> Tuple[Tuple[float, float], ...]:
+    points = []
+    for part in filter(None, map(str.strip, raw.split(","))):
+        t, colon, v = part.partition(":")
+        if not colon:
+            raise ValueError(f"breakpoint {part!r} is not t:value")
+        points.append((float(t), float(v)))
+    return tuple(points)
+
+
+# key -> (parser, default, description)
+SCHEMA: Dict[str, Tuple[Callable[[str], object], object, str]] = {
+    "model": (str, "inverter", "model to run: inverter | smib"),
+    "filter": (str, "both", "filter(s) to run: hybrid | continuous | both"),
+    "seed": (int, _REF.seed, "measurement-noise seed (flag > config > HDS_SEED env)"),
+    "horizon": (float, _REF.horizon, "simulation horizon in seconds"),
+    "dt": (float, _REF.dt, "fixed integration / measurement step in seconds"),
+    "near_switch_window": (float, 0.005, "half-width of near-switch RMSE windows (s)"),
+    "max_jumps": (int, DEFAULT_MAX_JUMPS, "jump budget per simulation"),
+    "out": (str, ".", "output directory (overridden by --out)"),
+    "inverter.l_pu": (float, _INV.l_pu, "filter inductance, per-unit"),
+    "inverter.r_pu": (float, _INV.r_pu, "filter resistance, per-unit"),
+    "inverter.omega": (float, _INV.omega, "grid angular frequency, per-unit"),
+    "inverter.v_ref": (float, _INV.v_ref, "GFM d-axis voltage reference, per-unit"),
+    "inverter.i_lim": (float, _INV.i_lim, "GFM current clamp, per-unit"),
+    "inverter.v_low": (float, _INV.v_low, "GFL->GFM threshold, per-unit"),
+    "inverter.v_high": (float, _INV.v_high, "GFM->GFL threshold, per-unit"),
+    "inverter.sigmoid_k": (float, _INV.sigmoid_gain, "blend sharpness gain"),
+    "inverter.sigmoid_vth": (float, _INV.sigmoid_mid, "blend midpoint voltage, per-unit"),
+    "inverter.tau_v": (float, _INV.tau_v, "GFL voltage-tracking time constant (s)"),
+    "inverter.tau_i": (float, _INV.tau_i, "GFM current-tracking time constant (s)"),
+    "inverter.x0": (_floats, tuple(float(v) for v in _REF.x0), "initial [i_d, i_q, v_d, v_q]"),
     "inverter.profile": (
-        _PROFILE,
+        _profile,
         tuple(zip(_REF.v_grid.times, _REF.v_grid.values)),
         "grid-voltage breakpoints as comma-separated t:value pairs",
     ),
-    "noise.q": (_FLOAT, REFERENCE_Q_INTENSITY, "process-noise intensity (per-step Q = q*dt*I)"),
-    "noise.r_id": (_FLOAT, REFERENCE_SIGMA_CURRENT, "i_d measurement noise standard deviation"),
-    "noise.r_iq": (_FLOAT, REFERENCE_SIGMA_CURRENT, "i_q measurement noise standard deviation"),
-    "noise.r_vd": (_FLOAT, REFERENCE_SIGMA_VOLTAGE, "v_d measurement noise standard deviation"),
-    "noise.r_vq": (_FLOAT, REFERENCE_SIGMA_VOLTAGE, "v_q measurement noise standard deviation"),
-    "ekf.p0": (_FLOAT, DEFAULT_P0, "initial covariance P0 = p0*I"),
-    "smib.m": (_FLOAT, _SMIB.m, "inertia constant"),
-    "smib.d": (_FLOAT, _SMIB.d, "damping coefficient"),
-    "smib.p_m": (_FLOAT, _SMIB.p_m, "mechanical power, per-unit"),
-    "smib.p_e_max": (_FLOAT, SMIB_P_E_MAX, "electrical power amplitude: P_e = p_e_max*sin(delta)"),
-    "smib.i_max": (_FLOAT, _SMIB.i_max, "line-1 overload threshold, per-unit"),
-    "smib.p_min": (_FLOAT, _SMIB.p_min, "restoration band lower edge, per-unit"),
-    "smib.p_max": (_FLOAT, _SMIB.p_max, "restoration band upper edge, per-unit"),
-    "smib.delta0": (_FLOAT, 0.6, "initial rotor angle (rad)"),
-    "smib.omega0": (_FLOAT, 0.0, "initial speed deviation"),
-    "smib.line0": (_INT, 1, "initially active line: 1 | 2"),
-    "verify.samples": (_INT, 20, "number of sampled initial states"),
-    "verify.delta_half_width": (_FLOAT, 0.2, "smib sampling half-width around delta0"),
-    "verify.omega_half_width": (_FLOAT, 0.5, "smib sampling half-width around omega0"),
-    "verify.x0_half_width": (_FLOAT, 0.05, "inverter sampling half-width around x0"),
-    "verify.i_unsafe": (_FLOAT, -1.0, "unsafe current threshold (-1: model default)"),
+    "noise.q": (float, REFERENCE_Q_INTENSITY, "process-noise intensity (per-step Q = q*dt*I)"),
+    "noise.r_id": (float, REFERENCE_SIGMA_CURRENT, "i_d measurement noise standard deviation"),
+    "noise.r_iq": (float, REFERENCE_SIGMA_CURRENT, "i_q measurement noise standard deviation"),
+    "noise.r_vd": (float, REFERENCE_SIGMA_VOLTAGE, "v_d measurement noise standard deviation"),
+    "noise.r_vq": (float, REFERENCE_SIGMA_VOLTAGE, "v_q measurement noise standard deviation"),
+    "ekf.p0": (float, DEFAULT_P0, "initial covariance P0 = p0*I"),
+    "smib.m": (float, _SMIB.m, "inertia constant"),
+    "smib.d": (float, _SMIB.d, "damping coefficient"),
+    "smib.p_m": (float, _SMIB.p_m, "mechanical power, per-unit"),
+    "smib.p_e_max": (float, SMIB_P_E_MAX, "electrical power amplitude: P_e = p_e_max*sin(delta)"),
+    "smib.i_max": (float, _SMIB.i_max, "line-1 overload threshold, per-unit"),
+    "smib.p_min": (float, _SMIB.p_min, "restoration band lower edge, per-unit"),
+    "smib.p_max": (float, _SMIB.p_max, "restoration band upper edge, per-unit"),
+    "smib.delta0": (float, 0.6, "initial rotor angle (rad)"),
+    "smib.omega0": (float, 0.0, "initial speed deviation"),
+    "smib.line0": (int, 1, "initially active line: 1 | 2"),
+    "verify.samples": (int, 20, "number of sampled initial states"),
+    "verify.delta_half_width": (float, 0.2, "smib sampling half-width around delta0"),
+    "verify.omega_half_width": (float, 0.5, "smib sampling half-width around omega0"),
+    "verify.x0_half_width": (float, 0.05, "inverter sampling half-width around x0"),
+    "verify.i_unsafe": (float, -1.0, "unsafe current threshold (-1: model default)"),
 }
 
 MAX_GRID_STEPS = 10**7
@@ -113,30 +124,25 @@ _CHOICES = {
 
 
 def _parse_value(key: str, raw: str):
-    kind = SCHEMA[key][0]
     try:
-        if kind == _INT:
-            return int(raw)
-        if kind == _FLOAT:
-            return float(raw)
-        if kind == _STR:
-            return raw
-        if kind == _FLOATS:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
-        if kind == _PROFILE:
-            points = []
-            for part in raw.split(","):
-                part = part.strip()
-                if not part:
-                    continue
-                t, _, v = part.partition(":")
-                if not _:
-                    raise ValueError(f"breakpoint {part!r} is not t:value")
-                points.append((float(t), float(v)))
-            return tuple(points)
+        return SCHEMA[key][0](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-    raise ConfigError(f"unhandled kind {kind} for key {key}")
+
+
+class ConfiguredModel(NamedTuple):
+    """What a command needs of the configured model: ``system``, ``x0`` and
+    ``mode0`` as :func:`hdsim.simulate.simulate` takes them, the ``states``
+    a trajectory CSV writes, the box ``x0 ± half`` that ``verify`` samples,
+    the column-wise ``current`` it checks and the model's own limit on it."""
+
+    system: Union[FlowJumpSystem, HybridAutomaton]
+    x0: np.ndarray
+    mode0: Optional[str]
+    states: Tuple[str, ...]
+    half: np.ndarray
+    current: Callable[[np.ndarray], np.ndarray]
+    current_limit: float
 
 
 @dataclass
@@ -152,8 +158,8 @@ class ExperimentConfig:
         for key, choices in _CHOICES.items():
             if v[key] not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, got {v[key]!r}")
-        for key, (kind, _, _) in SCHEMA.items():
-            numeric = kind in (_FLOAT, _FLOATS, _PROFILE)
+        for key, (parse, _, _) in SCHEMA.items():
+            numeric = parse in (float, _floats, _profile)
             if numeric and not np.all(np.isfinite(np.asarray(v[key], dtype=float))):
                 raise ConfigError(f"{key} must be finite, got {v[key]!r}")
         for key in ("horizon", "dt"):
@@ -177,9 +183,9 @@ class ExperimentConfig:
                 f"got {len(v['inverter.x0'])}"
             )
         # Model parameters, the initial state, the profile and its coverage
-        # of the horizon are checked where they are defined; a bad value,
-        # or one so large that building the model overflows, is a config
-        # error.
+        # of the horizon are checked where they are defined, and the verify
+        # sampling box where it is built; a bad value, or one so large that
+        # building the model overflows, is a config error.
         try:
             with np.errstate(over="raise", invalid="raise"):
                 self.system()
@@ -249,16 +255,34 @@ class ExperimentConfig:
             float(v["smib.delta0"]), float(v["smib.omega0"]), int(v["smib.line0"])
         )
 
-    def system(
-        self,
-    ) -> Tuple[Union[FlowJumpSystem, HybridAutomaton], np.ndarray, Optional[str]]:
-        """The configured model as ``(system, x0, mode0)``, as
-        :func:`hdsim.simulate.simulate` takes it."""
+    def system(self) -> ConfiguredModel:
+        """The configured model: the one place that reads ``model``."""
         if self.values["model"] == "smib":
-            return smib_system(self.smib_params()), self.smib_x0(), None
+            params = self.smib_params()
+            x0 = self.smib_x0()
+            keys = ("verify.delta_half_width", "verify.omega_half_width", None)
+            return ConfiguredModel(
+                smib_system(params), x0, None, ("delta", "omega"),
+                self._half(x0, keys), lambda x: abs(params.p_e(x[0])), params.i_max,
+            )
         scenario = self.scenario()
         automaton = inverter_automaton(scenario.params, scenario.v_grid)
-        return automaton, scenario.x0, scenario.initial_mode
+        return ConfiguredModel(
+            automaton, scenario.x0, scenario.initial_mode, INVERTER_STATES,
+            self._half(scenario.x0, ("verify.x0_half_width",) * 4),
+            lambda x: np.maximum(np.abs(x[0]), np.abs(x[1])), scenario.params.i_lim,
+        )
+
+    def _half(self, x0: np.ndarray, keys: Tuple[Optional[str], ...]) -> np.ndarray:
+        """The half-width each key gives its entry of ``x0`` (``None``: 0),
+        once the sampling box ``x0 ± half`` has a finite width."""
+        half = [0.0 if key is None else float(self.values[key]) for key in keys]
+        for x, h, key in zip(x0.tolist(), half, keys):
+            if not math.isfinite((x + h) - (x - h)):
+                raise ConfigError(
+                    f"{key} = {h!r} leaves no finite sampling box around {x!r}"
+                )
+        return np.array(half)
 
     def resolved_items(self) -> Dict[str, str]:
         """Every schema key with its resolved value, for report echoing.

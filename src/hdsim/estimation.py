@@ -34,6 +34,8 @@ PSD_TOL = -1e-10
 TRANSVERSALITY_TOL = 1e-12
 DEFAULT_P0 = 1e-3
 """Initial covariance scale of :func:`run_ekf`: P0 = p0 * I."""
+LARGEST_COVARIANCE_ENTRY = np.finfo(float).max / 2
+"""Largest covariance entry whose symmetrization cannot overflow."""
 
 
 def symmetrize(p: np.ndarray) -> np.ndarray:
@@ -43,17 +45,25 @@ def symmetrize(p: np.ndarray) -> np.ndarray:
 def _checked_covariance(p, name, error, symmetric=False) -> np.ndarray:
     """``p`` symmetrized, once it passed the covariance test; else ``error``.
 
-    With ``scale = max(1, max|p|)``, ``p`` must be symmetric within
-    ``SYMMETRY_TOL * scale`` (skipped when it is ``symmetric`` by
-    construction) and its smallest eigenvalue at least ``PSD_TOL * scale``.
+    Every entry of ``p`` must be finite and at most
+    ``LARGEST_COVARIANCE_ENTRY`` in magnitude.  With ``scale = max(1,
+    max|p|)``, ``p`` must be symmetric within ``SYMMETRY_TOL * scale``
+    (skipped when it is ``symmetric`` by construction) and its smallest
+    eigenvalue at least ``PSD_TOL * scale``.
     """
-    scale = max(1.0, float(np.max(np.abs(p))))
+    largest = float(np.max(np.abs(p)))
+    if not largest <= LARGEST_COVARIANCE_ENTRY:
+        raise error(
+            f"{name} entries must be finite and at most "
+            f"{LARGEST_COVARIANCE_ENTRY:.3e} in magnitude, got {largest:.3e}"
+        )
+    scale = max(1.0, largest)
     if not symmetric:
         if np.max(np.abs(p - p.T)) > SYMMETRY_TOL * scale:
             raise error(f"{name} is not symmetric within tolerance")
         p = symmetrize(p)
     min_eig = float(np.linalg.eigvalsh(p)[0])
-    if min_eig < PSD_TOL * scale:
+    if not min_eig >= PSD_TOL * scale:
         raise error(f"{name} is not PSD (min eigenvalue {min_eig:.3e})")
     return p
 
@@ -66,8 +76,9 @@ class GaussianBelief:
     a finite, square covariance, symmetric within tolerance (then
     symmetrized) and positive semidefinite up to a small eigenvalue
     tolerance.  The beliefs the filter computes (:func:`ekf_predict`,
-    :func:`ekf_update`) are symmetric by construction and skip this; each
-    update ends with one health check of its result instead.
+    :func:`ekf_update`, :func:`propagate_belief_through_jump`) are
+    symmetric by construction and skip this; each checks that its result
+    is finite, and an update also checks that it stays PSD.
     """
 
     mean: np.ndarray
@@ -309,12 +320,16 @@ def saltation_matrix(
     return xi
 
 
+@quiet_overflow
 def propagate_belief_through_jump(
     belief: GaussianBelief,
     reset: Callable[[np.ndarray], np.ndarray],
     xi: np.ndarray,
 ) -> GaussianBelief:
-    """Map a belief through a jump: mean by the reset, covariance by Xi P Xi^T."""
+    """Map a belief through a jump: mean by the reset, covariance by Xi P Xi^T.
+
+    A result that is not finite raises :class:`NumericalFailureError`.
+    """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (belief.dim, belief.dim):
         raise ArgumentError(
@@ -324,7 +339,9 @@ def propagate_belief_through_jump(
     if mean.shape != belief.mean.shape:
         raise ArgumentError("reset changed the state dimension")
     p = symmetrize(xi @ belief.covariance @ xi.T)
-    return GaussianBelief(mean, p)
+    if not (np.isfinite(mean).all() and np.isfinite(p).all()):
+        raise NumericalFailureError("belief is not finite after the jump")
+    return GaussianBelief._computed(mean, p)
 
 
 @dataclass
@@ -362,8 +379,9 @@ def run_ekf(
     grid-voltage signal through the automaton guards (with hysteresis),
     not the estimated state.  Guards fire as in
     :func:`hdsim.simulate.next_event`; more than ``SAME_TIME_JUMP_BUDGET``
-    jumps at one instant raise :class:`NumericalFailureError`, and so does
-    an update that fails its health check, naming the grid time and mode.
+    jumps at one instant raise :class:`NumericalFailureError`.  A failed
+    prediction, update or jump keeps its type and names the time, the mode
+    and, for a jump, the edge.
     """
     n_steps = scenario.n_steps
     dt = scenario.dt
@@ -389,7 +407,7 @@ def run_ekf(
         mode, flow, edges = "blended", process, []
 
     belief = GaussianBelief(scenario.x0, p0 * np.eye(scenario.x0.size))
-    belief = _update_at(belief, z[0], noise, 0.0, mode)
+    belief = _at(0.0, mode, None, ekf_update, belief, z[0], noise)
 
     times = np.empty(n_steps + 1)
     means = np.empty((n_steps + 1, belief.dim))
@@ -413,8 +431,8 @@ def run_ekf(
             # fires first, and at any event the prediction is dropped.
             predicted = None
             if t_k > t_cur:
-                predicted = ekf_predict(
-                    belief, flow, t_k - t_cur, noise,
+                predicted = _at(
+                    t_k, mode, None, ekf_predict, belief, flow, t_k - t_cur, noise,
                     t0=t_cur, q_scale=(t_k - t_cur) / dt,
                 )
             _, event = next_event(
@@ -427,9 +445,9 @@ def run_ekf(
                 break
             t_star, edge, _ = event
             if t_star > t_cur:
-                belief = ekf_predict(
-                    belief, flow, t_star - t_cur, noise,
-                    t0=t_cur, q_scale=(t_star - t_cur) / dt,
+                belief = _at(
+                    t_star, mode, None, ekf_predict, belief, flow, t_star - t_cur,
+                    noise, t0=t_cur, q_scale=(t_star - t_cur) / dt,
                 )
                 t_cur = t_star
                 same_t_jumps = 0
@@ -439,13 +457,14 @@ def run_ekf(
                     f"in mode {mode!r}, next edge {edge.label!r}",
                     time=t_cur,
                 )
-            belief, mode, flow = _jump_belief(
-                process, edge, belief, mode, t_cur, jumps, j
+            belief, mode, flow = _at(
+                t_cur, mode, edge.label, _jump_belief,
+                process, edge, belief, mode, t_cur, jumps, j,
             )
             edges = process.outgoing(mode)
             j += 1
             same_t_jumps += 1
-        belief = _update_at(belief, z[k], noise, t_k, mode)
+        belief = _at(t_k, mode, None, ekf_update, belief, z[k], noise)
         times[k] = t_k
         means[k] = belief.mean
         covs[k] = belief.covariance
@@ -455,11 +474,19 @@ def run_ekf(
     return EkfRun(times, means, covs, modes, jump_counts, jumps)
 
 
-def _update_at(belief, z, noise, t, mode):
+def _at(t, mode, edge, step, *args, **kwargs):
+    """``step(*args, **kwargs)``, the filter's step to (or jump at) ``t`` in
+    ``mode``, along ``edge`` for a jump.  A failure keeps its type and
+    gains the time (unless it names its own), the mode and the edge."""
     try:
-        return ekf_update(belief, z, noise)
-    except NumericalFailureError as exc:
-        raise NumericalFailureError(f"{exc} at t={t} in mode {mode!r}", time=t) from exc
+        return step(*args, **kwargs)
+    except (ArgumentError, NumericalFailureError) as exc:
+        where = f" in mode {mode!r}" + (f" on edge {edge!r}" if edge else "")
+        if getattr(exc, "time", None) is None:
+            where = f" at t={t}{where}"
+        if isinstance(exc, ArgumentError):
+            raise ArgumentError(f"{exc}{where}") from exc
+        raise NumericalFailureError(f"{exc}{where}", time=t) from exc
 
 
 def _jump_belief(automaton, edge, belief, mode, t, jumps, j):

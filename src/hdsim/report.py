@@ -37,24 +37,19 @@ def _cell_format(cell) -> str:
 
 
 def write_trajectory_csv(path: str, columns: Sequence[str], rows) -> None:
-    """Write a trajectory table; non-float 'mode' cells pass through as text.
+    """Write a trajectory table: a header, then one line per row.
 
-    Each row is formatted by one ``%`` template, built once per sequence
-    of cell types.
+    Every row holds the cell types of the first, so one ``%`` template,
+    built from the first row, formats them all.
     """
-    templates: Dict[tuple, str] = {}
-
-    def line(row) -> str:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(map(_cell_format, row)) + "\n"
-        return template % row
-
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(map(line, rows))
+        first = next(rows, None)
+        if first is not None:
+            template = ",".join(map(_cell_format, first)) + "\n"
+            fh.write(template % tuple(first))
+            fh.writelines(template % tuple(row) for row in rows)
 
 
 def read_trajectory_csv(path: str) -> Tuple[List[str], List[List[str]]]:

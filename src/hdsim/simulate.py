@@ -237,7 +237,9 @@ class Stepper:
         the RK4 state at the next grid time from ``(x, t)``.  With
         ``to_end`` it keeps stepping until the run terminates.
 
-        Raises the errors of :func:`next_event` and of the reset maps.
+        Raises the errors of :func:`next_event` and of the reset maps; a
+        reset to a non-finite state raises :class:`NumericalFailureError`
+        naming the time and the edge.
         """
         x, t, j = self.x, self.t, self.j
         flow, edges, invariant = self.flow, self.edges, self.invariant
@@ -277,7 +279,12 @@ class Stepper:
             sink(t, j, self._label(x), x)
 
     def _jump(self, edge: Edge, state: np.ndarray, t: float, j: int) -> np.ndarray:
-        x_new = as_state(edge.reset(state), self.system.dim)
+        x_new = np.asarray(edge.reset(state), dtype=float)
+        if not np.isfinite(x_new).all():
+            raise NumericalFailureError(
+                f"reset to a non-finite state at t={t} on edge {edge.label!r}", time=t
+            )
+        x_new = as_state(x_new, self.system.dim)
         old_mode = self.mode
         if self.is_automaton:
             self._enter(edge.target)
@@ -340,7 +347,9 @@ def simulate(
     AmbiguousTransitionError
         If two guards become enabled within one localization tolerance.
     NumericalFailureError
-        If the state turns non-finite; carries the partial trajectory.
+        If the state turns non-finite while flowing or at a reset; names
+        the time, the mode and the edge of a reset, and carries the partial
+        trajectory.
     """
     traj = HybridTrajectory()
     stepper = Stepper(
@@ -350,7 +359,6 @@ def simulate(
         stepper.advance(to_end=True)
     except NumericalFailureError as exc:
         traj.termination = NUMERICAL_FAILURE
-        exc.trajectory = traj
-        raise
+        raise NumericalFailureError(f"{exc} in mode {stepper.mode!r}", exc.time, traj) from exc
     traj.termination = stepper.termination
     return traj

@@ -71,24 +71,31 @@ def lift_switched(sw: SwitchedSystem) -> FlowJumpSystem:
 
     The augmented state appends the current segment index; the jump set is
     the time margin ``t - next_switch_instant`` and the jump map advances
-    the segment while leaving the continuous state untouched.
+    the segment while leaving the continuous state untouched.  The flow and
+    the jump margin act on each column of a state batch (the fields must
+    too): each column follows the field of its own segment.
     """
     n = sw.dim
-    n_segments = len(sw.mode_sequence)
+    fields = [sw.fields[m - 1] for m in sw.mode_sequence]
+    next_switch = np.append(np.asarray(sw.switch_times, dtype=float), np.inf)
+
+    def segment(x: np.ndarray) -> np.ndarray:
+        """The segment index of ``x``, one per column of a batch."""
+        return np.rint(x[n]).astype(int)
 
     def flow_map(x: np.ndarray, t: float) -> np.ndarray:
-        seg = int(round(x[n]))
-        f = sw.fields[sw.mode_sequence[seg] - 1]
-        out = np.empty(n + 1)
-        out[:n] = f(x[:n], t)
-        out[n] = 0.0
+        seg = segment(x)
+        out = np.zeros_like(x, dtype=float)
+        if seg.ndim == 0:
+            out[:n] = fields[seg](x[:n], t)
+            return out
+        for s in np.unique(seg):
+            cols = seg == s
+            out[:n, cols] = fields[s](x[:n, cols], t)
         return out
 
     def jump_set(x: np.ndarray, t: float) -> float:
-        seg = int(round(x[n]))
-        if seg >= n_segments - 1:
-            return -np.inf
-        return t - sw.switch_times[seg]
+        return t - next_switch[segment(x)]
 
     def jump_map(x: np.ndarray) -> np.ndarray:
         out = x.copy()
@@ -96,8 +103,7 @@ def lift_switched(sw: SwitchedSystem) -> FlowJumpSystem:
         return out
 
     def mode_label(x: np.ndarray) -> str:
-        seg = int(round(x[n]))
-        return f"mode {sw.mode_sequence[seg]}"
+        return f"mode {sw.mode_sequence[int(round(x[n]))]}"
 
     return FlowJumpSystem(
         dim=n + 1,

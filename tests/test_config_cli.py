@@ -418,7 +418,9 @@ def test_covariance_overflow_is_a_typed_error_naming_its_time(tmp_path, capsys):
         warnings.simplefilter("error")
         code = cli_main(["compare", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 2
-    assert capsys.readouterr().err == "error: predicted covariance overflowed at t=0.1\n"
+    assert capsys.readouterr().err == (
+        "error: predicted covariance overflowed at t=0.1 in mode 'GFM'\n"
+    )
 
 
 def test_update_losing_psd_is_a_typed_error_naming_time_and_mode(tmp_path, capsys):
@@ -435,6 +437,28 @@ def test_update_losing_psd_is_a_typed_error_naming_time_and_mode(tmp_path, capsy
     assert err.value.time == 4 * 1e-4
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, code",
+    [
+        ("compare", "ekf.p0 = 1e308\nhorizon = 0.01", 2),
+        ("verify", "model = smib\nverify.delta_half_width = 1e308", 1),
+        ("verify", "model = smib\nverify.omega_half_width = 1e308", 1),
+        ("verify", "verify.x0_half_width = 1e308", 1),
+    ],
+)
+def test_extreme_valid_values_exit_with_one_error_line(tmp_path, capsys, command, text, code):
+    cfg = write_cfg(tmp_path, text + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if code == 1:  # the sampling box: the error names its half-width key
+        assert text.rpartition("\n")[2].partition(" = ")[0] in err
 
 
 def test_compare_different_seed_changes_outputs(tmp_path):

@@ -1,6 +1,7 @@
 """Jacobians, EKF predict/update, saltation matrices, jump propagation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -494,3 +495,31 @@ _BELIEF = GaussianBelief([0.3, 0.4], np.eye(2))
 def test_estimation_input_checks(call, fragment):
     with pytest.raises(ArgumentError, match=fragment):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(lambda: GaussianBelief(np.zeros(4), 1e308 * np.eye(4)),
+                     "covariance entries must be finite and at most", id="belief-eye"),
+        pytest.param(lambda: GaussianBelief(np.zeros(2), np.full((2, 2), 1e308)),
+                     "covariance entries must be finite and at most", id="belief-full"),
+        pytest.param(
+            lambda: NoiseModel(q=1e308 * np.eye(4), r=[[1.0]], h=np.ones((1, 4))),
+            "Q entries must be finite and at most", id="q",
+        ),
+    ],
+)
+def test_a_covariance_whose_symmetrization_overflows_is_rejected(call, fragment):
+    # symmetrizing 1e308 entries overflows: at the parent a LinAlgError, or a
+    # RuntimeWarning and an all-inf covariance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArgumentError, match=fragment):
+            call()
+
+
+def test_a_jump_to_a_non_finite_belief_is_a_numerical_failure():
+    belief = GaussianBelief(np.zeros(2), np.eye(2))
+    with pytest.raises(NumericalFailureError, match="not finite after the jump"):
+        propagate_belief_through_jump(belief, lambda x: x, 1e200 * np.eye(2))

@@ -75,6 +75,8 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert row[2] == orig[2]
         assert float(row[3]) == orig[3]
         assert float(row[4]) == orig[4]
+    write_trajectory_csv(path, ("t", "j"), iter([]))  # no rows: the header alone
+    assert read_trajectory_csv(path) == (["t", "j"], [])
 
 
 def _old_per_cell_line(row):

@@ -20,7 +20,7 @@ from hdsim import (
     simulate,
 )
 from hdsim.estimation import NoiseModel
-from hdsim.power import blended_field
+from hdsim.power import InverterParams, blended_field
 
 
 def scenario_with(r_matrix, q=1e-6):
@@ -170,7 +170,9 @@ def test_hybrid_step_without_event_evaluates_the_field_four_times():
     assert len(calls) == 4 * sc.n_steps
 
 
-def test_beliefs_are_validated_once_per_run_and_once_per_jump(monkeypatch):
+def test_beliefs_are_validated_once_per_run(monkeypatch):
+    # a jump checks the belief it computes like a prediction does, not as
+    # caller input
     checks = []
     post_init = GaussianBelief.__post_init__
 
@@ -189,7 +191,7 @@ def test_beliefs_are_validated_once_per_run_and_once_per_jump(monkeypatch):
     z = truth.grid_states(0.0, sc.dt, sc.n_steps)
     run = run_ekf(automaton, sc, z)
     assert len(run.jumps) == 2
-    assert len(checks) == 1 + len(run.jumps)
+    assert len(checks) == 1
     checks.clear()
     run_ekf(decay, sc, z)
     assert len(checks) == 1
@@ -214,3 +216,56 @@ def test_a_field_runs_as_a_one_mode_automaton_with_no_edges(model):
     assert bare.covariances.tobytes() == automaton.covariances.tobytes()
     assert bare.modes == automaton.modes
     assert automaton.jumps == [] and not automaton.jump_counts.any()
+
+
+def _reference_with_gfl_to_gfm(**changes):
+    """The reference automaton with the GFL->GFM edge changed, its scenario
+    and the reference measurements."""
+    sc = reference_scenario()
+    automaton = inverter_automaton(sc.params, sc.v_grid)
+    edges = tuple(
+        replace(e, **changes) if e.label == "GFL->GFM" else e for e in automaton.edges
+    )
+    _, z = generate_truth_and_measurements(sc)
+    return replace(automaton, edges=edges), sc, z
+
+
+@pytest.mark.parametrize(
+    "changes, error, fragment",
+    [
+        pytest.param(
+            dict(reset=lambda x: 1e200 * np.asarray(x),
+                 reset_jacobian=lambda x: 1e200 * np.eye(4)),
+            NumericalFailureError, "belief is not finite after the jump", id="overflow",
+        ),
+        pytest.param(
+            dict(reset_jacobian=lambda x: np.full((4, 4), np.nan)),
+            ArgumentError, "saltation matrix entries must be finite", id="nan-jacobian",
+        ),
+        pytest.param(
+            dict(reset=lambda x: np.asarray(x)[:3], reset_jacobian=None),
+            ArgumentError, "saltation matrix must be square", id="short-reset",
+        ),
+    ],
+)
+def test_a_failed_jump_names_its_time_mode_and_edge(changes, error, fragment):
+    automaton, sc, z = _reference_with_gfl_to_gfm(**changes)
+    with pytest.raises(error) as err:
+        run_ekf(automaton, sc, z)
+    assert type(err.value) is error
+    assert str(err.value) == f"{fragment} at t=0.054 in mode 'GFL' on edge 'GFL->GFM'"
+    if error is NumericalFailureError:
+        assert err.value.time == 0.054
+
+
+@pytest.mark.parametrize("hybrid, mode", [(True, "GFM"), (False, "blended")])
+def test_a_diverged_prediction_names_its_time_and_mode(hybrid, mode):
+    sc = reference_scenario(params=InverterParams(r_pu=5e-324))
+    _, z = generate_truth_and_measurements(reference_scenario())
+    process = (
+        inverter_automaton(sc.params, sc.v_grid) if hybrid
+        else blended_field(sc.params, sc.v_grid)
+    )
+    with pytest.raises(NumericalFailureError) as err:
+        run_ekf(process, sc, z)
+    assert str(err.value) == f"prediction diverged at t={err.value.time} in mode {mode!r}"

@@ -555,3 +555,47 @@ def test_the_last_live_column_finishes_on_its_own():
 def test_safety_input_checks(lo, hi):
     with pytest.raises(ArgumentError, match="box bounds must have equal shape with hi >= lo"):
         box_sampler(lo, hi, seed=0)
+
+
+def test_a_reset_to_a_non_finite_state_surfaces_for_the_lowest_sample():
+    system = FlowJumpSystem(
+        dim=1, flow_map=lambda x, t: np.ones_like(x),
+        jump_set=lambda x, t: x[0] - 0.5, jump_map=lambda x: np.array([np.inf]),
+    )
+    run = dict(system=system, unsafe=lambda x: x[0] > 2.0, horizon=1.0, samples=3, dt=0.1)
+    with pytest.raises(NumericalFailureError) as got:
+        check_safety(init_sampler=listed([0.0], [0.2], [0.45])(), **run)
+    with pytest.raises(NumericalFailureError) as want:
+        oracle_check_safety(init_sampler=listed([0.0], [0.2], [0.45])(), **run)
+    assert str(got.value) == str(want.value)
+    assert "on edge 'jump' in mode 'flow'" in str(got.value)
+    assert got.value.trajectory.times.tolist() == want.value.trajectory.times.tolist()
+
+
+@pytest.mark.parametrize("level", [1.2, 2.0])
+def test_a_switched_lift_sweeps_as_a_batch(level):
+    # decays until the switch at 0.1, then grows: 1.2 is first passed after
+    # the switch, by sample 9
+    from hdsim import SwitchedSystem, lift_state, lift_switched
+
+    batches = {"decay": 0, "grow": 0}
+
+    def counted(name, rate):
+        def field(x, t):
+            batches[name] += np.ndim(x) == 2
+            return rate * x
+        return field
+
+    sw = SwitchedSystem(dim=1, fields=(counted("decay", -1.0), counted("grow", 3.0)),
+                        mode_sequence=(1, 2), switch_times=(0.1,))
+    lift = lift_switched(sw)
+
+    def sampler():
+        base = box_sampler([0.9], [1.0], seed=5)
+        return lambda: lift_state(sw, base())
+
+    run = dict(unsafe=lambda x: x[0] > level, horizon=0.2, samples=20, dt=1e-3)
+    verdict = check_safety(lift, sampler(), **run)
+    assert batches["decay"] > 0 and batches["grow"] > 0
+    assert verdict.samples_checked == (10 if level < 2.0 else 20)
+    assert_same_verdict(sampler, lift, **run)

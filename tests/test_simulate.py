@@ -18,6 +18,7 @@ from hdsim import (
     HybridTrajectory,
     LEFT_FLOW_SET,
     MAX_JUMPS_REACHED,
+    NUMERICAL_FAILURE,
     NoiseModel,
     NumericalFailureError,
     run_ekf,
@@ -481,3 +482,36 @@ def test_simulate_input_checks(call, error, fragment):
 def test_systems_input_checks(call, fragment):
     with pytest.raises(ArgumentError, match=fragment):
         call()
+
+
+def _reset_to_inf():
+    """Flows at unit speed and jumps at x = 0.5 to a non-finite state."""
+    return FlowJumpSystem(
+        dim=1, flow_map=lambda x, t: np.ones_like(x),
+        jump_set=lambda x, t: x[0] - 0.5, jump_map=lambda x: np.array([np.inf]),
+    )
+
+
+def test_a_reset_to_a_non_finite_state_is_a_numerical_failure():
+    with pytest.raises(NumericalFailureError) as err:
+        simulate(_reset_to_inf(), [0.0], 1.0, 5, 0.1)
+    t = err.value.time
+    assert abs(t - 0.5) < 1e-9
+    assert str(err.value) == (
+        f"reset to a non-finite state at t={t} on edge 'jump' in mode 'flow'"
+    )
+    traj = err.value.trajectory
+    assert traj.termination == NUMERICAL_FAILURE
+    assert traj.times[-1] == t and np.isfinite(traj.states).all()
+
+
+def test_a_flow_failure_names_its_mode():
+    system = FlowJumpSystem(
+        dim=1, flow_map=lambda x, t: np.where(x > 0.25, np.nan, 1.0),
+        mode_label=lambda x: "ramp",
+    )
+    with pytest.raises(NumericalFailureError) as err:
+        simulate(system, [0.0], 1.0, 5, 0.1)
+    t = err.value.time
+    assert str(err.value) == f"non-finite state while flowing to t={t} in mode 'ramp'"
+    assert err.value.trajectory.times.tolist() == [0.0, 0.1, 0.2]

@@ -10,6 +10,7 @@ from hdsim import (
     SwitchedSystem,
     lift_state,
     lift_switched,
+    numerical_jacobian,
     simulate,
 )
 
@@ -104,3 +105,22 @@ def test_validation_errors():
         )
     with pytest.raises(ArgumentError):
         SwitchedSystem(dim=1, fields=(lambda x, t: -x,), mode_sequence=(1, 1))
+
+
+def test_the_lift_acts_on_each_column():
+    sw = SwitchedSystem(
+        dim=1,
+        fields=(lambda x, t: -x, lambda x, t: -2 * x),
+        mode_sequence=(1, 2),
+        switch_times=(0.1,),
+    )
+    lift = lift_switched(sw)
+    jac = numerical_jacobian(lambda y: lift.flow_map(y, 0.0), lift_state(sw, [1.0]))
+    assert np.allclose(jac, [[-1.0, 0.0], [0.0, 0.0]], atol=1e-9)
+    batch = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])  # segments 0, 1, 0
+    flows = lift.flow_map(batch, 0.05)
+    margins = lift.jump_set(batch, 0.05)
+    for c in range(3):
+        assert np.array_equal(flows[:, c], lift.flow_map(batch[:, c], 0.05))
+        assert margins[c] == lift.jump_set(batch[:, c], 0.05)
+    assert margins.tolist() == [0.05 - 0.1, -np.inf, 0.05 - 0.1]
