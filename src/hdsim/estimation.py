@@ -3,21 +3,22 @@
 The filter follows the classic two-step recursion.  Prediction advances
 the mean one RK4 step and propagates covariance through the numerical
 Jacobian of that one-step transition map; the correction is the standard
-gain/mean/covariance update.  The mean moves through the simulator's
-stepping core (:func:`hdsim.simulate.next_event`), so the filter fires,
-localizes and disambiguates guards exactly as
-:func:`hdsim.simulate.simulate` does; a continuous process model is one
-mode with no edges.  At an event the belief is predicted to the event
-time, the mean passes through the reset map, and the covariance passes
-through the saltation matrix, which extends the reset Jacobian with the
-vector-field discontinuity across the guard surface.  More than
-``SAME_TIME_JUMP_BUDGET`` jumps at one instant (Zeno-like chattering)
-raise :class:`NumericalFailureError` naming the time, mode and edge.
+gain/mean/covariance update.  A filter run is a hybrid arc whose payload
+is a belief: :func:`run_ekf` steps it with :class:`hdsim.simulate.Stepper`,
+so the filter fires, localizes and disambiguates guards on the mean
+exactly as :func:`hdsim.simulate.simulate` does on the state; a continuous
+process model is one mode with no edges.  At an event the belief is
+predicted to the event time, the mean passes through the reset map, and
+the covariance passes through the saltation matrix, which extends the
+reset Jacobian with the vector-field discontinuity across the guard
+surface.  More than ``SAME_TIME_JUMP_BUDGET`` jumps at one instant
+(Zeno-like chattering) raise :class:`NumericalFailureError` naming the
+time, mode and edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, List, Optional, Union
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ArgumentError, GrazingError, HdsimError, NumericalFailureError
 from .integrate import rk4_step
-from .simulate import SAME_TIME_JUMP_BUDGET, next_event, quiet_overflow
+from .simulate import SAME_TIME_JUMP_BUDGET, Stepper, quiet_overflow
 from .systems import HybridAutomaton, JumpRecord, VectorField
 
 JACOBIAN_STEP_SCALE = 1e-6
@@ -375,16 +376,16 @@ def run_ekf(
 
     The filter is initialized at the true initial state with covariance
     ``p0 * I`` and corrected with the measurement at every grid time,
-    including t=0.  Hybrid mode decisions replay the scenario's measured
-    grid-voltage signal through the automaton guards (with hysteresis),
-    not the estimated state.  Guards fire as in
-    :func:`hdsim.simulate.next_event`; more than ``SAME_TIME_JUMP_BUDGET``
-    jumps at one instant raise :class:`NumericalFailureError`.  A failed
-    prediction, update or jump keeps its type and names the time, the mode
-    and, for a jump, the edge.
+    including t=0.  Between two grid times the belief goes through one
+    :meth:`hdsim.simulate.Stepper.advance`, whose guard scan reads the
+    mean; the automaton's invariants are not checked.  Hybrid mode
+    decisions replay the scenario's measured grid-voltage signal through
+    the automaton guards (with hysteresis), not the estimated state.  More
+    than ``SAME_TIME_JUMP_BUDGET`` jumps at one instant raise
+    :class:`NumericalFailureError`.  A failed prediction, update or jump
+    keeps its type and names the time, the mode and, for a jump, the edge.
     """
     n_steps = scenario.n_steps
-    dt = scenario.dt
     noise = scenario.noise
     z = np.asarray(measurements, dtype=float)
     if z.ndim == 1:
@@ -400,78 +401,76 @@ def run_ekf(
             f"{noise.measurement_dim}"
         )
 
-    if isinstance(process, HybridAutomaton):
-        mode = scenario.initial_mode
-        flow, edges = process.flows[mode], process.outgoing(mode)
-    else:
-        mode, flow, edges = "blended", process, []
-
-    belief = GaussianBelief(scenario.x0, p0 * np.eye(scenario.x0.size))
-    belief = _at(0.0, mode, None, ekf_update, belief, z[0], noise)
-
+    stepper = _BeliefStepper(process, scenario)
+    stepper.x = GaussianBelief(scenario.x0, p0 * np.eye(scenario.x0.size))
+    n = stepper.x.dim
     times = np.empty(n_steps + 1)
-    means = np.empty((n_steps + 1, belief.dim))
-    covs = np.empty((n_steps + 1, belief.dim, belief.dim))
+    means = np.empty((n_steps + 1, n))
+    covs = np.empty((n_steps + 1, n, n))
     modes: List[str] = []
     jump_counts = np.zeros(n_steps + 1, dtype=int)
-    jumps: List[JumpRecord] = []
-    times[0] = 0.0
-    means[0] = belief.mean
-    covs[0] = belief.covariance
-    modes.append(mode)
-    j = 0
-    same_t_jumps = 0
-
-    for k in range(1, n_steps + 1):
-        t_cur = (k - 1) * dt
-        t_k = k * dt
-        while True:
-            # The prediction's mean is the step's RK4 end state, which the
-            # guard scan takes as is.  A guard enabled at (mean, t_cur)
-            # fires first, and at any event the prediction is dropped.
-            predicted = None
-            if t_k > t_cur:
-                predicted = _at(
-                    t_k, mode, None, ekf_predict, belief, flow, t_k - t_cur, noise,
-                    t0=t_cur, q_scale=(t_k - t_cur) / dt,
-                )
-            _, event = next_event(
-                edges, flow, belief.mean, t_cur, t_k,
-                x_next=None if predicted is None else predicted.mean,
+    for k in range(n_steps + 1):
+        if k and not stepper.advance():  # only the same-instant budget stops it
+            raise NumericalFailureError(
+                f"more than {SAME_TIME_JUMP_BUDGET} jumps at t={stepper.t} "
+                f"in mode {stepper.mode!r}, next edge {stepper.refused.label!r}",
+                time=stepper.t,
             )
-            if event is None:
-                if predicted is not None:
-                    belief, t_cur, same_t_jumps = predicted, t_k, 0
-                break
-            t_star, edge, _ = event
-            if t_star > t_cur:
-                belief = _at(
-                    t_star, mode, None, ekf_predict, belief, flow, t_star - t_cur,
-                    noise, t0=t_cur, q_scale=(t_star - t_cur) / dt,
-                )
-                t_cur = t_star
-                same_t_jumps = 0
-            if same_t_jumps >= SAME_TIME_JUMP_BUDGET:
-                raise NumericalFailureError(
-                    f"more than {SAME_TIME_JUMP_BUDGET} jumps at t={t_cur} "
-                    f"in mode {mode!r}, next edge {edge.label!r}",
-                    time=t_cur,
-                )
-            belief, mode, flow = _at(
-                t_cur, mode, edge.label, _jump_belief,
-                process, edge, belief, mode, t_cur, jumps, j,
-            )
-            edges = process.outgoing(mode)
-            j += 1
-            same_t_jumps += 1
-        belief = _at(t_k, mode, None, ekf_update, belief, z[k], noise)
-        times[k] = t_k
+        belief = _at(stepper.t, stepper.mode, None, ekf_update, stepper.x, z[k], noise)
+        # the update moved the mean: the guards enabled at it fire first
+        stepper.x, stepper.guards_clear = belief, False
+        times[k] = stepper.t
         means[k] = belief.mean
         covs[k] = belief.covariance
-        modes.append(mode)
-        jump_counts[k] = j
+        modes.append(stepper.mode)
+        jump_counts[k] = stepper.j
 
-    return EkfRun(times, means, covs, modes, jump_counts, jumps)
+    return EkfRun(times, means, covs, modes, jump_counts, stepper.jumps)
+
+
+class _BeliefStepper(Stepper):
+    """A stepper over the scenario's grid that carries a :class:`GaussianBelief`:
+    it steps by :func:`ekf_predict`, whose mean the guard scan takes as the
+    step's end state, and jumps by :func:`_jump_belief`.  An automaton runs
+    without invariants, initial set or total jump budget."""
+
+    def __init__(self, process, scenario):
+        if isinstance(process, HybridAutomaton):
+            automaton = replace(process, invariants={}, init=None)
+            mode0 = scenario.initial_mode
+        else:
+            automaton = HybridAutomaton(
+                dim=scenario.x0.size, modes=("blended",), flows={"blended": process},
+                edges=(),
+            )
+            mode0 = "blended"
+        super().__init__(
+            automaton, scenario.x0, scenario.n_steps * scenario.dt, np.inf,
+            scenario.dt, mode0, 0.0, lambda *sample: None, [],
+        )
+        self.noise = scenario.noise
+
+    def _predict(self, belief: GaussianBelief, t: float, t_next: float) -> GaussianBelief:
+        h = t_next - t
+        return _at(
+            t_next, self.mode, None, ekf_predict, belief, self.flow, h, self.noise,
+            t0=t, q_scale=h / self.dt,
+        )
+
+    def _scan(self, belief, t, t_next, guards_clear, x_next=None):
+        predicted = self._predict(belief, t, t_next) if t_next > t else belief
+        _, event = super()._scan(belief.mean, t, t_next, guards_clear, predicted.mean)
+        if event is None:
+            return predicted, None
+        t_star, edge, _ = event
+        if t_star < t_next:  # else the step's prediction is the event's
+            predicted = belief if t_star == t else self._predict(belief, t, t_star)
+        return None, (t_star, edge, predicted)
+
+    def _jump(self, edge, belief, t, j):
+        after = _at(t, self.mode, edge.label, _jump_belief, self.system, edge, belief, t)
+        self._switch(edge, belief.mean, after.mean, t, j)
+        return after
 
 
 def _at(t, mode, edge, step, *args, **kwargs):
@@ -489,24 +488,10 @@ def _at(t, mode, edge, step, *args, **kwargs):
         raise NumericalFailureError(f"{exc}{where}", time=t) from exc
 
 
-def _jump_belief(automaton, edge, belief, mode, t, jumps, j):
-    f_pre = automaton.flows[mode]
-    f_post = automaton.flows[edge.target]
+def _jump_belief(automaton, edge, belief, t):
     xi = saltation_matrix(
-        edge.reset, f_pre, f_post, edge.guard_gradient, belief.mean, t,
+        edge.reset, automaton.flows[edge.source], automaton.flows[edge.target],
+        edge.guard_gradient, belief.mean, t,
         reset_jacobian=edge.reset_jacobian, edge=edge.label,
     )
-    mean_before = belief.mean.copy()
-    belief = propagate_belief_through_jump(belief, edge.reset, xi)
-    jumps.append(
-        JumpRecord(
-            t=t,
-            j_before=j,
-            edge=edge.label,
-            state_before=mean_before,
-            state_after=belief.mean.copy(),
-            mode_before=mode,
-            mode_after=edge.target,
-        )
-    )
-    return belief, edge.target, automaton.flows[edge.target]
+    return propagate_belief_through_jump(belief, edge.reset, xi)

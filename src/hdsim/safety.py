@@ -152,7 +152,7 @@ def _sweep(
     m = len(draws)
     steppers: List[Stepper] = []
     errors: Dict[int, Exception] = {}
-    at = np.full(m, np.inf)  # the grid time a column stands at; inf once done
+    running = np.zeros(m, dtype=bool)  # the columns at the sweep's grid time
     X = np.zeros((system.dim, m))
     modes = system.modes if isinstance(system, HybridAutomaton) else None
     group = np.zeros(m, dtype=int)  # index of the column's mode (automata)
@@ -161,24 +161,23 @@ def _sweep(
     def decide(c: int) -> None:
         nonlocal best
         best = min(best, c)
-        at[best:] = np.inf
+        running[best:] = False
 
     def run(c: int, t: float, x_next=None, to_end: bool = False) -> None:
         # the scalar path: column c from (X[:, c], t) through its events to
-        # the next grid time
+        # the sweep's next grid time
         s = steppers[c]
         s.x, s.t = X[:, c].copy(), t
         try:
-            running = s.advance(x_next, to_end)
+            stepping = s.advance(x_next, to_end)
         except Exception as exc:  # surfaces after the lower samples
             errors[c] = exc
             decide(c)
             return
         if best <= c:  # the sink met an unsafe sample
             return
-        # a jump within 1e-9 dt of the next grid time skips it: s.t is later
-        at[c] = s.t if running else np.inf
-        if running:
+        running[c] = stepping
+        if stepping:
             X[:, c] = s.x
             if modes:
                 group[c] = modes.index(s.mode)
@@ -209,9 +208,8 @@ def _sweep(
             x_next, clear, all_clear = None, np.zeros(cols.size, dtype=bool), False
         else:
             X[:, flowing] = x_flow
-            at[flowing] = t_next
             if not inside.all():  # left the flow set
-                at[flowing[~np.broadcast_to(inside, flowing.shape)]] = np.inf
+                running[flowing[~np.broadcast_to(inside, flowing.shape)]] = False
             if bad.any():
                 decide(flowing[bad][0])
         if all_clear:
@@ -241,12 +239,11 @@ def _sweep(
             break
 
     while True:
-        cols = np.flatnonzero(at[:best] == t)
-        open_cols = np.count_nonzero(np.isfinite(at[:best]))
+        cols = np.flatnonzero(running[:best])
         at_end, t_next = next_grid_time(t, 0.0, dt, horizon)
-        if at_end or open_cols == 0:
-            break  # at the horizon every column at t is done
-        if cols.size == 1 and open_cols == 1:
+        if at_end or cols.size == 0:
+            break  # at the horizon every column is done
+        if cols.size == 1:
             # a lone column costs less on its own than as a batch of one
             run(cols[0], t, to_end=True)
             break

@@ -1,25 +1,24 @@
 """Hybrid simulation: flow until a guard margin crosses zero, localize,
 reset, repeat.
 
-One stepping core, :func:`next_event`, serves both the simulator and the
-hybrid EKF (:func:`hdsim.estimation.run_ekf`).  From a state at time
-``t`` it fires a guard already enabled at ``t`` (jump priority: when the
-state sits in both the flow and the jump set, the jump fires first);
+One stepping core, :func:`next_event`, scans one step.  From a state at
+time ``t`` it fires a guard already enabled at ``t`` (jump priority: when
+the state sits in both the flow and the jump set, the jump fires first);
 otherwise it takes one RK4 step to ``t_next`` and, when a guard margin
 changes sign inside the step, localizes the crossing with
 :func:`hdsim.events.locate_event` against the single-step RK4
 interpolant.  Two guards enabled within one localization tolerance raise
 :class:`AmbiguousTransitionError` instead of choosing.
 
-The simulator walks a fixed RK4 grid of step ``dt``.  At a localized
-crossing it records a pre-jump sample at the event time, applies the
-reset, and resumes from the event time with a shortened step back to the
-grid.  Keeping every later sample on the original grid makes trajectories
-directly comparable across runs with and without jumps.  At most
-``SAME_TIME_JUMP_BUDGET`` jumps may follow one another at one instant.
-That loop is :meth:`Stepper.advance`, which holds one trajectory's
-stepping state: :func:`simulate` runs it to the end, and the sampled
-safety sweep runs it for the columns whose guard crossed.
+One loop, :meth:`Stepper.advance`, walks a fixed RK4 grid of step ``dt``.
+At a localized crossing it records a pre-jump sample at the event time,
+applies the reset, and resumes from the event time with a shortened step
+back to the grid time it was heading for.  Keeping every later sample on
+the original grid makes trajectories directly comparable across runs with
+and without jumps.  At most ``SAME_TIME_JUMP_BUDGET`` jumps may follow one
+another at one instant.  :func:`simulate` runs one stepper to its end, the
+safety sweep runs it for the columns whose guard crossed, and the EKF
+(:func:`hdsim.estimation.run_ekf`) runs one that carries a belief.
 """
 
 from __future__ import annotations
@@ -162,15 +161,20 @@ def next_grid_time(t: float, t0: float, dt: float, t_end: float) -> Tuple[bool, 
 class Stepper:
     """The stepping state of one trajectory on a fixed RK4 grid.
 
-    :meth:`advance` is the simulation loop: it steps towards the next grid
-    time with :func:`next_event`; at a localized crossing it records the
+    :meth:`advance` is the hybrid loop: it steps towards the next grid
+    time with :meth:`_scan`; at a localized crossing it records the
     pre-jump sample, checks the jump budget and the same-instant budget,
-    applies the reset and resumes with a shortened step back to the grid.
-    Every sample goes to ``sink(t, j, mode, state)`` and every jump to the
-    list ``jumps`` when one is given.  :func:`simulate` runs one stepper to
-    its end; :func:`hdsim.safety.check_safety` steps the event-free columns
-    of a sweep as one batch and hands each column whose guard crossed to
+    applies the reset with :meth:`_jump` and resumes with a shortened step
+    back to the same grid time.  Every sample goes to
+    ``sink(t, j, mode, state)`` and every jump to the list ``jumps`` when
+    one is given.  :func:`simulate` runs one stepper to its end;
+    :func:`hdsim.safety.check_safety` steps the event-free columns of a
+    sweep as one batch and hands each column whose guard crossed to
     :meth:`advance`.  The arguments are those of :func:`simulate`.
+
+    ``x`` is a state, or what a subclass's :meth:`_scan` and :meth:`_jump`
+    carry (the EKF's belief).  Whoever replaces ``x`` between two calls of
+    :meth:`advance` clears ``guards_clear``, so the guards enabled there fire.
     """
 
     def __init__(
@@ -215,6 +219,7 @@ class Stepper:
         self.t0, self.dt, self.t_end, self.max_jumps = t0, dt, t0 + horizon, max_jumps
         self.guards_clear = False
         self.termination: Optional[str] = None
+        self.refused: Optional[Edge] = None  # the edge a spent budget refused
         self.sink, self.jumps = sink, jumps
         sink(t0, 0, self.mode, x)
 
@@ -228,38 +233,45 @@ class Stepper:
         """The mode label of a sample: the automaton mode, or ``mode_label``."""
         return self.mode if self.is_automaton else self.system.mode_label(state)
 
+    def _scan(self, x, t: float, t_next: float, guards_clear: bool, x_next=None):
+        """:func:`next_event` in the current mode; an event carries ``x`` at its time."""
+        return next_event(self.edges, self.flow, x, t, t_next, guards_clear, x_next)
+
     def advance(self, x_next: Optional[np.ndarray] = None, to_end: bool = False) -> bool:
         """Step to the next grid time, through every event on the way.
 
-        Returns ``True`` on landing there without an event (``x``, ``t``
-        and ``j`` then hold the new grid sample), or ``False`` once
-        ``termination`` is set.  ``x_next`` is as for :func:`next_event`:
-        the RK4 state at the next grid time from ``(x, t)``.  With
-        ``to_end`` it keeps stepping until the run terminates.
+        Returns ``True`` on reaching it (``x``, ``t`` and ``j`` then hold
+        the new grid sample, taken after any jumps at that time), or
+        ``False`` once ``termination`` is set.  However close to it a jump
+        lands, the target stays that grid time.  ``x_next`` is as for
+        :func:`next_event`: the RK4 state at the next grid time from
+        ``(x, t)``.  With ``to_end`` it keeps stepping until the run
+        terminates.
 
         Raises the errors of :func:`next_event` and of the reset maps; a
         reset to a non-finite state raises :class:`NumericalFailureError`
         naming the time and the edge.
         """
         x, t, j = self.x, self.t, self.j
-        flow, edges, invariant = self.flow, self.edges, self.invariant
         t0, dt, t_end, sink = self.t0, self.dt, self.t_end, self.sink
         guards_clear = self.guards_clear
         same_t_jumps = 0
+        at_end, t_next = next_grid_time(t, t0, dt, t_end)
         while True:
-            at_end, t_next = next_grid_time(t, t0, dt, t_end)
-            x_new, event = next_event(edges, flow, x, t, t_next, guards_clear, x_next)
+            x_new, event = self._scan(x, t, t_next, guards_clear, x_next)
             x_next = None
             if event is None:
                 if at_end:
                     return self._stop(HORIZON_REACHED, x, t, j)
-                t, x = t_next, x_new
+                if t_next > t:  # jumps at t_next itself leave no step to take
+                    t, x = t_next, x_new
+                    sink(t, j, self._label(x), x)
+                    if not self.invariant(x, t):
+                        return self._stop(LEFT_FLOW_SET, x, t, j)
                 same_t_jumps = 0
                 guards_clear = True
-                sink(t, j, self._label(x), x)
-                if not invariant(x, t):
-                    return self._stop(LEFT_FLOW_SET, x, t, j)
                 if to_end:
+                    at_end, t_next = next_grid_time(t, t0, dt, t_end)
                     continue
                 self.x, self.t, self.j, self.guards_clear = x, t, j, True
                 return True
@@ -271,9 +283,9 @@ class Stepper:
                 sink(t_star, j, self._label(x_star), x_star)
                 t = t_star
             if j >= self.max_jumps or same_t_jumps >= SAME_TIME_JUMP_BUDGET:
+                self.refused = edge
                 return self._stop(MAX_JUMPS_REACHED, x_star, t, j)
             x = self._jump(edge, x_star, t, j)
-            flow, edges, invariant = self.flow, self.edges, self.invariant
             j += 1
             same_t_jumps += 1
             sink(t, j, self._label(x), x)
@@ -285,24 +297,29 @@ class Stepper:
                 f"reset to a non-finite state at t={t} on edge {edge.label!r}", time=t
             )
         x_new = as_state(x_new, self.system.dim)
+        self._switch(edge, state, x_new, t, j)
+        return x_new
+
+    def _switch(self, edge: Edge, before: np.ndarray, after: np.ndarray, t: float,
+                j: int) -> None:
+        """Take the mode the jump along ``edge`` leads to, and record the jump."""
         old_mode = self.mode
         if self.is_automaton:
             self._enter(edge.target)
         else:
-            self.mode = self.system.mode_label(x_new)
+            self.mode = self.system.mode_label(after)
         if self.jumps is not None:
             self.jumps.append(
                 JumpRecord(
                     t=t,
                     j_before=j,
                     edge=edge.label,
-                    state_before=state.copy(),
-                    state_after=x_new.copy(),
+                    state_before=before.copy(),
+                    state_after=after.copy(),
                     mode_before=old_mode,
-                    mode_after=self._label(x_new),
+                    mode_after=self._label(after),
                 )
             )
-        return x_new
 
     def _stop(self, termination: str, x: np.ndarray, t: float, j: int) -> bool:
         self.x, self.t, self.j, self.termination = x, t, j, termination

@@ -98,7 +98,8 @@ def simulate_switched(
     Walks the same uniform grid as :func:`hdsim.simulate.simulate`, splitting
     any step that straddles a switch instant exactly at that instant, and
     records a pre/post sample pair there so the trajectory shape matches
-    the lifted simulation sample for sample.
+    the lifted simulation sample for sample.  After a switch the step goes
+    on to the grid time it was heading for, however close the switch was.
     """
     if horizon <= 0.0 or dt <= 0.0:
         raise ArgumentError("horizon and dt must be positive")
@@ -109,10 +110,9 @@ def simulate_switched(
     traj = HybridTrajectory()
     j = 0
     traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
-    k = 0
+    k = 1
     while t < t_end - 1e-15 * max(1.0, abs(t_end)):
-        k_next = int(np.floor((t - t0) / dt + 1e-9)) + 1
-        t_next = min(t0 + k_next * dt, t_end)
+        t_next = min(t0 + k * dt, t_end)
         # Split at the next switch instant when it falls inside this step.
         if seg < len(sw.switch_times) and t < sw.switch_times[seg] <= t_next:
             s = sw.switch_times[seg]
@@ -135,9 +135,11 @@ def simulate_switched(
             j += 1
             traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
             continue
-        x = rk4_step(sw.fields[sw.mode_sequence[seg] - 1], x, t, t_next - t)
-        t = t_next
-        traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
+        if t_next > t:  # a switch on the grid time itself leaves no step
+            x = rk4_step(sw.fields[sw.mode_sequence[seg] - 1], x, t, t_next - t)
+            t = t_next
+            traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
+        k += 1
     traj.termination = HORIZON_REACHED
     return traj
 

@@ -6,7 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import hdsim.estimation as estimation
 from hdsim import (
+    MAX_JUMPS_REACHED,
     ArgumentError,
     Edge,
     GaussianBelief,
@@ -21,6 +23,7 @@ from hdsim import (
 )
 from hdsim.estimation import NoiseModel
 from hdsim.power import InverterParams, blended_field
+from hdsim.simulate import SAME_TIME_JUMP_BUDGET
 
 
 def scenario_with(r_matrix, q=1e-6):
@@ -115,18 +118,89 @@ def test_identity_reset_jump_leaves_covariance_continuous():
     assert np.array_equal(second.state_before, second.state_after)
 
 
-def test_same_instant_jump_budget_raises_naming_time_mode_and_edge():
+def counted_calls(monkeypatch, name):
+    """Wrap ``hdsim.estimation.<name>`` so that each call is counted."""
+    calls = []
+    original = getattr(estimation, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, name, counted)
+    return calls
+
+
+def test_same_instant_jump_budget_raises_naming_time_mode_and_edge(monkeypatch):
     # the identity reset leaves the guard enabled: from t = 0.05 on the
-    # filter would jump at one instant without end
+    # filter would jump at one instant without end.  The simulator and the
+    # filter share one budget: each takes exactly that many jumps.
     chatter = Edge("a", "a", guard=lambda x, t: t - 0.05, reset=lambda x: x,
                    label="chatter")
     automaton = HybridAutomaton(dim=1, modes=("a",), flows={"a": decay},
                                 edges=(chatter,))
     sc = scalar_scenario(horizon=0.1, dt=1e-3, r=1e-2)
+    traj = simulate(automaton, sc.x0, 0.1, max_jumps=100, dt=sc.dt, mode0="a")
+    assert traj.termination == MAX_JUMPS_REACHED
+    assert traj.jump_times == [0.05] * SAME_TIME_JUMP_BUDGET
+    jumps = counted_calls(monkeypatch, "_jump_belief")
     with pytest.raises(NumericalFailureError) as err:
         run_ekf(automaton, sc, np.ones((sc.n_steps + 1, 1)))
-    assert abs(err.value.time - 0.05) <= 1e-9
-    assert "'a'" in str(err.value) and "chatter" in str(err.value)
+    assert len(jumps) == SAME_TIME_JUMP_BUDGET
+    assert err.value.time == 0.05
+    assert str(err.value) == (
+        f"more than {SAME_TIME_JUMP_BUDGET} jumps at t=0.05 in mode 'a', "
+        "next edge 'chatter'"
+    )
+
+
+def test_a_jump_just_before_a_grid_time_keeps_that_grid_time():
+    # the jump lands 5e-14 s before the grid time 0.054, within 1e-9 dt:
+    # both the simulator and the filter step the remainder back to it
+    dt = 1e-4
+    t_switch = 540 * dt - 5e-14
+    switch = Edge("a", "b", guard=lambda x, t: t - t_switch, reset=lambda x: x)
+    automaton = HybridAutomaton(dim=1, modes=("a", "b"),
+                                flows={"a": decay, "b": decay}, edges=(switch,))
+    sc = scalar_scenario(horizon=0.06, dt=dt, r=1e-2)
+    traj = simulate(automaton, sc.x0, 0.06, max_jumps=10, dt=dt, mode0="a")
+    assert traj.jump_times == [t_switch]
+    assert traj.times[539:544].tolist() == [539 * dt, t_switch, t_switch, 540 * dt,
+                                            541 * dt]
+    run = run_ekf(automaton, sc, np.ones((sc.n_steps + 1, 1)))
+    assert [r.t for r in run.jumps] == [t_switch]
+    assert run.times.tolist() == [k * dt for k in range(sc.n_steps + 1)]
+    assert run.modes[539:541] == ["a", "b"]
+
+
+def test_a_guard_the_update_enables_fires_at_that_grid_time():
+    # x' = 1 - x holds the truth at 1.  The measurement at row 5 pulls the
+    # mean below the guard at 0.5; the flow would carry it back above 0.5
+    # within the next step, so only a guard check at (updated mean, 5 dt)
+    # sees it: the filter must jump there, before it flows.
+    refill = Edge("a", "a", guard=lambda x, t: 0.5 - x[0],
+                  reset=lambda x: np.array([1.0]),
+                  guard_gradient=lambda x, t: np.array([-1.0]), label="refill")
+    automaton = HybridAutomaton(dim=1, modes=("a",),
+                                flows={"a": lambda x, t: 1.0 - x}, edges=(refill,))
+    sc = scalar_scenario(horizon=0.1, dt=1e-2, r=0.0)
+    z = np.ones((sc.n_steps + 1, 1))
+    z[5] = 0.499
+    run = run_ekf(automaton, sc, z)
+    assert abs(run.means[5, 0] - 0.499) <= 1e-12
+    assert [r.t for r in run.jumps] == [run.times[5]] == [5 * sc.dt]
+    assert run.jump_counts.tolist() == [0] * 6 + [1] * (sc.n_steps - 5)
+
+
+def test_an_event_on_the_step_end_reuses_the_step_prediction(monkeypatch):
+    # both reference switches land on grid times: the prediction to the
+    # grid time is the prediction to the event
+    predictions = counted_calls(monkeypatch, "ekf_predict")
+    sc = reference_scenario(seed=42)
+    _, z = generate_truth_and_measurements(sc)
+    run = run_ekf(inverter_automaton(sc.params, sc.v_grid), sc, z)
+    assert [r.t for r in run.jumps] == [0.054, 0.128]
+    assert len(predictions) == sc.n_steps
 
 
 def test_state_dependent_guard_jump_times_match_simulate():

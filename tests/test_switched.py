@@ -56,21 +56,27 @@ def test_two_mode_switch_closed_form():
 
 def test_cycling_lift_matches_direct_simulation():
     fields = (lambda x, t: -x, lambda x, t: -2 * x, lambda x, t: -3 * x)
-    sw = SwitchedSystem(
-        dim=1,
-        fields=fields,
-        mode_sequence=(1, 2, 3, 1, 2, 3),
-        switch_times=(0.05, 0.10, 0.15, 0.20, 0.25),
-    )
-    lifted = lift_switched(sw)
-    lift_traj = simulate(lifted, lift_state(sw, [1.0]), 0.3, max_jumps=10, dt=1e-3)
-    direct = simulate_switched(sw, [1.0], 0.3, 1e-3)
-    assert len(lift_traj.samples) == len(direct.samples)
-    for a, b in zip(lift_traj.samples, direct.samples):
-        assert abs(a.time.t - b.time.t) <= 1e-12
-        assert a.time.j == b.time.j
-        assert abs(a.state[0] - b.state[0]) <= 1e-12
-        assert a.mode == b.mode
+    # 0.3 lies 4e-17 s before the grid time 3 * 0.1: the step after that
+    # switch still ends there
+    for switch_times, dt in [
+        ((0.05, 0.10, 0.15, 0.20, 0.25), 1e-3),
+        ((0.1, 0.2, 0.3, 0.31, 0.4), 0.1),
+    ]:
+        sw = SwitchedSystem(
+            dim=1,
+            fields=fields,
+            mode_sequence=(1, 2, 3, 1, 2, 3),
+            switch_times=switch_times,
+        )
+        lifted = lift_switched(sw)
+        lift_traj = simulate(lifted, lift_state(sw, [1.0]), 0.5, max_jumps=10, dt=dt)
+        direct = simulate_switched(sw, [1.0], 0.5, dt)
+        assert len(lift_traj.samples) == len(direct.samples)
+        for a, b in zip(lift_traj.samples, direct.samples):
+            assert abs(a.time.t - b.time.t) <= 1e-12
+            assert a.time.j == b.time.j
+            assert abs(a.state[0] - b.state[0]) <= 1e-12
+            assert a.mode == b.mode
 
 
 def test_multidimensional_lift():
