@@ -186,7 +186,7 @@ class FlowJumpSystem:
 
     ``flow_set`` is a boolean predicate; ``jump_set`` is a signed margin
     (negative outside the jump set, non-negative inside) so crossings can
-    be localized by bisection.  Both receive ``(state, time)`` so
+    be localized by false position.  Both receive ``(state, time)`` so
     exogenous inputs can be threaded through as explicit time
     dependence.  When state and time put the system in both C and D, the
     jump fires first.

@@ -12,7 +12,10 @@ none of its event machinery:
 * :func:`swing_field` is the bare two-state SMIB swing field, without
   the line label the simulated system carries;
 * :func:`box_muller_normals` draws the measurement-noise stream one
-  normal at a time, keeping each pair's sine for the next draw.
+  normal at a time, keeping each pair's sine for the next draw;
+* :func:`bisection_locate_event` localizes a guard crossing by plain
+  bisection plus the regula-falsi polish, the localizer that
+  :func:`hdsim.events.locate_event` replaced.
 
 They are kept test references, not part of the library API; their
 arithmetic must not change, or the bitwise comparisons stop meaning
@@ -22,11 +25,12 @@ anything.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from hdsim.errors import ArgumentError, NumericalFailureError
+from hdsim.events import LOCATE_TOL, _POLISH_ITERS
 from hdsim.integrate import VectorField, rk4_step
 from hdsim.power import SmibParams
 from hdsim.switched import SwitchedSystem
@@ -175,3 +179,47 @@ def box_muller_normals(seed: int, shape) -> np.ndarray:
         spare = radius * math.sin(angle)
         out[i] = radius * math.cos(angle)
     return out.reshape(shape)
+
+
+def bisection_locate_event(margin: Callable, t_lo: float, t_hi: float) -> Optional[float]:
+    """:func:`hdsim.events.locate_event` by bisection down to ``LOCATE_TOL``.
+
+    Same contract: the upper end of a bracket at most ``LOCATE_TOL`` wide,
+    ``t_lo`` when the margin is already non-negative there and ``None``
+    when it is still negative at ``t_hi``.  The bisection halves the
+    bracket once per probe, about 27 probes from a 1e-2 s step, and the
+    same regula-falsi polish as the library's follows it.
+    """
+    m_lo = float(margin(t_lo))
+    if m_lo >= 0.0:
+        return t_lo
+    m_hi = float(margin(t_hi))
+    if m_hi < 0.0:
+        return None
+    lo, hi = t_lo, t_hi
+    while hi - lo > LOCATE_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        m_mid = float(margin(mid))
+        if m_mid >= 0.0:
+            hi, m_hi = mid, m_mid
+        else:
+            lo, m_lo = mid, m_mid
+    for _ in range(_POLISH_ITERS):
+        denom = m_hi - m_lo
+        if denom <= 0.0:
+            break
+        t_star = lo - m_lo * (hi - lo) / denom
+        if not lo < t_star < hi:
+            break
+        m_star = float(margin(t_star))
+        if m_star >= 0.0:
+            if t_star == hi:
+                break
+            hi, m_hi = t_star, m_star
+        else:
+            if t_star == lo:
+                break
+            lo, m_lo = t_star, m_star
+    return hi

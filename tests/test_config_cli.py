@@ -357,11 +357,12 @@ def test_compare_writes_three_files_and_is_byte_deterministic(tmp_path):
 # restored nine times in 5 s, each crossing of the state-dependent guard
 # localized on the RK4 interpolant.  The SMIB digests are of the simulate
 # trajectory and of a verify sweep whose witness is the first localized
-# trip, taken before the event path began reusing its RK4 stages, states
-# and margins.  The inverter digests are of the seed-42 reference
-# simulate, with its two time-triggered switches, and of a reference
-# verify whose witness exceeds i_lim after the first switch, taken before
-# trajectories were stored as columns.
+# trip, taken with the Illinois false-position localizer; its crossings
+# stay within LOCATE_TOL of the bisection localizer it replaced
+# (test_events.py compares the two).  The inverter digests are of the
+# seed-42 reference simulate, with its two time-triggered switches, and of
+# a reference verify whose witness exceeds i_lim after the first switch,
+# taken before trajectories were stored as columns.
 SMIB_TRIPS = (
     "model = smib\nhorizon = 5.0\ndt = 0.01\nmax_jumps = 1000000\n"
     "smib.p_m = 2.0\nsmib.d = 0.5\nsmib.p_e_max = 1.5\n"
@@ -373,11 +374,11 @@ GOLDEN_EVENT_PATH_DIGESTS = {
     # test id: (config, command, output file, SHA-256)
     "simulate-trajectory_smib.csv": (
         SMIB_TRIPS, "simulate", "trajectory_smib.csv",
-        "801543bb0f386142e0964724e75ab52e4d31a494d8ea97330fd241b4f95c52d4",
+        "f7f2c445927e5b3a181cc722ef9cdf0d630b6f934af53c657dc745952fece193",
     ),
     "verify-verify_report.txt": (
         SMIB_TRIPS, "verify", "verify_report.txt",
-        "b90c72e47e3b707fabe92bd1108b9a2c990362419e01643b873b062a159faba7",
+        "6690547a1bbe2f24eab4b0428a4a9ed2a71b617b4d360456c3381771bb351b35",
     ),
     "simulate-trajectory_inverter.csv": (
         INVERTER_REF, "simulate", "trajectory_inverter.csv",
