@@ -12,11 +12,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError
 from .estimation import EkfRun, run_ekf
 from .metrics import rmse
-from .power import (
-    blended_field,
-    generate_truth_and_measurements,
-    inverter_automaton,
-)
+from .power import blended_field, generate_truth_and_measurements
 from .report import (
     INVERTER_STATES,
     NEAR_SWITCH,
@@ -72,7 +68,7 @@ def run_comparison(config: ExperimentConfig) -> Tuple[RmseReport, List[str]]:
 
     which = config["filter"]
     filters = ("hybrid", "continuous") if which == "both" else (which,)
-    automaton = inverter_automaton(scenario.params, scenario.v_grid)
+    automaton = config.system().system
     blended = blended_field(scenario.params, scenario.v_grid)
     p0 = float(config["ekf.p0"])
 

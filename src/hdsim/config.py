@@ -123,6 +123,33 @@ _CHOICES = {
 }
 
 
+_TYPES = {
+    int: "an integer",
+    float: "a number",
+    _floats: "a list of numbers",
+    _profile: "a list of (t, value) pairs",
+}
+
+
+def _typed(value, parse, default) -> bool:
+    """Whether ``value``, set from Python and so not parsed, has the type
+    ``parse`` gives: a non-``bool`` ``int``, or numbers shaped like the
+    key's ``default`` in any length.  An empty list is left to the model's
+    own checks."""
+    if parse is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged list
+        return False
+    shape = np.shape(default)
+    if array.dtype.kind not in "iuf":
+        return False
+    if shape and array.size == 0:
+        return True
+    return array.ndim == len(shape) and array.shape[1:] == shape[1:]
+
+
 def _parse_value(key: str, raw: str):
     try:
         return SCHEMA[key][0](raw)
@@ -158,9 +185,10 @@ class ExperimentConfig:
         for key, choices in _CHOICES.items():
             if v[key] not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, got {v[key]!r}")
-        for key, (parse, _, _) in SCHEMA.items():
-            numeric = parse in (float, _floats, _profile)
-            if numeric and not np.all(np.isfinite(np.asarray(v[key], dtype=float))):
+        for key, (parse, default, _) in SCHEMA.items():
+            if parse is not str and not _typed(v[key], parse, default):
+                raise ConfigError(f"{key} must be {_TYPES[parse]}, got {v[key]!r}")
+            if parse not in (str, int) and not np.all(np.isfinite(v[key])):
                 raise ConfigError(f"{key} must be finite, got {v[key]!r}")
         for key in ("horizon", "dt"):
             if not float(v[key]) > 0.0:
@@ -188,7 +216,7 @@ class ExperimentConfig:
         # building the model overflows, is a config error.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                self.system()
+                self._model = self._build()
         except ArgumentError as exc:
             raise ConfigError(f"invalid {v['model']} model: {exc}") from exc
         except ArithmeticError as exc:
@@ -256,7 +284,11 @@ class ExperimentConfig:
         )
 
     def system(self) -> ConfiguredModel:
-        """The configured model: the one place that reads ``model``."""
+        """The configured model, as built once when the values were validated."""
+        return self._model
+
+    def _build(self) -> ConfiguredModel:
+        """Build the configured model: the one place that reads ``model``."""
         if self.values["model"] == "smib":
             params = self.smib_params()
             x0 = self.smib_x0()

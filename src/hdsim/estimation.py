@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ArgumentError, GrazingError, HdsimError, NumericalFailureError
 from .integrate import rk4_step
-from .simulate import SAME_TIME_JUMP_BUDGET, Stepper, quiet_overflow
+from .simulate import SAME_TIME_JUMP_BUDGET, Stepper, located, quiet_overflow
 from .systems import HybridAutomaton, JumpRecord, VectorField
 
 JACOBIAN_STEP_SCALE = 1e-6
@@ -380,10 +380,10 @@ def run_ekf(
     :meth:`hdsim.simulate.Stepper.advance`, whose guard scan reads the
     mean; the automaton's invariants are not checked.  Hybrid mode
     decisions replay the scenario's measured grid-voltage signal through
-    the automaton guards (with hysteresis), not the estimated state.  More
-    than ``SAME_TIME_JUMP_BUDGET`` jumps at one instant raise
-    :class:`NumericalFailureError`.  A failed prediction, update or jump
-    keeps its type and names the time, the mode and, for a jump, the edge.
+    the automaton guards (with hysteresis), not the estimated state.  A
+    failed prediction, update or jump keeps its type and names its time,
+    mode and jump edge (:func:`hdsim.simulate.located`), as does the
+    ``NumericalFailureError`` of more than ``SAME_TIME_JUMP_BUDGET`` jumps at once.
     """
     n_steps = scenario.n_steps
     noise = scenario.noise
@@ -411,12 +411,12 @@ def run_ekf(
     jump_counts = np.zeros(n_steps + 1, dtype=int)
     for k in range(n_steps + 1):
         if k and not stepper.advance():  # only the same-instant budget stops it
-            raise NumericalFailureError(
-                f"more than {SAME_TIME_JUMP_BUDGET} jumps at t={stepper.t} "
-                f"in mode {stepper.mode!r}, next edge {stepper.refused.label!r}",
-                time=stepper.t,
-            )
-        belief = _at(stepper.t, stepper.mode, None, ekf_update, stepper.x, z[k], noise)
+            budget = NumericalFailureError(f"more than {SAME_TIME_JUMP_BUDGET} jumps")
+            raise located(budget, stepper.t, stepper.mode, stepper.refused)
+        try:
+            belief = ekf_update(stepper.x, z[k], noise)
+        except (ArgumentError, NumericalFailureError) as exc:
+            raise located(exc, stepper.t, stepper.mode)
         # the update moved the mean: the guards enabled at it fire first
         stepper.x, stepper.guards_clear = belief, False
         times[k] = stepper.t
@@ -452,10 +452,7 @@ class _BeliefStepper(Stepper):
 
     def _predict(self, belief: GaussianBelief, t: float, t_next: float) -> GaussianBelief:
         h = t_next - t
-        return _at(
-            t_next, self.mode, None, ekf_predict, belief, self.flow, h, self.noise,
-            t0=t, q_scale=h / self.dt,
-        )
+        return ekf_predict(belief, self.flow, h, self.noise, t0=t, q_scale=h / self.dt)
 
     def _scan(self, belief, t, t_next, guards_clear, x_next=None):
         predicted = self._predict(belief, t, t_next) if t_next > t else belief
@@ -468,24 +465,9 @@ class _BeliefStepper(Stepper):
         return None, (t_star, edge, predicted)
 
     def _jump(self, edge, belief, t, j):
-        after = _at(t, self.mode, edge.label, _jump_belief, self.system, edge, belief, t)
+        after = _jump_belief(self.system, edge, belief, t)
         self._switch(edge, belief.mean, after.mean, t, j)
         return after
-
-
-def _at(t, mode, edge, step, *args, **kwargs):
-    """``step(*args, **kwargs)``, the filter's step to (or jump at) ``t`` in
-    ``mode``, along ``edge`` for a jump.  A failure keeps its type and
-    gains the time (unless it names its own), the mode and the edge."""
-    try:
-        return step(*args, **kwargs)
-    except (ArgumentError, NumericalFailureError) as exc:
-        where = f" in mode {mode!r}" + (f" on edge {edge!r}" if edge else "")
-        if getattr(exc, "time", None) is None:
-            where = f" at t={t}{where}"
-        if isinstance(exc, ArgumentError):
-            raise ArgumentError(f"{exc}{where}") from exc
-        raise NumericalFailureError(f"{exc}{where}", time=t) from exc
 
 
 def _jump_belief(automaton, edge, belief, t):

@@ -143,6 +143,19 @@ def next_event(
     return x_next, (t_star, edge, interpolant(t_star))
 
 
+def located(exc: Exception, t: float, mode: str, edge: Optional[Edge] = None):
+    """``exc``, its message ending `` at t=<t>`` if it has no ``time`` (then
+    ``t`` is its time), `` in mode '<mode>'`` and, for a jump, `` on edge
+    '<label>'``.  Changed in place, so it keeps its type and fields."""
+    where = f" in mode {mode!r}" + ("" if edge is None else f" on edge {edge.label!r}")
+    if getattr(exc, "time", None) is None:
+        where = f" at t={t}{where}"
+        if isinstance(exc, NumericalFailureError):
+            exc.time = t
+    exc.args = (f"{exc}{where}",)
+    return exc
+
+
 def next_grid_time(t: float, t0: float, dt: float, t_end: float) -> Tuple[bool, float]:
     """The target of the step from ``t`` on the grid ``t0 + k*dt``.
 
@@ -248,9 +261,9 @@ class Stepper:
         ``(x, t)``.  With ``to_end`` it keeps stepping until the run
         terminates.
 
-        Raises the errors of :func:`next_event` and of the reset maps; a
-        reset to a non-finite state raises :class:`NumericalFailureError`
-        naming the time and the edge.
+        Raises the errors of :func:`next_event` and of the resets (a reset to
+        a non-finite state is a :class:`NumericalFailureError`); those two types
+        leave :func:`located` at the step's target or the jump's time and edge.
         """
         x, t, j = self.x, self.t, self.j
         t0, dt, t_end, sink = self.t0, self.dt, self.t_end, self.sink
@@ -258,7 +271,10 @@ class Stepper:
         same_t_jumps = 0
         at_end, t_next = next_grid_time(t, t0, dt, t_end)
         while True:
-            x_new, event = self._scan(x, t, t_next, guards_clear, x_next)
+            try:
+                x_new, event = self._scan(x, t, t_next, guards_clear, x_next)
+            except (ArgumentError, NumericalFailureError) as exc:
+                raise located(exc, t_next, self.mode)
             x_next = None
             if event is None:
                 if at_end:
@@ -285,7 +301,10 @@ class Stepper:
             if j >= self.max_jumps or same_t_jumps >= SAME_TIME_JUMP_BUDGET:
                 self.refused = edge
                 return self._stop(MAX_JUMPS_REACHED, x_star, t, j)
-            x = self._jump(edge, x_star, t, j)
+            try:
+                x = self._jump(edge, x_star, t, j)
+            except (ArgumentError, NumericalFailureError) as exc:
+                raise located(exc, t, self.mode, edge)
             j += 1
             same_t_jumps += 1
             sink(t, j, self._label(x), x)
@@ -293,9 +312,7 @@ class Stepper:
     def _jump(self, edge: Edge, state: np.ndarray, t: float, j: int) -> np.ndarray:
         x_new = np.asarray(edge.reset(state), dtype=float)
         if not np.isfinite(x_new).all():
-            raise NumericalFailureError(
-                f"reset to a non-finite state at t={t} on edge {edge.label!r}", time=t
-            )
+            raise NumericalFailureError("reset to a non-finite state")
         x_new = as_state(x_new, self.system.dim)
         self._switch(edge, state, x_new, t, j)
         return x_new
@@ -364,9 +381,9 @@ def simulate(
     AmbiguousTransitionError
         If two guards become enabled within one localization tolerance.
     NumericalFailureError
-        If the state turns non-finite while flowing or at a reset; names
-        the time, the mode and the edge of a reset, and carries the partial
-        trajectory.
+        If the state turns non-finite while flowing or at a reset.  It, and an
+        ``ArgumentError`` of a step or reset, is :func:`located` at its time,
+        mode and reset edge; it carries the partial trajectory.
     """
     traj = HybridTrajectory()
     stepper = Stepper(
@@ -375,7 +392,7 @@ def simulate(
     try:
         stepper.advance(to_end=True)
     except NumericalFailureError as exc:
-        traj.termination = NUMERICAL_FAILURE
-        raise NumericalFailureError(f"{exc} in mode {stepper.mode!r}", exc.time, traj) from exc
+        traj.termination, exc.trajectory = NUMERICAL_FAILURE, traj
+        raise
     traj.termination = stepper.termination
     return traj

@@ -14,7 +14,9 @@ from hdsim import (
     inverter_automaton, load_config, parse_config_text, reference_scenario,
     run_ekf, simulate, smib_system,
 )
-from hdsim import cli
+from hdsim import cli, power
+from hdsim import compare as compare_module
+from hdsim import config as config_module
 from hdsim.config import SCHEMA, ExperimentConfig
 from hdsim.compare import run_comparison
 from hdsim.errors import ConfigError, NumericalFailureError
@@ -324,6 +326,68 @@ def test_any_config_text_gives_a_config_or_a_config_error(text):
         return
     assert isinstance(config, ExperimentConfig)
     assert ExperimentConfig(values=config.values).values == config.values
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"max_jumps": 2.5}, "max_jumps must be an integer, got 2.5"),
+        ({"verify.samples": 2.5}, "verify.samples must be an integer, got 2.5"),
+        ({"model": "smib", "smib.line0": 1.5}, "smib.line0 must be an integer, got 1.5"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"inverter.x0": 5}, "inverter.x0 must be a list of numbers, got 5"),
+        ({"horizon": "abc"}, "horizon must be a number, got 'abc'"),
+        (
+            {"inverter.profile": "0:1, 0.2:1"},
+            "inverter.profile must be a list of (t, value) pairs, got '0:1, 0.2:1'",
+        ),
+    ],
+)
+def test_a_value_set_from_python_must_have_its_keys_type(values, message):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(values=values)
+    assert str(err.value) == message
+
+
+def test_values_set_from_python_of_their_keys_type_are_kept_as_given():
+    values = {"seed": 7, "noise.q": 1, "inverter.x0": [0, 0, 1.0, 0]}
+    config = ExperimentConfig(values=values)
+    assert {key: config[key] for key in values} == values
+    assert config.scenario().seed == 7
+
+
+@pytest.mark.parametrize(
+    "command, model, builds",
+    [
+        ("simulate", "inverter", 1),
+        ("verify", "inverter", 1),
+        ("compare", "inverter", 2),  # the second is the truth's own
+        ("estimate", "inverter", 2),
+        ("simulate", "smib", 1),
+        ("verify", "smib", 1),
+    ],
+)
+def test_each_run_builds_its_configured_model_once(
+    tmp_path, monkeypatch, command, model, builds
+):
+    builder = "smib_system" if model == "smib" else "inverter_automaton"
+    original = getattr(power, builder)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (power, config_module, compare_module):
+        if getattr(module, builder, None) is original:
+            monkeypatch.setattr(module, builder, counted)
+    cfg = write_cfg(
+        tmp_path,
+        f"model = {model}\nhorizon = 0.01\nfilter = hybrid\nverify.samples = 2\n",
+    )
+    assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == builds
 
 
 # SHA-256 of the three seed-42 compare files, copied from

@@ -149,8 +149,8 @@ def test_same_instant_jump_budget_raises_naming_time_mode_and_edge(monkeypatch):
     assert len(jumps) == SAME_TIME_JUMP_BUDGET
     assert err.value.time == 0.05
     assert str(err.value) == (
-        f"more than {SAME_TIME_JUMP_BUDGET} jumps at t=0.05 in mode 'a', "
-        "next edge 'chatter'"
+        f"more than {SAME_TIME_JUMP_BUDGET} jumps at t=0.05 in mode 'a' "
+        "on edge 'chatter'"
     )
 
 

@@ -568,7 +568,7 @@ def test_a_reset_to_a_non_finite_state_surfaces_for_the_lowest_sample():
     with pytest.raises(NumericalFailureError) as want:
         oracle_check_safety(init_sampler=listed([0.0], [0.2], [0.45])(), **run)
     assert str(got.value) == str(want.value)
-    assert "on edge 'jump' in mode 'flow'" in str(got.value)
+    assert "in mode 'flow' on edge 'jump'" in str(got.value)
     assert got.value.trajectory.times.tolist() == want.value.trajectory.times.tolist()
 
 

@@ -498,7 +498,7 @@ def test_a_reset_to_a_non_finite_state_is_a_numerical_failure():
     t = err.value.time
     assert abs(t - 0.5) < 1e-9
     assert str(err.value) == (
-        f"reset to a non-finite state at t={t} on edge 'jump' in mode 'flow'"
+        f"reset to a non-finite state at t={t} in mode 'flow' on edge 'jump'"
     )
     traj = err.value.trajectory
     assert traj.termination == NUMERICAL_FAILURE
