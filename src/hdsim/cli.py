@@ -70,12 +70,12 @@ def _prepare(args) -> ExperimentConfig:
 
 
 def _cmd_simulate(config: ExperimentConfig) -> int:
-    out_dir = str(config["out"])
+    out_dir = config["out"]
     ensure_dir(out_dir)
     model = config.system()
     traj = simulate(
-        model.system, model.x0, float(config["horizon"]), int(config["max_jumps"]),
-        float(config["dt"]), mode0=model.mode0,
+        model.system, model.x0, config["horizon"], config["max_jumps"], config["dt"],
+        mode0=model.mode0,
     )
     rows = zip(
         traj.times.tolist(), traj.jump_counts.tolist(), traj.modes,
@@ -92,7 +92,7 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
 
 
 def _cmd_estimate(config: ExperimentConfig) -> int:
-    if str(config["filter"]) == "both":
+    if config["filter"] == "both":
         raise ConfigError("estimate runs one filter; set filter = hybrid | continuous")
     return _run_filters(config)
 
@@ -107,14 +107,9 @@ def _run_filters(config: ExperimentConfig) -> int:
 
 
 def _cmd_verify(config: ExperimentConfig) -> int:
-    out_dir = str(config["out"])
+    out_dir = config["out"]
     ensure_dir(out_dir)
-    seed = int(config["seed"])
-    n_samples = int(config["verify.samples"])
-    horizon = float(config["horizon"])
-    dt = float(config["dt"])
-    max_jumps = int(config["max_jumps"])
-    threshold = float(config["verify.i_unsafe"])
+    threshold = config["verify.i_unsafe"]
     model = config.system()
     if threshold <= 0.0:
         threshold = model.current_limit
@@ -122,10 +117,10 @@ def _cmd_verify(config: ExperimentConfig) -> int:
     def unsafe(x) -> bool:
         return model.current(x) > threshold - 1e-9
 
-    sampler = box_sampler(model.x0 - model.half, model.x0 + model.half, seed)
+    sampler = box_sampler(model.x0 - model.half, model.x0 + model.half, config["seed"])
     verdict = check_safety(
-        model.system, sampler, unsafe, horizon, n_samples, dt,
-        max_jumps=max_jumps, mode0=model.mode0,
+        model.system, sampler, unsafe, config["horizon"], config["verify.samples"],
+        config["dt"], max_jumps=config["max_jumps"], mode0=model.mode0,
     )
 
     path = os.path.join(out_dir, "verify_report.txt")
@@ -141,7 +136,7 @@ def _cmd_verify(config: ExperimentConfig) -> int:
             if verdict.witness.jumps:
                 instants = ", ".join(fmt(t) for t in verdict.witness.jump_times)
                 fh.write(f"witness jumps at: {instants}\n")
-        fh.write(f"seed: {seed}\n")
+        fh.write(f"seed: {config['seed']}\n")
     print(f"verdict: {verdict.status}")
     if verdict.unsafe:
         print(f"witness time: {fmt(verdict.witness_time)}")

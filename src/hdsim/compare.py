@@ -59,23 +59,22 @@ def run_comparison(config: ExperimentConfig) -> Tuple[RmseReport, List[str]]:
             f"got model = {config['model']}"
         )
     t_start = time.perf_counter()
-    out_dir = str(config["out"])
+    out_dir = config["out"]
     ensure_dir(out_dir)
     scenario = config.scenario()
     truth, measurements = generate_truth_and_measurements(
-        scenario, max_jumps=int(config["max_jumps"])
+        scenario, max_jumps=config["max_jumps"]
     )
 
     which = config["filter"]
     filters = ("hybrid", "continuous") if which == "both" else (which,)
     automaton = config.system().system
     blended = blended_field(scenario.params, scenario.v_grid)
-    p0 = float(config["ekf.p0"])
 
     runs: Dict[str, EkfRun] = {}
     for name in filters:
         process = automaton if name == "hybrid" else blended
-        runs[name] = run_ekf(process, scenario, measurements, p0=p0)
+        runs[name] = run_ekf(process, scenario, measurements, p0=config["ekf.p0"])
 
     grid = (0.0, scenario.dt, scenario.n_steps)
     truth_states = truth.grid_states(*grid)
@@ -83,7 +82,7 @@ def run_comparison(config: ExperimentConfig) -> Tuple[RmseReport, List[str]]:
     truth_jumps = truth.grid_jump_counts(*grid)
     t_grid = scenario.grid_times()
     windows = near_switch_windows(
-        truth.jump_times, float(config["near_switch_window"]), scenario.horizon
+        truth.jump_times, config["near_switch_window"], scenario.horizon
     )
 
     report = RmseReport(

@@ -58,6 +58,27 @@ def _profile(raw: str) -> Tuple[Tuple[float, float], ...]:
     return tuple(points)
 
 
+def _echo(x) -> str:
+    """The double ``x`` in ``:g`` form when that reads back as it, else its repr."""
+    x = float(x)
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
+# parser -> (noun, writer): what the parser reads, and the echo of a value
+# that the parser reads back as that value
+_KINDS: Dict[Callable[[str], object], Tuple[str, Callable[[object], str]]] = {
+    str: ("text", str),
+    int: ("an integer", str),
+    float: ("a number", lambda x: str(float(x))),
+    _floats: ("a list of numbers", lambda xs: ", ".join(map(_echo, xs))),
+    _profile: (
+        "a list of (t, value) pairs",
+        lambda pts: ", ".join(f"{_echo(t)}:{_echo(x)}" for t, x in pts),
+    ),
+}
+
+
 # key -> (parser, default, description)
 SCHEMA: Dict[str, Tuple[Callable[[str], object], object, str]] = {
     "model": (str, "inverter", "model to run: inverter | smib"),
@@ -123,31 +144,26 @@ _CHOICES = {
 }
 
 
-_TYPES = {
-    int: "an integer",
-    float: "a number",
-    _floats: "a list of numbers",
-    _profile: "a list of (t, value) pairs",
-}
+def _read_back(key: str, parse: Callable[[str], object], value):
+    """What ``key``'s ``parse`` reads from the echo of ``value``.  A value
+    set from Python is accepted when it is neither text nor a bool and reads
+    back as an equal value (NaN equal to NaN, entry by entry); a number is
+    then kept as read, so an ``int`` for a float key runs as a ``float``."""
+    noun, write = _KINDS[parse]
+    if not isinstance(value, (str, bool, np.bool_)):
+        try:
+            read = parse(write(value))
+            if _same(read, value):
+                return read
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+    raise ConfigError(f"{key} must be {noun}, got {value!r}")
 
 
-def _typed(value, parse, default) -> bool:
-    """Whether ``value``, set from Python and so not parsed, has the type
-    ``parse`` gives: a non-``bool`` ``int``, or numbers shaped like the
-    key's ``default`` in any length.  An empty list is left to the model's
-    own checks."""
-    if parse is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    try:
-        array = np.asarray(value)
-    except (TypeError, ValueError):  # a ragged list
-        return False
-    shape = np.shape(default)
-    if array.dtype.kind not in "iuf":
-        return False
-    if shape and array.size == 0:
-        return True
-    return array.ndim == len(shape) and array.shape[1:] == shape[1:]
+def _same(read, value) -> bool:
+    if isinstance(read, tuple):
+        return len(read) == len(value) and all(map(_same, read, value))
+    return bool(read == value) or (read != read and value != value)
 
 
 def _parse_value(key: str, raw: str):
@@ -185,15 +201,18 @@ class ExperimentConfig:
         for key, choices in _CHOICES.items():
             if v[key] not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, got {v[key]!r}")
-        for key, (parse, default, _) in SCHEMA.items():
-            if parse is not str and not _typed(v[key], parse, default):
-                raise ConfigError(f"{key} must be {_TYPES[parse]}, got {v[key]!r}")
-            if parse not in (str, int) and not np.all(np.isfinite(v[key])):
+        for key, (parse, _, _) in SCHEMA.items():
+            if parse is str:
+                continue
+            read = _read_back(key, parse, v[key])
+            if not isinstance(read, tuple):  # a list's model converts its entries
+                v[key] = read
+            if parse is not int and not np.all(np.isfinite(read)):
                 raise ConfigError(f"{key} must be finite, got {v[key]!r}")
         for key in ("horizon", "dt"):
-            if not float(v[key]) > 0.0:
+            if not v[key] > 0.0:
                 raise ConfigError(f"{key} must be positive, got {v[key]!r}")
-        if float(v["horizon"]) / float(v["dt"]) > MAX_GRID_STEPS:
+        if v["horizon"] / v["dt"] > MAX_GRID_STEPS:
             raise ConfigError(
                 f"horizon / dt must be at most {MAX_GRID_STEPS} grid steps, "
                 f"got horizon = {v['horizon']!r}, dt = {v['dt']!r}"
@@ -201,7 +220,7 @@ class ExperimentConfig:
         for key in _NON_NEGATIVE:
             if v[key] < 0:
                 raise ConfigError(f"{key} must be non-negative, got {v[key]!r}")
-        if int(v["verify.samples"]) < 1:
+        if v["verify.samples"] < 1:
             raise ConfigError(
                 f"verify.samples must be at least 1, got {v['verify.samples']!r}"
             )
@@ -247,22 +266,29 @@ class ExperimentConfig:
 
     def scenario(self) -> InverterScenario:
         v = self.values
+        sigmas = ("noise.r_id", "noise.r_iq", "noise.r_vd", "noise.r_vq")
+        for key in sigmas:  # R = diag(sigma^2)
+            if math.isinf(v[key] * v[key]):
+                raise ConfigError(
+                    f"{key} = {v[key]!r} is too large: its variance sigma^2 overflows"
+                )
+        if math.isinf(v["noise.q"] * v["dt"]):  # Q = q*dt*I
+            raise ConfigError(
+                f"noise.q = {v['noise.q']!r} is too large: its per-step Q = q*dt "
+                f"overflows at dt = {v['dt']!r}"
+            )
         profile = PiecewiseLinearProfile(
             times=tuple(t for t, _ in v["inverter.profile"]),
             values=tuple(val for _, val in v["inverter.profile"]),
         )
         return InverterScenario(
-            horizon=float(v["horizon"]),
-            dt=float(v["dt"]),
+            horizon=v["horizon"],
+            dt=v["dt"],
             v_grid=profile,
-            seed=int(v["seed"]),
-            x0=np.asarray(v["inverter.x0"], dtype=float),
+            seed=v["seed"],
+            x0=v["inverter.x0"],
             params=self.inverter_params(),
-            noise=reference_noise(
-                float(v["noise.q"]),
-                [v["noise.r_id"], v["noise.r_iq"], v["noise.r_vd"], v["noise.r_vq"]],
-                float(v["dt"]),
-            ),
+            noise=reference_noise(v["noise.q"], [v[key] for key in sigmas], v["dt"]),
         )
 
     def smib_params(self) -> SmibParams:
@@ -279,16 +305,15 @@ class ExperimentConfig:
 
     def smib_x0(self) -> np.ndarray:
         v = self.values
-        return smib_state(
-            float(v["smib.delta0"]), float(v["smib.omega0"]), int(v["smib.line0"])
-        )
+        return smib_state(v["smib.delta0"], v["smib.omega0"], v["smib.line0"])
 
     def system(self) -> ConfiguredModel:
         """The configured model, as built once when the values were validated."""
         return self._model
 
     def _build(self) -> ConfiguredModel:
-        """Build the configured model: the one place that reads ``model``."""
+        """Build the configured model, where ``model`` picks the system (the
+        CLI also names outputs by it, and ``run_comparison`` refuses smib)."""
         if self.values["model"] == "smib":
             params = self.smib_params()
             x0 = self.smib_x0()
@@ -308,7 +333,7 @@ class ExperimentConfig:
     def _half(self, x0: np.ndarray, keys: Tuple[Optional[str], ...]) -> np.ndarray:
         """The half-width each key gives its entry of ``x0`` (``None``: 0),
         once the sampling box ``x0 ± half`` has a finite width."""
-        half = [0.0 if key is None else float(self.values[key]) for key in keys]
+        half = [0.0 if key is None else self.values[key] for key in keys]
         for x, h, key in zip(x0.tolist(), half, keys):
             if not math.isfinite((x + h) - (x - h)):
                 raise ConfigError(
@@ -323,24 +348,8 @@ class ExperimentConfig:
         number, and leaving it out keeps reports byte-identical across
         reruns into different directories.
         """
-        out = {}
-        for key in sorted(SCHEMA):
-            if key == "out":
-                continue
-            val = self.values[key]
-            if isinstance(val, tuple) and val and isinstance(val[0], tuple):
-                out[key] = ", ".join(f"{_echo(t)}:{_echo(v)}" for t, v in val)
-            elif isinstance(val, tuple):
-                out[key] = ", ".join(_echo(x) for x in val)
-            else:
-                out[key] = str(val)
-        return out
-
-
-def _echo(x: float) -> str:
-    """``x`` in ``:g`` form when that reads back as ``x``, else its repr."""
-    text = f"{x:g}"
-    return text if float(text) == x else repr(float(x))
+        keys = sorted(set(SCHEMA) - {"out"})
+        return {key: _KINDS[SCHEMA[key][0]][1](self.values[key]) for key in keys}
 
 
 def _parse_values(text: str, source: Optional[str]) -> Dict[str, object]:

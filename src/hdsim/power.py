@@ -59,6 +59,8 @@ class PiecewiseLinearProfile:
     values: Tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "times", tuple(map(float, self.times)))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ArgumentError("profile needs matching times/values, >= 2 points")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
@@ -338,8 +340,8 @@ class InverterScenario:
     initial_mode: str = GFL
 
     def __post_init__(self):
-        if self.horizon <= 0.0 or self.dt <= 0.0:
-            raise ArgumentError("horizon and dt must be positive")
+        if not (0.0 < self.horizon < math.inf and 0.0 < self.dt < math.inf):
+            raise ArgumentError("horizon and dt must be positive and finite")
         ratio = self.horizon / self.dt
         tol = 1e-12 * max(1.0, self.horizon)
         if abs(self.horizon - round(ratio) * self.dt) > tol:

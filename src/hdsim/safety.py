@@ -16,6 +16,7 @@ so every column follows exactly the trajectory :func:`simulate` gives it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -93,8 +94,8 @@ def check_safety(
     a sample that raised is simulated again so that the same exception
     surfaces, carrying its partial trajectory.
     """
-    if samples < 1:
-        raise ArgumentError(f"samples must be >= 1, got {samples}")
+    if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 1:
+        raise ArgumentError(f"samples must be an integer >= 1, got {samples}")
     is_automaton = isinstance(system, HybridAutomaton)
     for start in range(0, samples, SWEEP_CHUNK):
         draws: List[Tuple[Optional[str], object]] = []

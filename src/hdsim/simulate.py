@@ -202,11 +202,13 @@ class Stepper:
         sink: Callable[[float, int, str, np.ndarray], None],
         jumps: Optional[List[JumpRecord]] = None,
     ):
-        if horizon <= 0.0:
-            raise ArgumentError(f"horizon must be positive, got {horizon}")
-        if dt <= 0.0:
-            raise ArgumentError(f"dt must be positive, got {dt}")
-        if max_jumps < 0:
+        if not math.isfinite(t0):
+            raise ArgumentError(f"t0 must be finite, got {t0}")
+        if not 0.0 < horizon < math.inf:
+            raise ArgumentError(f"horizon must be positive and finite, got {horizon}")
+        if not 0.0 < dt < math.inf:
+            raise ArgumentError(f"dt must be positive and finite, got {dt}")
+        if not max_jumps >= 0:  # np.inf: no budget
             raise ArgumentError(f"max_jumps must be non-negative, got {max_jumps}")
         self.system = system
         self.is_automaton = isinstance(system, HybridAutomaton)

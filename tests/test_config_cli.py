@@ -3,6 +3,8 @@
 import hashlib
 import os
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -342,6 +344,22 @@ def test_any_config_text_gives_a_config_or_a_config_error(text):
             {"inverter.profile": "0:1, 0.2:1"},
             "inverter.profile must be a list of (t, value) pairs, got '0:1, 0.2:1'",
         ),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"horizon": True}, "horizon must be a number, got True"),
+        ({"horizon": "0.2"}, "horizon must be a number, got '0.2'"),
+        ({"seed": 7.0}, "seed must be an integer, got 7.0"),
+        (
+            {"inverter.profile": [[0, 1], [0.2]]},
+            "inverter.profile must be a list of (t, value) pairs, got [[0, 1], [0.2]]",
+        ),
+        (
+            {"inverter.x0": np.zeros((2, 2))},
+            "inverter.x0 must be a list of numbers, got array([[0., 0.],\n"
+            "       [0., 0.]])",
+        ),
+        # exact values that no float equals
+        ({"horizon": Fraction(1, 5)}, "horizon must be a number, got Fraction(1, 5)"),
+        ({"horizon": Decimal("0.2")}, "horizon must be a number, got Decimal('0.2')"),
     ],
 )
 def test_a_value_set_from_python_must_have_its_keys_type(values, message):
@@ -355,6 +373,106 @@ def test_values_set_from_python_of_their_keys_type_are_kept_as_given():
     config = ExperimentConfig(values=values)
     assert {key: config[key] for key in values} == values
     assert config.scenario().seed == 7
+
+
+def _python_forms(key):
+    """A key's value in each form Python may set it in, each valid for the
+    key: the default as a Python number and as a numpy scalar, an ``int``
+    and a ``float32`` for a float key, and the sequences as lists, tuples
+    and arrays."""
+    default = SCHEMA[key][1]
+    if key == "inverter.x0":
+        return [list(default), tuple(default), np.array(default),
+                np.array(default, dtype=np.float32), [0, 0, 1, 0]]
+    if key == "inverter.profile":
+        return [[list(point) for point in default], np.array(default),
+                np.array(default, dtype=np.float32)]
+    if isinstance(default, int):
+        return [default, np.int64(default)]
+    whole = max(1, round(default))
+    return [default, np.float64(default), np.float32(default), whole, np.int64(whole)]
+
+
+@pytest.mark.parametrize(
+    "key", [key for key, (parse, _, _) in SCHEMA.items() if parse is not str]
+)
+def test_a_value_set_from_python_echoes_as_text_that_reads_back_as_it(key):
+    # the other model's keys are not built into its model, so any value of
+    # their kind passes; the shared keys run with the cheap smib model
+    model = "inverter" if key.startswith("smib.") else "smib"
+    for value in _python_forms(key):
+        config = ExperimentConfig(values={"model": model, key: value})
+        echo = config.resolved_items()
+        read = parse_config_text("".join(f"{k} = {v}\n" for k, v in echo.items()))
+        assert np.array_equal(read[key], value), (key, value)
+        assert read.resolved_items() == echo
+        if SCHEMA[key][0] is float:  # a number runs as the float its echo reads
+            assert type(config[key]) is float and echo[key] == repr(float(value))
+
+
+def test_a_config_set_from_python_writes_the_report_of_its_file_twin(tmp_path):
+    values = {
+        "horizon": 0.06, "seed": 5, "noise.q": 1, "inverter.x0": [0, 0, 1.0, 0],
+        "inverter.profile": [[0, 1], [0.05, 0.5], [0.06, 1]],
+    }
+    twin = write_cfg(
+        tmp_path,
+        "horizon = 0.06\nseed = 5\nnoise.q = 1\ninverter.x0 = 0, 0, 1.0, 0\n"
+        "inverter.profile = 0:1, 0.05:0.5, 0.06:1\n",
+    )
+    run_comparison(ExperimentConfig(values={**values, "out": str(tmp_path / "py")}))
+    file_values = {**config_module.read_values(twin), "out": str(tmp_path / "file")}
+    run_comparison(ExperimentConfig(values=file_values))
+    report = (tmp_path / "py" / "report.csv").read_bytes()
+    assert b"#   noise.q = 1.0\n" in report
+    assert b"#   inverter.profile = 0:1, 0.05:0.5, 0.06:1\n" in report
+    assert report == (tmp_path / "file" / "report.csv").read_bytes()
+
+
+def test_a_config_of_numpy_values_runs_as_the_config_its_report_echoes(tmp_path):
+    # float32 values that no short decimal gives: the run must be that of the
+    # doubles the echo writes, not float32 arithmetic
+    values = {
+        "horizon": np.float64(0.0625), "seed": np.int64(5), "noise.q": np.float32(0.01),
+        "inverter.x0": np.array([0, 0, 1, 0], dtype=np.float32),
+        "inverter.profile": np.array([[0, 1], [0.03, 0.7], [0.0625, 1]], np.float32),
+    }
+    config = ExperimentConfig(values={**values, "out": str(tmp_path / "py")})
+    echo = "".join(f"{k} = {v}\n" for k, v in config.resolved_items().items())
+    assert "noise.q = 0.009999999776482582\n" in echo
+    assert "inverter.profile = 0:1, 0.029999999329447746:0.699999988079071" in echo
+    run_comparison(config)
+    twin = config_module.read_values(write_cfg(tmp_path, echo))
+    run_comparison(ExperimentConfig(values={**twin, "out": str(tmp_path / "file")}))
+    for name in ("report.csv", "trajectory_continuous.csv", "trajectory_hybrid.csv"):
+        ours, its_twins = tmp_path / "py" / name, tmp_path / "file" / name
+        assert ours.read_bytes() == its_twins.read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "noise.r_id = 1e200",
+            "noise.r_id = 1e+200 is too large: its variance sigma^2 overflows",
+        ),
+        (
+            "noise.q = 1e308\nhorizon = 100\ndt = 10\ninverter.profile = 0:1, 100:1",
+            "noise.q = 1e+308 is too large: its per-step Q = q*dt overflows at "
+            "dt = 10.0",
+        ),
+    ],
+    ids=["variance", "per-step-q"],
+)
+def test_a_noise_key_that_overflows_the_noise_model_is_named(
+    tmp_path, capsys, text, message
+):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value) == message
+    cfg = write_cfg(tmp_path, text + "\n")
+    assert cli_main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,16 @@
 """Hybrid simulation semantics: jumps, priorities, terminations, hybrid time."""
 
 import math
+import os
+import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import hdsim
 from hdsim import (
     AmbiguousTransitionError,
     ArgumentError,
@@ -25,8 +29,9 @@ from hdsim import (
     simulate,
 )
 from hdsim.integrate import rk4_step
-from hdsim.power import SmibParams, smib_state, smib_system
-from hdsim.simulate import next_event, next_grid_time
+from hdsim.power import SmibParams, reference_scenario, smib_state, smib_system
+from hdsim.safety import check_safety
+from hdsim.simulate import Stepper, next_event, next_grid_time
 from hdsim.systems import as_state
 
 
@@ -414,6 +419,14 @@ def _always(x, t):
     return 1.0
 
 
+def _never(x):
+    return np.zeros_like(x[0], dtype=bool)
+
+
+def _ignore(*sample):
+    pass
+
+
 def _identity(x):
     return x
 
@@ -449,11 +462,97 @@ def _identity(x):
             ),
             ArgumentError, "outside both the flow set and the jump set", id="x0",
         ),
+        # a run window that is not finite: refused, neither run without end
+        # nor escaping as a bare ValueError from the grid arithmetic
+        pytest.param(
+            lambda: Stepper(FlowJumpSystem(1, decay), [1.0], math.nan, 5, 0.1, None,
+                            0.0, _ignore),
+            ArgumentError, "horizon must be positive", id="horizon-nan",
+        ),
+        pytest.param(
+            lambda: Stepper(FlowJumpSystem(1, decay), [1.0], math.inf, 5, 0.1, None,
+                            0.0, _ignore),
+            ArgumentError, "horizon must be positive", id="horizon-inf",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, math.nan),
+            ArgumentError, "dt must be positive", id="dt-nan",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, 0.1, t0=math.nan),
+            ArgumentError, "t0 must be finite, got nan", id="t0-nan",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, 0.1, t0=math.inf),
+            ArgumentError, "t0 must be finite, got inf", id="t0-inf",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, math.nan, 0.1),
+            ArgumentError, "max_jumps must be non-negative", id="max-jumps-nan",
+        ),
+        pytest.param(
+            lambda: replace(reference_scenario(), horizon=math.nan),
+            ArgumentError, "horizon and dt must be positive and finite",
+            id="scenario-horizon-nan",
+        ),
+        pytest.param(
+            lambda: replace(reference_scenario(), horizon=math.inf),
+            ArgumentError, "horizon and dt must be positive and finite",
+            id="scenario-horizon-inf",
+        ),
+        pytest.param(
+            lambda: check_safety(FlowJumpSystem(1, decay), lambda: [1.0], _never,
+                                 1.0, 2.5, 0.1),
+            ArgumentError, "samples must be an integer >= 1, got 2.5",
+            id="samples-fraction",
+        ),
+        pytest.param(
+            lambda: check_safety(FlowJumpSystem(1, decay), lambda: [1.0], _never,
+                                 1.0, math.nan, 0.1),
+            ArgumentError, "samples must be an integer >= 1, got nan",
+            id="samples-nan",
+        ),
     ],
 )
 def test_simulate_input_checks(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+_NON_FINITE_HORIZONS = """
+import math
+import numpy as np
+from hdsim import ArgumentError, FlowJumpSystem, check_safety, simulate
+
+system = FlowJumpSystem(1, lambda x, t: -x)
+never = lambda x: np.zeros_like(x[0], dtype=bool)
+for horizon in (math.nan, math.inf):
+    for run in (
+        lambda: simulate(system, [1.0], horizon, 5, 0.1),
+        lambda: check_safety(system, lambda: [1.0], never, horizon, 2, 0.1),
+    ):
+        try:
+            run()
+        except ArgumentError as exc:
+            print(exc)
+"""
+
+
+def test_a_non_finite_horizon_is_refused_not_run():
+    # a grid that never reaches its end would never return, so the calls run
+    # in a child process that the timeout stops
+    src = os.path.dirname(os.path.dirname(hdsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _NON_FINITE_HORIZONS],
+        capture_output=True, text=True, timeout=30, env=env, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        "horizon must be positive and finite, got nan",
+        "horizon must be positive and finite, got nan",
+        "horizon must be positive and finite, got inf",
+        "horizon must be positive and finite, got inf",
+    ]
 
 
 @pytest.mark.parametrize(
