@@ -61,26 +61,26 @@ def run_comparison(config: ExperimentConfig) -> Tuple[RmseReport, List[str]]:
     t_start = time.perf_counter()
     out_dir = config["out"]
     ensure_dir(out_dir)
-    scenario = config.scenario()
+    model = config.system()
+    scenario = model.scenario
     truth, measurements = generate_truth_and_measurements(
         scenario, max_jumps=config["max_jumps"]
     )
 
     which = config["filter"]
     filters = ("hybrid", "continuous") if which == "both" else (which,)
-    automaton = config.system().system
     blended = blended_field(scenario.params, scenario.v_grid)
 
     runs: Dict[str, EkfRun] = {}
     for name in filters:
-        process = automaton if name == "hybrid" else blended
+        process = model.system if name == "hybrid" else blended
         runs[name] = run_ekf(process, scenario, measurements, p0=config["ekf.p0"])
 
     grid = (0.0, scenario.dt, scenario.n_steps)
     truth_states = truth.grid_states(*grid)
     truth_modes = truth.grid_modes(*grid)
     truth_jumps = truth.grid_jump_counts(*grid)
-    t_grid = scenario.grid_times()
+    t_grid = runs[filters[0]].times  # k*dt, as the truth's grid
     windows = near_switch_windows(
         truth.jump_times, config["near_switch_window"], scenario.horizon
     )

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -177,7 +178,7 @@ class ConfiguredModel(NamedTuple):
     """What a command needs of the configured model: ``system``, ``x0`` and
     ``mode0`` as :func:`hdsim.simulate.simulate` takes them, the ``states``
     a trajectory CSV writes, the box ``x0 ± half`` that ``verify`` samples,
-    the column-wise ``current`` it checks and the model's own limit on it."""
+    the column-wise ``current`` it checks, its limit and the inverter's ``scenario``."""
 
     system: Union[FlowJumpSystem, HybridAutomaton]
     x0: np.ndarray
@@ -186,18 +187,24 @@ class ConfiguredModel(NamedTuple):
     half: np.ndarray
     current: Callable[[np.ndarray], np.ndarray]
     current_limit: float
+    scenario: Optional[InverterScenario] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved configuration: schema defaults overlaid with ``values``."""
+    """Resolved configuration: schema defaults overlaid with ``values``; read-only."""
 
-    values: Dict[str, object] = field(default_factory=dict)
+    values: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        resolved = {k: spec[1] for k, spec in SCHEMA.items()}
-        resolved.update(self.values)
-        self.values = v = resolved
+        for key in self.values:
+            if key not in SCHEMA:
+                raise ConfigError(f"unknown key {key!r}")
+        v = {k: spec[1] for k, spec in SCHEMA.items()}
+        v.update(self.values)
+        object.__setattr__(self, "values", MappingProxyType(v))
+        if not isinstance(v["out"], (str, os.PathLike)):
+            raise ConfigError(f"out must be text or a path, got {v['out']!r}")
         for key, choices in _CHOICES.items():
             if v[key] not in choices:
                 raise ConfigError(f"{key} must be one of {choices}, got {v[key]!r}")
@@ -235,7 +242,7 @@ class ExperimentConfig:
         # building the model overflows, is a config error.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                self._model = self._build()
+                object.__setattr__(self, "_model", self._build())
         except ArgumentError as exc:
             raise ConfigError(f"invalid {v['model']} model: {exc}") from exc
         except ArithmeticError as exc:
@@ -328,6 +335,7 @@ class ExperimentConfig:
             automaton, scenario.x0, scenario.initial_mode, INVERTER_STATES,
             self._half(scenario.x0, ("verify.x0_half_width",) * 4),
             lambda x: np.maximum(np.abs(x[0]), np.abs(x[1])), scenario.params.i_lim,
+            scenario,
         )
 
     def _half(self, x0: np.ndarray, keys: Tuple[Optional[str], ...]) -> np.ndarray:

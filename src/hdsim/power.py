@@ -356,9 +356,6 @@ class InverterScenario:
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
 
-    def grid_times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
-
 
 def reference_scenario(
     seed: int = 42,

@@ -75,7 +75,7 @@ def test_headline_contrast():
     elapsed = time.perf_counter() - t0
 
     # Split the grid at the near-switch windows that report.csv uses.
-    t_grid = scenario.grid_times()
+    t_grid = hybrid.times
     windows = near_switch_windows(
         truth.jump_times,
         float(ExperimentConfig()["near_switch_window"]),

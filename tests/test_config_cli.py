@@ -1,7 +1,9 @@
 """Configuration parsing, seed precedence, and the command-line driver."""
 
+import dataclasses
 import hashlib
 import os
+import pathlib
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -22,6 +24,7 @@ from hdsim import config as config_module
 from hdsim.config import SCHEMA, ExperimentConfig
 from hdsim.compare import run_comparison
 from hdsim.errors import ConfigError, NumericalFailureError
+from hdsim.estimation import NoiseModel
 from hdsim.report import read_trajectory_csv
 
 
@@ -500,12 +503,101 @@ def test_each_run_builds_its_configured_model_once(
     for module in (power, config_module, compare_module):
         if getattr(module, builder, None) is original:
             monkeypatch.setattr(module, builder, counted)
+    # the inverter's one scenario, with the profile and noise model it holds
+    made = {}
+    for cls in (power.InverterScenario, power.PiecewiseLinearProfile, NoiseModel):
+
+        def counted_init(self, _cls=cls, _init=cls.__post_init__):
+            made[_cls.__name__] = made.get(_cls.__name__, 0) + 1
+            _init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted_init)
     cfg = write_cfg(
         tmp_path,
         f"model = {model}\nhorizon = 0.01\nfilter = hybrid\nverify.samples = 2\n",
     )
     assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == builds
+    names = ("InverterScenario", "PiecewiseLinearProfile", "NoiseModel")
+    assert [made.get(name, 0) for name in names] == [int(model == "inverter")] * 3
+
+
+# A dip inside a short horizon: both switches happen within 20 ms.
+SHORT_DIP = (
+    "horizon = 0.02\n"
+    "inverter.profile = 0:1, 0.005:1, 0.006:0.5, 0.012:0.5, 0.013:1, 0.02:1\n"
+)
+
+
+def test_a_compare_run_reads_one_scenario_on_the_filters_own_grid(
+    tmp_path, monkeypatch
+):
+    config = parse_config_text(SHORT_DIP + f"out = {tmp_path}\n")
+    seen = []
+    truth = compare_module.generate_truth_and_measurements
+
+    def recorded_truth(scenario, **kwargs):
+        seen.append(("truth", scenario))
+        return truth(scenario, **kwargs)
+
+    ekf = compare_module.run_ekf
+
+    def recorded_ekf(process, scenario, *args, **kwargs):
+        seen.append(("ekf", scenario))
+        return ekf(process, scenario, *args, **kwargs)
+
+    monkeypatch.setattr(compare_module, "generate_truth_and_measurements", recorded_truth)
+    monkeypatch.setattr(compare_module, "run_ekf", recorded_ekf)
+    report, _ = run_comparison(config)
+    scenario = config.system().scenario
+    assert [name for name, _ in seen] == ["truth", "ekf", "ekf"]
+    assert all(arg is scenario for _, arg in seen)
+    assert len(report.switching_instants) == 2
+
+    grid = [k * scenario.dt for k in range(scenario.n_steps + 1)]
+    for name in ("hybrid", "continuous"):
+        _, rows = read_trajectory_csv(str(tmp_path / f"trajectory_{name}.csv"))
+        assert [float(row[0]) for row in rows] == grid  # == on floats: bit for bit
+
+
+def test_a_validated_config_is_read_only():
+    config = ExperimentConfig()
+    r_pu = config["inverter.r_pu"]
+    with pytest.raises(TypeError):
+        config.values["inverter.r_pu"] = 5.0
+    with pytest.raises(TypeError):
+        del config.values["inverter.r_pu"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.values = {**config.values, "inverter.r_pu": 5.0}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config._model = None
+    assert config["inverter.r_pu"] == r_pu
+    assert config.system().scenario.params.r_pu == r_pu
+    # a changed value is a new config, validated and built anew
+    changed = ExperimentConfig(values={**config.values, "inverter.r_pu": 5.0})
+    assert changed.system().scenario.params.r_pu == 5.0
+    assert config.system().scenario.params.r_pu == r_pu
+
+
+def test_an_unknown_key_set_from_python_is_refused_as_in_a_file():
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(values={"noise.qq": 1.0})
+    assert str(err.value) == "unknown key 'noise.qq'"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("noise.qq = 1.0\n")
+    assert str(err.value) == "<config>:1: unknown key 'noise.qq'"
+
+
+def test_out_set_from_python_is_text_or_a_path(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        run_comparison(ExperimentConfig(values={"out": 5, "horizon": 0.01}))
+    assert str(err.value) == "out must be text or a path, got 5"
+    out = tmp_path / "o"
+    _, paths = run_comparison(ExperimentConfig(values={"out": out, "horizon": 0.01}))
+    assert sorted(os.listdir(out)) == [
+        "report.csv", "trajectory_continuous.csv", "trajectory_hybrid.csv"
+    ]
+    assert all(pathlib.Path(path).parent == out for path in paths)
 
 
 # SHA-256 of the three seed-42 compare files, copied from
