@@ -133,23 +133,38 @@ SCHEMA: Dict[str, Tuple[Callable[[str], object], object, str]] = {
 MAX_GRID_STEPS = 10**7
 """Largest number of grid steps ``horizon / dt`` a config may ask for."""
 
-_NON_NEGATIVE = (
-    "seed", "near_switch_window", "max_jumps", "ekf.p0",
-    "noise.q", "noise.r_id", "noise.r_iq", "noise.r_vd", "noise.r_vq",
-    "verify.delta_half_width", "verify.omega_half_width", "verify.x0_half_width",
-)
 
-_CHOICES = {
-    "model": ("inverter", "smib"),
-    "filter": ("hybrid", "continuous", "both"),
+def _one_of(*choices):
+    return (lambda x: isinstance(x, str) and x in choices), f"one of {choices}"
+
+
+# key -> (test, what the value must be): what a value, once read as its kind
+# (and, for a number, found finite), must also pass
+_RULES: Dict[str, Tuple[Callable[[object], bool], str]] = {
+    "model": _one_of("inverter", "smib"),
+    "filter": _one_of("hybrid", "continuous", "both"),
+    "out": (lambda x: isinstance(x, (str, os.PathLike)), "text or a path"),
+    "horizon": (lambda x: x > 0.0, "positive"),
+    "dt": (lambda x: x > 0.0, "positive"),
+    "verify.samples": (lambda n: n >= 1, "at least 1"),
+    "inverter.x0": (lambda x: len(x) == 4, "4 numbers [i_d, i_q, v_d, v_q]"),
+    **dict.fromkeys(
+        (
+            "seed", "near_switch_window", "max_jumps", "ekf.p0",
+            "noise.q", "noise.r_id", "noise.r_iq", "noise.r_vd", "noise.r_vq",
+            "verify.delta_half_width", "verify.omega_half_width",
+            "verify.x0_half_width",
+        ),
+        (lambda x: x >= 0, "non-negative"),
+    ),
 }
 
 
 def _read_back(key: str, parse: Callable[[str], object], value):
     """What ``key``'s ``parse`` reads from the echo of ``value``.  A value
     set from Python is accepted when it is neither text nor a bool and reads
-    back as an equal value (NaN equal to NaN, entry by entry); a number is
-    then kept as read, so an ``int`` for a float key runs as a ``float``."""
+    back as an equal value (NaN equal to NaN, entry by entry); it is then
+    kept as read: an ``int`` for a float key runs as a ``float``, a list as a tuple."""
     noun, write = _KINDS[parse]
     if not isinstance(value, (str, bool, np.bool_)):
         try:
@@ -165,13 +180,6 @@ def _same(read, value) -> bool:
     if isinstance(read, tuple):
         return len(read) == len(value) and all(map(_same, read, value))
     return bool(read == value) or (read != read and value != value)
-
-
-def _parse_value(key: str, raw: str):
-    try:
-        return SCHEMA[key][0](raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
 
 
 class ConfiguredModel(NamedTuple):
@@ -192,7 +200,9 @@ class ConfiguredModel(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved configuration: schema defaults overlaid with ``values``; read-only."""
+    """Resolved configuration: schema defaults overlaid with ``values``, each
+    read back through its key's kind, kept as read and checked against its
+    rule in one pass; read-only."""
 
     values: Mapping[str, object] = field(default_factory=dict)
 
@@ -202,74 +212,31 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r}")
         v = {k: spec[1] for k, spec in SCHEMA.items()}
         v.update(self.values)
-        object.__setattr__(self, "values", MappingProxyType(v))
-        if not isinstance(v["out"], (str, os.PathLike)):
-            raise ConfigError(f"out must be text or a path, got {v['out']!r}")
-        for key, choices in _CHOICES.items():
-            if v[key] not in choices:
-                raise ConfigError(f"{key} must be one of {choices}, got {v[key]!r}")
         for key, (parse, _, _) in SCHEMA.items():
-            if parse is str:
-                continue
-            read = _read_back(key, parse, v[key])
-            if not isinstance(read, tuple):  # a list's model converts its entries
-                v[key] = read
-            if parse is not int and not np.all(np.isfinite(read)):
-                raise ConfigError(f"{key} must be finite, got {v[key]!r}")
-        for key in ("horizon", "dt"):
-            if not v[key] > 0.0:
-                raise ConfigError(f"{key} must be positive, got {v[key]!r}")
+            if parse is not str:
+                v[key] = _read_back(key, parse, v[key])
+                if parse is not int and not np.all(np.isfinite(v[key])):
+                    raise ConfigError(f"{key} must be finite, got {v[key]!r}")
+            if key in _RULES and not _RULES[key][0](v[key]):
+                raise ConfigError(f"{key} must be {_RULES[key][1]}, got {v[key]!r}")
+        object.__setattr__(self, "values", MappingProxyType(v))
         if v["horizon"] / v["dt"] > MAX_GRID_STEPS:
             raise ConfigError(
                 f"horizon / dt must be at most {MAX_GRID_STEPS} grid steps, "
                 f"got horizon = {v['horizon']!r}, dt = {v['dt']!r}"
             )
-        for key in _NON_NEGATIVE:
-            if v[key] < 0:
-                raise ConfigError(f"{key} must be non-negative, got {v[key]!r}")
-        if v["verify.samples"] < 1:
-            raise ConfigError(
-                f"verify.samples must be at least 1, got {v['verify.samples']!r}"
-            )
-        if len(v["inverter.x0"]) != 4:
-            raise ConfigError(
-                f"inverter.x0 needs 4 entries [i_d, i_q, v_d, v_q], "
-                f"got {len(v['inverter.x0'])}"
-            )
         # Model parameters, the initial state, the profile and its coverage
-        # of the horizon are checked where they are defined, and the verify
-        # sampling box where it is built; a bad value, or one so large that
-        # building the model overflows, is a config error.
+        # of the horizon are checked where they are defined, and the noise
+        # keys and the verify sampling box where they are built.
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                object.__setattr__(self, "_model", self._build())
+            object.__setattr__(self, "_model", self._build())
         except ArgumentError as exc:
             raise ConfigError(f"invalid {v['model']} model: {exc}") from exc
-        except ArithmeticError as exc:
-            raise ConfigError(
-                f"invalid {v['model']} model: a value is out of range ({exc})"
-            ) from exc
 
     def __getitem__(self, key: str):
         return self.values[key]
 
     # -- model builders ----------------------------------------------------
-
-    def inverter_params(self) -> InverterParams:
-        v = self.values
-        return InverterParams(
-            l_pu=v["inverter.l_pu"],
-            r_pu=v["inverter.r_pu"],
-            omega=v["inverter.omega"],
-            v_ref=v["inverter.v_ref"],
-            i_lim=v["inverter.i_lim"],
-            v_low=v["inverter.v_low"],
-            v_high=v["inverter.v_high"],
-            sigmoid_gain=v["inverter.sigmoid_k"],
-            sigmoid_mid=v["inverter.sigmoid_vth"],
-            tau_v=v["inverter.tau_v"],
-            tau_i=v["inverter.tau_i"],
-        )
 
     def scenario(self) -> InverterScenario:
         v = self.values
@@ -294,7 +261,19 @@ class ExperimentConfig:
             v_grid=profile,
             seed=v["seed"],
             x0=v["inverter.x0"],
-            params=self.inverter_params(),
+            params=InverterParams(
+                l_pu=v["inverter.l_pu"],
+                r_pu=v["inverter.r_pu"],
+                omega=v["inverter.omega"],
+                v_ref=v["inverter.v_ref"],
+                i_lim=v["inverter.i_lim"],
+                v_low=v["inverter.v_low"],
+                v_high=v["inverter.v_high"],
+                sigmoid_gain=v["inverter.sigmoid_k"],
+                sigmoid_mid=v["inverter.sigmoid_vth"],
+                tau_v=v["inverter.tau_v"],
+                tau_i=v["inverter.tau_i"],
+            ),
             noise=reference_noise(v["noise.q"], [v[key] for key in sigmas], v["dt"]),
         )
 
@@ -310,20 +289,18 @@ class ExperimentConfig:
             p_max=v["smib.p_max"],
         )
 
-    def smib_x0(self) -> np.ndarray:
-        v = self.values
-        return smib_state(v["smib.delta0"], v["smib.omega0"], v["smib.line0"])
-
     def system(self) -> ConfiguredModel:
         """The configured model, as built once when the values were validated."""
         return self._model
 
     def _build(self) -> ConfiguredModel:
-        """Build the configured model, where ``model`` picks the system (the
-        CLI also names outputs by it, and ``run_comparison`` refuses smib)."""
-        if self.values["model"] == "smib":
+        """Build the configured model from the values as read, where ``model``
+        picks the system (the CLI also names outputs by it, and
+        ``run_comparison`` refuses smib)."""
+        v = self.values
+        if v["model"] == "smib":
             params = self.smib_params()
-            x0 = self.smib_x0()
+            x0 = smib_state(v["smib.delta0"], v["smib.omega0"], v["smib.line0"])
             keys = ("verify.delta_half_width", "verify.omega_half_width", None)
             return ConfiguredModel(
                 smib_system(params), x0, None, ("delta", "omega"),
@@ -375,7 +352,10 @@ def _parse_values(text: str, source: Optional[str]) -> Dict[str, object]:
         raw = raw.strip()
         if key not in SCHEMA:
             raise ConfigError(f"{source or '<config>'}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = SCHEMA[key][0](raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
     return values
 
 

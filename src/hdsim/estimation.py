@@ -126,7 +126,7 @@ class NoiseModel:
     def __post_init__(self):
         q = np.atleast_2d(np.asarray(self.q, dtype=float))
         r = np.atleast_2d(np.asarray(self.r, dtype=float))
-        h = np.atleast_2d(np.asarray(self.h, dtype=float))
+        h = np.atleast_2d(np.array(self.h, dtype=float))
         if q.shape[0] != q.shape[1]:
             raise ArgumentError("Q must be square")
         if r.shape[0] != r.shape[1]:

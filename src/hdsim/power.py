@@ -348,7 +348,7 @@ class InverterScenario:
             raise ArgumentError(f"dt must divide the horizon within {tol:g}")
         if self.v_grid.times[0] > 0.0 or self.v_grid.times[-1] < self.horizon - 1e-12:
             raise ArgumentError("the grid profile must cover [0, horizon]")
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        object.__setattr__(self, "x0", np.array(self.x0, dtype=float))
         if self.x0.shape != (4,):
             raise ArgumentError("inverter state must have 4 entries")
 

@@ -93,6 +93,28 @@ def test_bad_value_rejected():
         parse_config_text("model = inverter\nhorizon = -1")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "inverter.profile = 0:1, 0.2",
+            "bad value for 'inverter.profile': '0:1, 0.2' "
+            "(breakpoint '0.2' is not t:value)",
+        ),
+        ("model = smib\nsmib.m = -1", "invalid smib model: inertia must be positive"),
+        (
+            "model = smib\nsmib.d = -0.5",
+            "invalid smib model: damping must be non-negative",
+        ),
+    ],
+    ids=["profile-breakpoint", "smib-inertia", "smib-damping"],
+)
+def test_a_bad_value_exits_1_with_its_message(tmp_path, capsys, text, message):
+    cfg = write_cfg(tmp_path, text + "\n")
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_missing_equals_rejected():
     with pytest.raises(ConfigError):
         parse_config_text("just some words")
@@ -237,7 +259,7 @@ def test_overflowing_model_exits_2_with_one_line_error(tmp_path, capsys, command
 def test_overflowing_model_is_a_typed_error_of_the_library(entry, text):
     config = parse_config_text(text + "\nhorizon = 0.01\n")
     if config["model"] == "smib":
-        system, x0, mode0 = smib_system(config.smib_params()), config.smib_x0(), None
+        system, x0, mode0 = smib_system(config.smib_params()), config.system().x0, None
     else:
         sc = config.scenario()
         system, x0, mode0 = inverter_automaton(sc.params, sc.v_grid), sc.x0, "GFL"
@@ -360,6 +382,11 @@ def test_any_config_text_gives_a_config_or_a_config_error(text):
             "inverter.x0 must be a list of numbers, got array([[0., 0.],\n"
             "       [0., 0.]])",
         ),
+        (
+            {"model": np.array(["smib", "x"])},
+            "model must be one of ('inverter', 'smib'), "
+            "got array(['smib', 'x'], dtype='<U4')",
+        ),
         # exact values that no float equals
         ({"horizon": Fraction(1, 5)}, "horizon must be a number, got Fraction(1, 5)"),
         ({"horizon": Decimal("0.2")}, "horizon must be a number, got Decimal('0.2')"),
@@ -371,11 +398,61 @@ def test_a_value_set_from_python_must_have_its_keys_type(values, message):
     assert str(err.value) == message
 
 
-def test_values_set_from_python_of_their_keys_type_are_kept_as_given():
-    values = {"seed": 7, "noise.q": 1, "inverter.x0": [0, 0, 1.0, 0]}
-    config = ExperimentConfig(values=values)
-    assert {key: config[key] for key in values} == values
+def test_values_set_from_python_of_their_keys_type_are_kept_as_read():
+    config = ExperimentConfig(
+        values={"seed": 7, "noise.q": 1, "inverter.x0": [0, 0, 1.0, 0]}
+    )
+    assert config["inverter.x0"] == (0.0, 0.0, 1.0, 0.0)
+    assert [type(config[key]) for key in ("seed", "noise.q")] == [int, float]
     assert config.scenario().seed == 7
+
+
+def test_a_value_set_from_python_is_not_the_callers_object():
+    x0 = np.array([0.0, 0.0, 1.0, 0.0])
+    profile = [[0.0, 1.0], [0.2, 1.0]]
+    config = ExperimentConfig(values={
+        "inverter.x0": x0, "inverter.profile": profile,
+        "seed": np.int64(5), "noise.q": np.float32(0.5),
+    })
+    echo = config.resolved_items()
+    scenario = config.system().scenario
+    x0[2] = 5.0
+    profile[1][1] = 9.0
+    profile.append([0.3, 1.0])
+    assert config.resolved_items() == echo
+    assert scenario.x0.tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert scenario.v_grid.times == (0.0, 0.2) and scenario.v_grid.values == (1.0, 1.0)
+    assert config["inverter.profile"] == ((0.0, 1.0), (0.2, 1.0))
+    assert {type(value) for value in config.values.values()} <= {str, int, float, tuple}
+
+
+def _extreme_forms(key, x):
+    """``key`` set to the number ``x`` in each of its kind's forms: an entry
+    of ``inverter.x0``, the profile's values or one of its breakpoint times."""
+    default = SCHEMA[key][1]
+    if key == "inverter.x0":
+        return [(x,) * 4] + [default[:i] + (x,) + default[i + 1:] for i in range(4)]
+    if key == "inverter.profile":
+        return [tuple((t, x) for t, _ in default), ((0.0, 1.0), (x, 1.0)),
+                ((x, 1.0), (0.2, 1.0))]
+    return [type(default)(x)]
+
+
+@pytest.mark.parametrize(
+    "key", [key for key, (parse, _, _) in SCHEMA.items() if parse is not str]
+)
+def test_an_extreme_number_gives_a_config_or_a_config_error(key):
+    # numpy overflow and invalid-value warnings are errors here, so a model
+    # build that overflows fails the test instead of running on with inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e308, -1e308, 1.7e308, 1e154, 5e-324):
+            for value in _extreme_forms(key, x):
+                for model in ("inverter", "smib"):
+                    try:
+                        ExperimentConfig(values={"model": model, key: value})
+                    except ConfigError:
+                        pass
 
 
 def _python_forms(key):

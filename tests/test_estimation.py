@@ -125,6 +125,13 @@ def test_noise_model_validation():
         assert m[0, 1] == 0.25 * SYMMETRY_TOL
 
 
+def test_a_noise_model_owns_its_measurement_matrix():
+    h = np.eye(2)
+    noise = NoiseModel(q=np.eye(2), r=np.eye(2), h=h)
+    h[0, 1] = 7.0
+    assert noise.h.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
 # -- ekf_predict -------------------------------------------------------------
 
 

@@ -368,6 +368,16 @@ def test_scenario_validation():
         )
 
 
+def test_a_scenario_owns_its_initial_state():
+    x0 = np.array([0.0, 0.0, 1.0, 0.0])
+    sc = InverterScenario(
+        horizon=0.2, dt=1e-4, v_grid=reference_profile(), seed=1,
+        x0=x0, params=P, noise=reference_noise(),
+    )
+    x0[2] = 5.0
+    assert sc.x0.tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
 def test_noiseless_measurements_equal_truth():
     noise = NoiseModel(q=1e-6 * np.eye(4), r=np.zeros((4, 4)), h=np.eye(4))
     sc = reference_scenario(noise=noise)

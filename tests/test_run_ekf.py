@@ -332,6 +332,21 @@ def test_a_failed_jump_names_its_time_mode_and_edge(changes, error, fragment):
         assert err.value.time == 0.054
 
 
+@pytest.mark.parametrize("hybrid, mode", [(True, "GFL"), (False, "blended")])
+def test_a_non_finite_measurement_names_the_update_time_and_mode(hybrid, mode):
+    sc = reference_scenario(horizon=0.01)
+    _, z = generate_truth_and_measurements(sc)
+    z = np.array(z)
+    z[5] = np.nan
+    process = (
+        inverter_automaton(sc.params, sc.v_grid) if hybrid
+        else blended_field(sc.params, sc.v_grid)
+    )
+    with pytest.raises(NumericalFailureError) as err:
+        run_ekf(process, sc, z)
+    assert str(err.value) == f"updated belief is not finite at t=0.0005 in mode {mode!r}"
+
+
 @pytest.mark.parametrize("hybrid, mode", [(True, "GFM"), (False, "blended")])
 def test_a_diverged_prediction_names_its_time_and_mode(hybrid, mode):
     sc = reference_scenario(params=InverterParams(r_pu=5e-324))
