@@ -382,14 +382,14 @@ def test_any_config_text_gives_a_config_or_a_config_error(text):
             "inverter.x0 must be a list of numbers, got array([[0., 0.],\n"
             "       [0., 0.]])",
         ),
+        # exact values that no float equals
+        ({"horizon": Fraction(1, 5)}, "horizon must be a number, got Fraction(1, 5)"),
+        ({"horizon": Decimal("0.2")}, "horizon must be a number, got Decimal('0.2')"),
         (
             {"model": np.array(["smib", "x"])},
             "model must be one of ('inverter', 'smib'), "
             "got array(['smib', 'x'], dtype='<U4')",
         ),
-        # exact values that no float equals
-        ({"horizon": Fraction(1, 5)}, "horizon must be a number, got Fraction(1, 5)"),
-        ({"horizon": Decimal("0.2")}, "horizon must be a number, got Decimal('0.2')"),
     ],
 )
 def test_a_value_set_from_python_must_have_its_keys_type(values, message):
