@@ -23,7 +23,7 @@ from typing import List, Optional
 from .compare import run_comparison
 from .config import ExperimentConfig, read_values
 from .errors import ConfigError, HdsimError
-from .report import ensure_dir, fmt, write_trajectory_csv
+from .report import column_rows, ensure_dir, fmt, write_trajectory_csv
 from .safety import box_sampler, check_safety
 from .simulate import quiet_overflow, simulate
 
@@ -77,9 +77,8 @@ def _cmd_simulate(config: ExperimentConfig) -> int:
         model.system, model.x0, config["horizon"], config["max_jumps"], config["dt"],
         mode0=model.mode0,
     )
-    rows = zip(
-        traj.times.tolist(), traj.jump_counts.tolist(), traj.modes,
-        *traj.states.T[: len(model.states)].tolist(),
+    rows = column_rows(
+        traj.times, traj.jump_counts, traj.modes, *traj.states.T[: len(model.states)]
     )
     path = os.path.join(out_dir, f"trajectory_{config['model']}.csv")
     write_trajectory_csv(path, ("t", "j", "mode") + model.states, rows)

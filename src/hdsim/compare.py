@@ -18,6 +18,7 @@ from .report import (
     NEAR_SWITCH,
     OVERALL,
     RmseReport,
+    column_rows,
     ensure_dir,
     write_report_csv,
     write_trajectory_csv,
@@ -40,9 +41,8 @@ def near_switch_windows(
 
 def _estimate_rows(t_grid, truth_states, truth_modes, truth_jumps, run: EkfRun):
     p_traces = np.trace(run.covariances, axis1=1, axis2=2)
-    return zip(
-        t_grid.tolist(), truth_jumps.tolist(), truth_modes,
-        *truth_states.T.tolist(), *run.means.T.tolist(), p_traces.tolist(),
+    return column_rows(
+        t_grid, truth_jumps, truth_modes, *truth_states.T, *run.means.T, p_traces
     )
 
 

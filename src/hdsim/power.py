@@ -276,23 +276,15 @@ def blended_field(
 
 
 def gfm_system_matrices(p: InverterParams) -> Tuple[np.ndarray, np.ndarray]:
-    """(A, b) with ``gfm_flow(x) == A x + b``; the GFM embedding is affine.
+    """(A, b) with ``gfm_flow(x) == A x + b``, read off :func:`gfm_flow`.
 
-    At the default ``InverterParams`` the eigenvalues of ``A`` are about
-    +50.4 +- 0.48j and -1050.4 +- 0.48j s^-1: the embedding is open-loop
-    unstable.  The project documents do not settle whether this is intended.
+    The GFM law is affine, so one call on the columns ``[0 | I]`` gives
+    both: ``b`` is the field at 0, and column ``k`` of ``A`` is the field
+    at the unit vector ``e_k`` minus ``b``.
     """
-    wl = p.omega * p.l_pu
-    a = np.array(
-        [
-            [-1.0 / p.tau_i, 0.0, -1.0 / (p.r_pu * p.tau_i), 0.0],
-            [0.0, -1.0 / p.tau_i, 0.0, -1.0 / (p.r_pu * p.tau_i)],
-            [-p.r_pu / p.l_pu, wl / p.l_pu, 0.0, 0.0],
-            [-wl / p.l_pu, -p.r_pu / p.l_pu, 0.0, 0.0],
-        ]
-    )
-    b = np.array([p.v_ref / (p.r_pu * p.tau_i), 0.0, 0.0, 0.0])
-    return a, b
+    f = gfm_flow(np.hstack((np.zeros((4, 1)), np.eye(4))), p)
+    b = f[:, 0]
+    return f[:, 1:] - b[:, None], b
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ makes byte-determinism a meaningful contract.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,6 +20,9 @@ OVERALL = "overall"
 NEAR_SWITCH = "near_switch"
 
 INVERTER_STATES = ("i_d", "i_q", "v_d", "v_q")
+
+ROW_CHUNK = 4096
+"""Rows that :func:`column_rows` converts to Python values at a time."""
 
 
 def fmt(x: float) -> str:
@@ -50,6 +54,22 @@ def write_trajectory_csv(path: str, columns: Sequence[str], rows) -> None:
             template = ",".join(map(_cell_format, first)) + "\n"
             fh.write(template % tuple(first))
             fh.writelines(template % tuple(row) for row in rows)
+
+
+def column_rows(*columns):
+    """The rows of equal-length columns (arrays or lists), as tuples of
+    Python values.
+
+    Each column is converted ``ROW_CHUNK`` rows at a time, so writing a
+    table holds one chunk of Python values, not a copy of every column.
+    """
+    def values(part):
+        return part.tolist() if isinstance(part, np.ndarray) else part
+
+    return itertools.chain.from_iterable(
+        zip(*(values(col[k : k + ROW_CHUNK]) for col in columns))
+        for k in range(0, len(columns[0]), ROW_CHUNK)
+    )
 
 
 def read_trajectory_csv(path: str) -> Tuple[List[str], List[List[str]]]:

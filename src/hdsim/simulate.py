@@ -163,7 +163,7 @@ def next_grid_time(t: float, t0: float, dt: float, t_end: float) -> Tuple[bool, 
     or ``(True, t)`` at the horizon, where only the guards enabled there
     may still fire.  The grid stays aligned to ``t0`` after a jump.
     """
-    if t >= t_end - 1e-15 * max(1.0, abs(t_end)):
+    if t >= t_end:
         return True, t
     k = math.floor((t - t0) / dt + 1e-9) + 1
     while t0 + k * dt <= t:  # t - t0 loses digits when abs(t0) >> dt

@@ -41,6 +41,9 @@ MAX_JUMPS_REACHED = "max jumps reached"
 LEFT_FLOW_SET = "left flow set"
 NUMERICAL_FAILURE = "numerical failure"
 
+_INITIAL_CAPACITY = 64
+"""Samples a new :class:`HybridTrajectory` has room for before it grows."""
+
 
 def as_state(values, dim: Optional[int] = None) -> np.ndarray:
     """Validate and convert ``values`` into a finite 1-D float state vector."""
@@ -86,49 +89,77 @@ class HybridTrajectory:
     """Samples indexed by hybrid time plus the reason the run stopped.
 
     The samples are stored as four append-only columns: ordinary time
-    ``t``, jump count ``j``, mode label and state.  ``samples`` builds the
+    ``t`` and jump count ``j`` in typed arrays, the mode labels in a list,
+    and the states as the rows of one ``(capacity, dim)`` float array whose
+    ``dim`` the first state fixes.  The arrays double their capacity when
+    full, so a stored sample costs its numbers and one list slot, not an
+    array object of its own.  ``times``, ``jump_counts`` and ``states`` are
+    read-only views of the stored rows; ``samples`` builds the
     :class:`TrajectorySample` records from them on each access.
     """
 
     def __init__(self) -> None:
-        self._t: List[float] = []
-        self._j: List[int] = []
+        self._t = np.empty(_INITIAL_CAPACITY)
+        self._j = np.empty(_INITIAL_CAPACITY, dtype=int)
+        self._x = np.empty((_INITIAL_CAPACITY, 0))
+        self._last: Tuple[float, int] = (0.0, 0)
         self._modes: List[str] = []
-        self._states: List[np.ndarray] = []
         self.jumps: List[JumpRecord] = []
         self.termination: str = HORIZON_REACHED
 
     def append(self, t: float, j: int, mode: str, state: np.ndarray) -> None:
         if t < 0.0 or j < 0:
             raise ArgumentError(f"hybrid time must be non-negative, got ({t}, {j})")
-        if self._t and (t < self._t[-1] or (t == self._t[-1] and j < self._j[-1])):
+        n = len(self._modes)
+        if n and (t, j) < self._last:
             raise ArgumentError(
                 f"hybrid time must be non-decreasing: ({t}, {j}) after "
-                f"({self._t[-1]}, {self._j[-1]})"
+                f"({self._last[0]}, {self._last[1]})"
             )
-        self._t.append(t)
-        self._j.append(j)
+        x = np.asarray(state, dtype=float)
+        if x.shape != self._x.shape[1:]:
+            if x.ndim != 1:
+                raise ArgumentError(f"state must be a 1-D vector, got shape {x.shape}")
+            if n:
+                raise ArgumentError(
+                    f"state has dimension {x.size}, expected {self._x.shape[1]}"
+                )
+            self._x = np.empty((len(self._t), x.size))
+        if n == len(self._t):
+            self._t, self._j, self._x = (
+                np.concatenate((col, np.empty_like(col)))
+                for col in (self._t, self._j, self._x)
+            )
+        self._t[n], self._j[n], self._x[n] = t, j, x
         self._modes.append(mode)
-        self._states.append(np.asarray(state, float))
+        self._last = (t, j)
+
+    def _rows(self, column: np.ndarray) -> np.ndarray:
+        """The stored rows of ``column``, as a read-only view."""
+        view = column[: len(self._modes)]
+        view.flags.writeable = False
+        return view
 
     @property
     def samples(self) -> Tuple[TrajectorySample, ...]:
         return tuple(
             TrajectorySample(HybridTime(t, j), mode, state)
-            for t, j, mode, state in zip(self._t, self._j, self._modes, self._states)
+            for t, j, mode, state in zip(
+                self.times.tolist(), self.jump_counts.tolist(), self._modes, self.states
+            )
         )
 
     @property
     def times(self) -> np.ndarray:
-        return np.array(self._t)
+        return self._rows(self._t)
 
     @property
     def jump_counts(self) -> np.ndarray:
-        return np.array(self._j, dtype=int)
+        return self._rows(self._j)
 
     @property
     def states(self) -> np.ndarray:
-        return np.array(self._states)
+        return self._rows(self._x)
 
     @property
     def modes(self) -> List[str]:
@@ -139,7 +170,7 @@ class HybridTrajectory:
         return [r.t for r in self.jumps]
 
     def final_state(self) -> np.ndarray:
-        return self._states[-1]
+        return self.states[-1].copy()
 
     def _grid_indices(self, t0: float, dt: float, n_steps: int) -> np.ndarray:
         """Sample index at each grid time ``t0 + k*dt``, k = 0..n_steps.
@@ -150,7 +181,7 @@ class HybridTrajectory:
         """
         tol = 1e-9 * max(dt, 1.0)
         grid = t0 + np.arange(n_steps + 1) * dt
-        times = np.array(self._t + [np.inf])  # index -1 finds no sample
+        times = np.append(self.times, np.inf)  # index -1 finds no sample
         idx = np.searchsorted(times, grid + tol, side="right") - 1
         missing = np.abs(times[idx] - grid) > tol
         if missing.any():

@@ -7,7 +7,9 @@ from hdsim import ArgumentError, rmse
 from hdsim.report import (
     NEAR_SWITCH,
     OVERALL,
+    ROW_CHUNK,
     RmseReport,
+    column_rows,
     fmt,
     read_report_csv,
     read_trajectory_csv,
@@ -77,6 +79,17 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert float(row[4]) == orig[4]
     write_trajectory_csv(path, ("t", "j"), iter([]))  # no rows: the header alone
     assert read_trajectory_csv(path) == (["t", "j"], [])
+
+
+def test_column_rows_are_the_rows_of_the_columns_across_chunks():
+    n = 2 * ROW_CHUNK + 3
+    rng = np.random.default_rng(5)
+    times, states = rng.standard_normal(n), rng.standard_normal((n, 2))
+    jumps, modes = np.arange(n) // 1000, [f"m{k % 3}" for k in range(n)]
+    rows = list(column_rows(times, jumps, modes, *states.T))
+    assert rows == list(zip(times.tolist(), jumps.tolist(), modes, *states.T.tolist()))
+    assert all(type(row[1]) is int and type(row[3]) is float for row in rows)
+    assert list(column_rows(np.empty(0), [])) == []
 
 
 def _old_per_cell_line(row):

@@ -88,6 +88,14 @@ def test_gfm_affine_form_is_exact():
         assert np.max(np.abs(gfm_flow(x, P) - (a @ x + b))) < 1e-12
 
 
+def test_gfm_matrices_have_the_documented_open_loop_spectrum():
+    # the instability note of gfm_flow: about +50.4 +- 0.48j and -1050.4 +- 0.48j
+    a, _ = gfm_system_matrices(InverterParams())
+    eig = sorted(np.linalg.eigvals(a), key=lambda z: (z.real, z.imag))
+    expected = [-1050.4 - 0.48j, -1050.4 + 0.48j, 50.4 - 0.48j, 50.4 + 0.48j]
+    assert np.allclose(eig, expected, atol=0.05)
+
+
 def test_gfm_trajectory_matches_matrix_exponential():
     a, b = gfm_system_matrices(P)
     aug = np.zeros((5, 5))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -28,8 +29,11 @@ from hdsim import (
     run_ekf,
     simulate,
 )
+from hdsim.cli import cli_main
+from hdsim.config import load_config
 from hdsim.integrate import rk4_step
 from hdsim.power import SmibParams, reference_scenario, smib_state, smib_system
+from hdsim.report import ROW_CHUNK, fmt
 from hdsim.safety import check_safety
 from hdsim.simulate import Stepper, next_event, next_grid_time
 from hdsim.systems import as_state
@@ -202,6 +206,97 @@ def test_append_rejects_decreasing_or_negative_hybrid_time(t, j):
     with pytest.raises(ArgumentError, match="hybrid time must be"):
         traj.append(t, j, "a", np.zeros(1))
     assert len(traj.samples) == 7
+
+
+def test_a_state_of_another_dimension_is_refused():
+    traj = _hand_built()
+    for state, fragment in (
+        (np.zeros(2), "state has dimension 2, expected 1"),
+        (np.zeros((1, 1)), r"state must be a 1-D vector, got shape \(1, 1\)"),
+    ):
+        with pytest.raises(ArgumentError, match=fragment):
+            traj.append(0.4, 2, "a", state)
+    with pytest.raises(ArgumentError, match=r"1-D vector, got shape \(\)"):
+        HybridTrajectory().append(0.0, 0, "a", 1.0)
+    assert len(traj.samples) == 7 and traj.states.shape == (7, 1)
+
+
+# a dip below v_low and back: more samples than one chunk of CSV rows, and
+# GFL and GFM rows on both sides of the first chunk boundary
+_DIP_RUN = (
+    "model = inverter\n"
+    "horizon = 0.5\n"
+    "inverter.profile = 0:1, 0.3:1, 0.31:0.5, 0.45:0.5, 0.46:1, 0.5:1\n"
+)
+
+
+def _recorded_run(tmp_path):
+    """The dip run, stepped into a trajectory and into plain lists of the
+    samples as the stepper hands them over, plus its config file."""
+    cfg = tmp_path / "dip.cfg"
+    cfg.write_text(_DIP_RUN)
+    config = load_config(str(cfg))
+    model = config.system()
+    given = []
+    traj = HybridTrajectory()
+
+    def sink(t, j, mode, x):
+        given.append((t, j, mode, np.array(x)))
+        traj.append(t, j, mode, x)
+
+    stepper = Stepper(
+        model.system, model.x0, config["horizon"], config["max_jumps"], config["dt"],
+        model.mode0, 0.0, sink, traj.jumps,
+    )
+    stepper.advance(to_end=True)
+    return str(cfg), given, traj
+
+
+def test_stored_columns_and_samples_are_the_samples_as_given(tmp_path):
+    _, given, traj = _recorded_run(tmp_path)
+    assert len(given) > ROW_CHUNK and len(traj.jumps) == 2
+    assert traj.times.tolist() == [t for t, _, _, _ in given]
+    assert traj.jump_counts.tolist() == [j for _, j, _, _ in given]
+    assert traj.modes == [mode for _, _, mode, _ in given]
+    assert np.array_equal(traj.states, np.array([x for _, _, _, x in given]))
+    records = [(s.time, s.mode, s.state.tolist()) for s in traj.samples]
+    assert records == [(HybridTime(t, j), mode, x.tolist()) for t, j, mode, x in given]
+    assert np.array_equal(traj.final_state(), given[-1][3])
+    # the stored rows are read-only: a caller cannot change the trajectory
+    with pytest.raises(ValueError):
+        traj.states[0, 0] = 1.0
+
+
+def test_simulate_csv_holds_the_samples_as_given_row_for_row(tmp_path):
+    cfg, given, _ = _recorded_run(tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    expected = "t,j,mode,i_d,i_q,v_d,v_q\n" + "".join(
+        ",".join([fmt(t), str(j), mode] + [fmt(v) for v in x]) + "\n"
+        for t, j, mode, x in given
+    )
+    assert (out / "trajectory_inverter.csv").read_bytes() == expected.encode("utf-8")
+
+
+def test_a_stored_sample_costs_under_250_bytes_of_traced_memory(tmp_path):
+    # 20,001 samples: the states live in one array and the CSV rows are
+    # converted a chunk at a time, so neither costs an object per sample
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("model = inverter\nhorizon = 2.0\ninverter.profile = 0:1, 2:1\n")
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path)]
+    warm = tmp_path / "warm.cfg"  # first-call imports and caches are not samples
+    warm.write_text("model = inverter\nhorizon = 0.001\n")
+    assert cli_main(["simulate", "--config", str(warm), "--out", str(tmp_path)]) == 0
+    tracemalloc.start()
+    try:
+        assert cli_main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(tmp_path / "trajectory_inverter.csv", encoding="utf-8") as fh:
+        samples = sum(1 for _ in fh) - 1
+    assert samples == 20001
+    assert peak / samples < 250
 
 
 @pytest.mark.parametrize("t, j", [(-0.1, 0), (0.0, -1)])
@@ -413,6 +508,27 @@ def test_simulate_far_from_t0_reaches_the_horizon():
     assert traj.termination == HORIZON_REACHED
     assert len(traj.times) == 101
     assert np.all(np.diff(traj.times) > 0)
+
+
+def test_a_run_of_femtosecond_steps_reaches_its_horizon():
+    # "at the horizon" is exact: any slack below t_end is a whole step
+    # when dt is that small
+    traj = simulate(FlowJumpSystem(1, decay), [1.0], 1e-14, 5, 1e-15)
+    assert traj.termination == HORIZON_REACHED
+    assert len(traj.times) == 11 and traj.times[-1] == 1e-14
+
+
+def test_compare_runs_femtosecond_steps_to_its_horizon(tmp_path, capsys):
+    # the filters step the same grid clock: stopping one step short of the
+    # horizon left them an unreachable last grid time
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("horizon = 1e-14\ndt = 1e-15\n")
+    out = tmp_path / "out"
+    assert cli_main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "trajectory_hybrid.csv", encoding="utf-8") as fh:
+        rows = fh.read().splitlines()[1:]
+    assert len(rows) == 11 and float(rows[-1].split(",")[0]) == 10 * 1e-15  # k*dt
 
 
 def _always(x, t):
