@@ -6,8 +6,10 @@ falsify: "no counterexample found" is evidence, not a proof, since no
 over-approximation of the reachable set is computed.
 
 The samples are advanced together, in chunks of ``SWEEP_CHUNK``: each
-grid step is one RK4 step of the batch of event-free columns per mode,
-followed by one column-wise guard, ``unsafe`` and invariant evaluation.
+grid step is one RK4 step of the batch of event-free columns per mode
+present, followed by one column-wise guard, ``unsafe`` and invariant
+evaluation.  A batch that is the whole chunk steps the chunk's state
+array itself, with no gather of its columns.
 Only a column whose guard crossed (or whose state turned non-finite)
 goes through the scalar event path of :class:`hdsim.simulate.Stepper`,
 so every column follows exactly the trajectory :func:`simulate` gives it.
@@ -52,10 +54,14 @@ def box_sampler(lo, hi, seed: int) -> Callable[[], np.ndarray]:
     hi = np.asarray(hi, dtype=float)
     if lo.shape != hi.shape or np.any(hi < lo):
         raise ArgumentError("box bounds must have equal shape with hi >= lo")
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    if not (np.isfinite(lo).all() and np.isfinite(width).all()):
+        raise ArgumentError("box bounds and their width hi - lo must be finite")
     rng = np.random.default_rng(seed)
 
     def sample() -> np.ndarray:
-        return lo + (hi - lo) * rng.random(lo.shape)
+        return lo + width * rng.random(lo.shape)
 
     return sample
 
@@ -187,8 +193,11 @@ def _sweep(
         if cols.size == 0:
             return
         s = steppers[cols[0]]
+        # the whole chunk steps X itself: a field never writes into its input
+        # (integrate.VectorField), so X holds the states at t until written
+        whole = cols.size == m
         try:
-            x_next = rk4_step(s.flow, X[:, cols], t, t_next - t)
+            x_next = rk4_step(s.flow, X if whole else X[:, cols], t, t_next - t)
             clear = np.isfinite(x_next).all(axis=0)
             for e in s.edges:
                 clear &= np.asarray(e.guard(x_next, t_next)) < 0.0
@@ -208,14 +217,17 @@ def _sweep(
             # per-column answer is asked one state at a time
             x_next, clear, all_clear = None, np.zeros(cols.size, dtype=bool), False
         else:
-            X[:, flowing] = x_flow
+            if whole and all_clear:
+                X[...] = x_flow
+            else:
+                X[:, flowing] = x_flow
             if not inside.all():  # left the flow set
                 running[flowing[~np.broadcast_to(inside, flowing.shape)]] = False
             if bad.any():
                 decide(flowing[bad][0])
         if all_clear:
             return
-        for k in np.flatnonzero(~clear):
+        for k in (~clear).nonzero()[0]:
             c = cols[k]
             if c < best:
                 run(c, t, None if x_next is None else x_next[:, k])
@@ -240,7 +252,7 @@ def _sweep(
             break
 
     while True:
-        cols = np.flatnonzero(running[:best])
+        cols = running[:best].nonzero()[0]
         at_end, t_next = next_grid_time(t, 0.0, dt, horizon)
         if at_end or cols.size == 0:
             break  # at the horizon every column is done
@@ -248,9 +260,15 @@ def _sweep(
             # a lone column costs less on its own than as a batch of one
             run(cols[0], t, to_end=True)
             break
-        g = group[cols]  # the modes at t, before any column of this step jumps
-        for q in np.unique(g):
-            batch_step(cols[(g == q) & (cols < best)], t, t_next)
+        # the modes at t, before any column of this step jumps, ascending: a
+        # column decided in one mode retires the higher columns of the next
+        present = np.bincount(group[cols]).nonzero()[0] if modes else ()
+        if len(present) <= 1:
+            batch_step(cols, t, t_next)  # one mode: every column, no mask
+        else:
+            g = group[cols]
+            for q in present:
+                batch_step(cols[(g == q) & (cols < best)], t, t_next)
         t = t_next
     if best == m:
         return None

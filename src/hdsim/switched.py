@@ -73,7 +73,9 @@ def lift_switched(sw: SwitchedSystem) -> FlowJumpSystem:
     the time margin ``t - next_switch_instant`` and the jump map advances
     the segment while leaving the continuous state untouched.  The flow and
     the jump margin act on each column of a state batch (the fields must
-    too): each column follows the field of its own segment.
+    too): each column follows the field of its own segment.  A segment
+    label outside the segments (it rounds below 0 or past the last) is an
+    :class:`ArgumentError` from the flow, the jump margin and the mode label.
     """
     n = sw.dim
     fields = [sw.fields[m - 1] for m in sw.mode_sequence]
@@ -81,15 +83,21 @@ def lift_switched(sw: SwitchedSystem) -> FlowJumpSystem:
 
     def segment(x: np.ndarray) -> np.ndarray:
         """The segment index of ``x``, one per column of a batch."""
-        return np.rint(x[n]).astype(int)
+        label = np.rint(x[n])
+        inside = (label >= 0) & (label < len(fields))
+        if not np.all(inside):
+            bad = float(np.extract(~inside, x[n])[0])
+            raise ArgumentError(f"segment label {bad} outside 0..{len(fields) - 1}")
+        return label.astype(int)
 
     def flow_map(x: np.ndarray, t: float) -> np.ndarray:
         seg = segment(x)
         out = np.zeros_like(x, dtype=float)
-        if seg.ndim == 0:
-            out[:n] = fields[seg](x[:n], t)
+        present = np.bincount(np.ravel(seg)).nonzero()[0]
+        if present.size == 1:  # a single state, or a batch in one segment
+            out[:n] = fields[present[0]](x[:n], t)
             return out
-        for s in np.unique(seg):
+        for s in present:
             cols = seg == s
             out[:n, cols] = fields[s](x[:n, cols], t)
         return out
@@ -103,7 +111,7 @@ def lift_switched(sw: SwitchedSystem) -> FlowJumpSystem:
         return out
 
     def mode_label(x: np.ndarray) -> str:
-        return f"mode {sw.mode_sequence[int(round(x[n]))]}"
+        return f"mode {sw.mode_sequence[int(segment(x))]}"
 
     return FlowJumpSystem(
         dim=n + 1,

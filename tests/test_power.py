@@ -191,6 +191,37 @@ def test_cold_start_imports_no_scipy():
     assert formalism_modules == "[]"
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        "model = smib\nhorizon = 1.0\nsmib.p_m = 2.0\nsmib.d = 0.5\n"
+        "verify.samples = 3\nverify.delta_half_width = 0.6\nverify.omega_half_width = 6\n",
+        "model = inverter\nhorizon = 0.2\nverify.samples = 3\n",
+    ],
+    ids=["smib", "inverter"],
+)
+def test_a_verify_run_imports_no_numpy_ma(tmp_path, config):
+    # numpy.ma costs a fresh process about 17 ms and 1.25 MB (numpy 2.4, where
+    # `import numpy` leaves it out and np.unique loads it)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    code = (
+        "import sys, numpy\n"
+        "def ma(): return {m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']}\n"
+        "before = ma()\n"
+        "from hdsim.cli import cli_main\n"
+        f"assert cli_main({argv!r}) == 0\n"
+        "print(sorted(ma() - before))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_blend_of_identical_fields_is_that_field():
     # both fields are affine in x; solve for the state where they agree
     from hdsim import numerical_jacobian

@@ -545,15 +545,24 @@ def test_the_last_live_column_finishes_on_its_own():
     assert verdict.samples_checked == 1
 
 
+ORDER = "box bounds must have equal shape with hi >= lo"
+FINITE = "box bounds and their width hi - lo must be finite"
+
+
 @pytest.mark.parametrize(
-    "lo, hi",
+    "lo, hi, message",
     [
-        pytest.param([0.0, 0.0], [1.0], id="shape"),
-        pytest.param([0.0, 1.0], [1.0, 0.5], id="order"),
+        pytest.param([0.0, 0.0], [1.0], ORDER, id="shape"),
+        pytest.param([0.0, 1.0], [1.0, 0.5], ORDER, id="order"),
+        pytest.param([np.nan], [1.0], FINITE, id="nan-lo"),
+        pytest.param([0.0], [np.nan], FINITE, id="nan-hi"),
+        pytest.param([0.0], [np.inf], FINITE, id="inf-hi"),
+        pytest.param([-np.inf], [np.inf], FINITE, id="inf-both"),
+        pytest.param([0.0, -1e308], [1.0, 1e308], FINITE, id="inf-width"),
     ],
 )
-def test_safety_input_checks(lo, hi):
-    with pytest.raises(ArgumentError, match="box bounds must have equal shape with hi >= lo"):
+def test_safety_input_checks(lo, hi, message):
+    with pytest.raises(ArgumentError, match=message):
         box_sampler(lo, hi, seed=0)
 
 

@@ -130,3 +130,39 @@ def test_the_lift_acts_on_each_column():
         assert np.array_equal(flows[:, c], lift.flow_map(batch[:, c], 0.05))
         assert margins[c] == lift.jump_set(batch[:, c], 0.05)
     assert margins.tolist() == [0.05 - 0.1, -np.inf, 0.05 - 0.1]
+
+
+def three_segment_lift():
+    sw = SwitchedSystem(
+        dim=2,
+        fields=(lambda x, t: -x, lambda x, t: np.sin(x) * t, lambda x, t: x[::-1] ** 2),
+        mode_sequence=(1, 2, 3),
+        switch_times=(0.1, 0.2),
+    )
+    return lift_switched(sw)
+
+
+def test_a_batch_in_any_segments_equals_its_columns():
+    lift = three_segment_lift()
+    rng = np.random.default_rng(3)
+    for labels in ([1, 1, 1, 1], [2, 0, 1, 2, 0], [0], [2, 2, 0]):
+        batch = np.vstack([rng.normal(size=(2, len(labels))), labels])
+        flows = lift.flow_map(batch, 0.15)
+        margins = lift.jump_set(batch, 0.15)
+        for c in range(len(labels)):
+            assert np.array_equal(flows[:, c], lift.flow_map(batch[:, c], 0.15))
+            assert margins[c] == lift.jump_set(batch[:, c], 0.15)
+
+
+@pytest.mark.parametrize("label", [-1.0, 3.0, np.nan])
+def test_a_segment_label_out_of_range_is_an_argument_error(label):
+    lift = three_segment_lift()
+    message = f"segment label {label} outside 0..2"
+    for x in (np.array([1.0, 0.5, label]), np.array([[1.0, 2.0], [0.5, 0.5], [1.0, label]])):
+        with pytest.raises(ArgumentError, match=message):
+            lift.flow_map(x, 0.0)
+        with pytest.raises(ArgumentError, match=message):
+            lift.jump_set(x, 0.0)
+    if np.isfinite(label):
+        with pytest.raises(ArgumentError, match=message):
+            simulate(lift, [1.0, 0.5, label], 0.3, max_jumps=5, dt=0.01)
