@@ -70,9 +70,6 @@ from .power import (
     gfm_system_matrices,
     inverter_automaton,
     mode_sigmoid,
-    reference_noise,
-    reference_profile,
-    reference_scenario,
     sine_power,
     smib_state,
     smib_system,

@@ -17,20 +17,15 @@ from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from .errors import ArgumentError, ConfigError
-from .estimation import DEFAULT_P0
+from .estimation import DEFAULT_P0, NoiseModel
 from .power import (
     DEFAULT_MAX_JUMPS,
-    REFERENCE_Q_INTENSITY,
-    REFERENCE_SIGMA_CURRENT,
-    REFERENCE_SIGMA_VOLTAGE,
     SMIB_P_E_MAX,
     InverterParams,
     InverterScenario,
     PiecewiseLinearProfile,
     SmibParams,
     inverter_automaton,
-    reference_noise,
-    reference_scenario,
     sine_power,
     smib_state,
     smib_system,
@@ -38,11 +33,11 @@ from .power import (
 from .report import INVERTER_STATES
 from .systems import FlowJumpSystem, HybridAutomaton
 
-# Model, scenario and filter defaults come from their single sources in
-# ``power`` and ``estimation``.
+# Model-parameter and filter defaults come from their single sources in
+# ``power`` and ``estimation``; the inverter experiment's own defaults (seed,
+# horizon, dt, initial state, grid profile, noise) are the literals in SCHEMA.
 _INV = InverterParams()
 _SMIB = SmibParams()
-_REF = reference_scenario()
 
 
 def _floats(raw: str) -> Tuple[float, ...]:
@@ -84,9 +79,9 @@ _KINDS: Dict[Callable[[str], object], Tuple[str, Callable[[object], str]]] = {
 SCHEMA: Dict[str, Tuple[Callable[[str], object], object, str]] = {
     "model": (str, "inverter", "model to run: inverter | smib"),
     "filter": (str, "both", "filter(s) to run: hybrid | continuous | both"),
-    "seed": (int, _REF.seed, "measurement-noise seed (flag > config > HDS_SEED env)"),
-    "horizon": (float, _REF.horizon, "simulation horizon in seconds"),
-    "dt": (float, _REF.dt, "fixed integration / measurement step in seconds"),
+    "seed": (int, 42, "measurement-noise seed (flag > config > HDS_SEED env)"),
+    "horizon": (float, 0.2, "simulation horizon in seconds"),
+    "dt": (float, 1e-4, "fixed integration / measurement step in seconds"),
     "near_switch_window": (float, 0.005, "half-width of near-switch RMSE windows (s)"),
     "max_jumps": (int, DEFAULT_MAX_JUMPS, "jump budget per simulation"),
     "out": (str, ".", "output directory (overridden by --out)"),
@@ -101,17 +96,17 @@ SCHEMA: Dict[str, Tuple[Callable[[str], object], object, str]] = {
     "inverter.sigmoid_vth": (float, _INV.sigmoid_mid, "blend midpoint voltage, per-unit"),
     "inverter.tau_v": (float, _INV.tau_v, "GFL voltage-tracking time constant (s)"),
     "inverter.tau_i": (float, _INV.tau_i, "GFM current-tracking time constant (s)"),
-    "inverter.x0": (_floats, tuple(float(v) for v in _REF.x0), "initial [i_d, i_q, v_d, v_q]"),
-    "inverter.profile": (
+    "inverter.x0": (_floats, (0.0, 0.0, 1.0, 0.0), "initial [i_d, i_q, v_d, v_q]"),
+    "inverter.profile": (  # 1 pu, a dip to 0.5 pu over 50-60 ms, back over 120-130 ms
         _profile,
-        tuple(zip(_REF.v_grid.times, _REF.v_grid.values)),
+        ((0.0, 1.0), (0.05, 1.0), (0.06, 0.5), (0.12, 0.5), (0.13, 1.0), (0.2, 1.0)),
         "grid-voltage breakpoints as comma-separated t:value pairs",
     ),
-    "noise.q": (float, REFERENCE_Q_INTENSITY, "process-noise intensity (per-step Q = q*dt*I)"),
-    "noise.r_id": (float, REFERENCE_SIGMA_CURRENT, "i_d measurement noise standard deviation"),
-    "noise.r_iq": (float, REFERENCE_SIGMA_CURRENT, "i_q measurement noise standard deviation"),
-    "noise.r_vd": (float, REFERENCE_SIGMA_VOLTAGE, "v_d measurement noise standard deviation"),
-    "noise.r_vq": (float, REFERENCE_SIGMA_VOLTAGE, "v_q measurement noise standard deviation"),
+    "noise.q": (float, 1e-2, "process-noise intensity (per-step Q = q*dt*I)"),
+    "noise.r_id": (float, 0.01, "i_d measurement noise standard deviation"),
+    "noise.r_iq": (float, 0.01, "i_q measurement noise standard deviation"),
+    "noise.r_vd": (float, 0.004, "v_d measurement noise standard deviation"),
+    "noise.r_vq": (float, 0.004, "v_q measurement noise standard deviation"),
     "ekf.p0": (float, DEFAULT_P0, "initial covariance P0 = p0*I"),
     "smib.m": (float, _SMIB.m, "inertia constant"),
     "smib.d": (float, _SMIB.d, "damping coefficient"),
@@ -274,7 +269,11 @@ class ExperimentConfig:
                 tau_v=v["inverter.tau_v"],
                 tau_i=v["inverter.tau_i"],
             ),
-            noise=reference_noise(v["noise.q"], [v[key] for key in sigmas], v["dt"]),
+            noise=NoiseModel(  # every state is measured: H = I
+                q=v["noise.q"] * v["dt"] * np.eye(4),
+                r=np.diag([v[key] ** 2 for key in sigmas]),
+                h=np.eye(4),
+            ),
         )
 
     def smib_params(self) -> SmibParams:

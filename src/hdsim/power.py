@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -35,16 +35,19 @@ from .systems import (
 GFL = "GFL"
 GFM = "GFM"
 
-# Default noise magnitudes of the reference estimation experiment: white
-# process noise of intensity 1e-2 on every state (discretized per step as
-# Q dt), 0.004 pu measurement noise on the voltage channels and 0.01 pu on
-# the current channels.
-REFERENCE_Q_INTENSITY = 1e-2
-REFERENCE_SIGMA_CURRENT = 0.01
-REFERENCE_SIGMA_VOLTAGE = 0.004
-
 DEFAULT_MAX_JUMPS = 50
 """Jump budget of the ground-truth simulation."""
+
+
+def _require_finite(record, names) -> None:
+    """Raise ``ArgumentError`` naming the first of ``record``'s fields
+    ``names`` that holds a NaN or an infinity."""
+    for name in names:
+        value = getattr(record, name)
+        if not np.all(np.isfinite(value)):
+            raise ArgumentError(
+                f"{type(record).__name__}.{name} must be finite, got {value!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +66,7 @@ class PiecewiseLinearProfile:
         object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ArgumentError("profile needs matching times/values, >= 2 points")
+        _require_finite(self, ("times", "values"))
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ArgumentError("profile times must be strictly increasing")
 
@@ -115,13 +119,14 @@ class InverterParams:
     tau_i: float = 1e-3
 
     def __post_init__(self):
-        if self.l_pu <= 0.0 or self.r_pu <= 0.0:
+        _require_finite(self, [f.name for f in fields(self)])
+        if not (self.l_pu > 0.0 and self.r_pu > 0.0):
             raise ArgumentError("l_pu and r_pu must be positive")
         if not self.v_low < self.v_high:
             raise ArgumentError("hysteresis requires v_low < v_high")
-        if self.tau_v <= 0.0 or self.tau_i <= 0.0:
+        if not (self.tau_v > 0.0 and self.tau_i > 0.0):
             raise ArgumentError("tracking time constants must be positive")
-        if self.i_lim <= 0.0:
+        if not self.i_lim > 0.0:
             raise ArgumentError("current limit must be positive")
 
 
@@ -291,33 +296,6 @@ def gfm_system_matrices(p: InverterParams) -> Tuple[np.ndarray, np.ndarray]:
 # Scenario: exogenous profile + noise + seed
 
 
-def reference_noise(
-    q: float = REFERENCE_Q_INTENSITY,
-    sigmas: Sequence[float] = (
-        REFERENCE_SIGMA_CURRENT, REFERENCE_SIGMA_CURRENT,
-        REFERENCE_SIGMA_VOLTAGE, REFERENCE_SIGMA_VOLTAGE,
-    ),
-    dt: float = 1e-4,
-) -> NoiseModel:
-    """Noise model on the [i_d, i_q, v_d, v_q] state.
-
-    Every state is measured directly (H = I).  The continuous-time
-    process-noise intensity ``q * I`` is discretized per step as ``Q dt``;
-    ``sigmas`` are the four per-channel measurement standard deviations,
-    R = diag(sigma^2).
-    """
-    r = np.diag([float(s) ** 2 for s in sigmas])
-    return NoiseModel(q=q * dt * np.eye(4), r=r, h=np.eye(4))
-
-
-def reference_profile() -> PiecewiseLinearProfile:
-    """Nominal voltage, a dip to 0.5 pu at 50 ms, recovery at 120 ms."""
-    return PiecewiseLinearProfile(
-        times=(0.0, 0.05, 0.06, 0.12, 0.13, 0.20),
-        values=(1.0, 1.0, 0.5, 0.5, 1.0, 1.0),
-    )
-
-
 @dataclass(frozen=True)
 class InverterScenario:
     """A reproducible inverter experiment: grid profile, noise, and seed."""
@@ -340,6 +318,10 @@ class InverterScenario:
             raise ArgumentError(f"dt must divide the horizon within {tol:g}")
         if self.v_grid.times[0] > 0.0 or self.v_grid.times[-1] < self.horizon - 1e-12:
             raise ArgumentError("the grid profile must cover [0, horizon]")
+        if isinstance(self.seed, bool) or not (
+            isinstance(self.seed, (int, np.integer)) and self.seed >= 0
+        ):
+            raise ArgumentError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "x0", np.array(self.x0, dtype=float))
         if self.x0.shape != (4,):
             raise ArgumentError("inverter state must have 4 entries")
@@ -347,27 +329,6 @@ class InverterScenario:
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
-
-
-def reference_scenario(
-    seed: int = 42,
-    params: Optional[InverterParams] = None,
-    noise: Optional[NoiseModel] = None,
-    horizon: float = 0.20,
-    dt: float = 1e-4,
-) -> InverterScenario:
-    """The reference dip/recovery experiment (initial state v_d = 1, rest 0)."""
-    params = params if params is not None else InverterParams()
-    noise = noise if noise is not None else reference_noise(dt=dt)
-    return InverterScenario(
-        horizon=horizon,
-        dt=dt,
-        v_grid=reference_profile(),
-        seed=seed,
-        x0=np.array([0.0, 0.0, 1.0, 0.0]),
-        params=params,
-        noise=noise,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +444,10 @@ class SmibParams:
     p_max: float = 0.4
 
     def __post_init__(self):
-        if self.m <= 0.0:
+        _require_finite(self, [f.name for f in fields(self) if f.name != "p_e"])
+        if not self.m > 0.0:
             raise ArgumentError("inertia must be positive")
-        if self.d < 0.0:
+        if not self.d >= 0.0:
             raise ArgumentError("damping must be non-negative")
         if not self.p_min < self.p_max:
             raise ArgumentError("restoration band requires p_min < p_max")

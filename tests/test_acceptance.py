@@ -31,7 +31,6 @@ from hdsim import (
     locate_event,
     mld_step,
     near_switch_windows,
-    reference_scenario,
     rmse,
     run_comparison,
     run_ekf,
@@ -65,7 +64,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> bool:
 
 def test_headline_contrast():
     t0 = time.perf_counter()
-    scenario = reference_scenario(seed=42)
+    scenario = ExperimentConfig(values={"seed": 42}).scenario()
     truth, z = generate_truth_and_measurements(scenario)
     hybrid = run_ekf(inverter_automaton(scenario.params, scenario.v_grid), scenario, z)
     continuous = run_ekf(blended_field(scenario.params, scenario.v_grid), scenario, z)

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdsim import (
-    blended_field, check_safety, cli_main, generate_truth_and_measurements,
-    inverter_automaton, load_config, parse_config_text, reference_scenario,
-    run_ekf, simulate, smib_system,
+    InverterParams, blended_field, check_safety, cli_main,
+    generate_truth_and_measurements, inverter_automaton, load_config,
+    parse_config_text, run_ekf, simulate, smib_system,
 )
 from hdsim import cli, power
 from hdsim import compare as compare_module
@@ -35,15 +35,16 @@ def test_defaults_without_file():
     assert config["inverter.l_pu"] == 0.0189
 
 
-def test_default_config_is_the_reference_scenario():
-    ours = ExperimentConfig().scenario()
-    ref = reference_scenario()
-    assert ours.params == ref.params
-    assert ours.v_grid == ref.v_grid
-    assert np.array_equal(ours.x0, ref.x0)
-    assert (ours.horizon, ours.dt, ours.seed) == (ref.horizon, ref.dt, ref.seed)
-    for name in ("q", "r", "h"):
-        assert np.array_equal(getattr(ours.noise, name), getattr(ref.noise, name))
+def test_default_config_pins_the_reference_experiment_by_value():
+    sc = ExperimentConfig().scenario()
+    assert (sc.seed, sc.horizon, sc.dt) == (42, 0.2, 1e-4)
+    assert np.array_equal(sc.x0, [0.0, 0.0, 1.0, 0.0])
+    assert sc.v_grid.times == (0.0, 0.05, 0.06, 0.12, 0.13, 0.2)
+    assert sc.v_grid.values == (1.0, 1.0, 0.5, 0.5, 1.0, 1.0)
+    assert np.array_equal(sc.noise.q, 1e-2 * 1e-4 * np.eye(4))
+    assert np.array_equal(sc.noise.r, np.diag([0.01**2, 0.01**2, 0.004**2, 0.004**2]))
+    assert np.array_equal(sc.noise.h, np.eye(4))
+    assert sc.params == InverterParams()
 
 
 def test_parse_with_comments_and_sections():

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from hdsim import (
     ArgumentError,
+    ExperimentConfig,
     GaussianBelief,
     GrazingError,
     NoiseModel,
@@ -29,9 +30,6 @@ from hdsim.power import (
     current_clamp_jacobian,
     gfl_flow,
     gfm_flow,
-    reference_noise,
-    reference_profile,
-    reference_scenario,
 )
 
 
@@ -198,7 +196,7 @@ def per_column_jacobian(fn, x):
 
 
 P_INV = InverterParams()
-V_GRID = reference_profile()
+V_GRID = ExperimentConfig().scenario().v_grid
 INVERTER_FIELDS = {
     "gfl": lambda x, t: gfl_flow(x, V_GRID(t), P_INV),
     "gfm": lambda x, t: gfm_flow(x, P_INV),
@@ -209,7 +207,7 @@ INVERTER_FIELDS = {
 @pytest.mark.parametrize("name", sorted(INVERTER_FIELDS))
 def test_batched_prediction_is_bitwise_the_per_column_one(name):
     field = INVERTER_FIELDS[name]
-    noise = reference_noise()
+    noise = ExperimentConfig().scenario().noise
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.uniform(-3.0, 3.0, 4)
@@ -233,7 +231,7 @@ def test_batched_prediction_is_bitwise_the_per_column_one(name):
 def test_predicted_mean_is_bitwise_the_single_state_step(name):
     # run_ekf hands this mean to next_event as the step's RK4 end state
     field = INVERTER_FIELDS[name]
-    noise = reference_noise()
+    noise = ExperimentConfig().scenario().noise
     rng = np.random.default_rng(11)
     for _ in range(200):
         x = rng.uniform(-3.0, 3.0, 4)
@@ -251,7 +249,8 @@ def test_one_prediction_makes_four_field_evaluations():
         return INVERTER_FIELDS["blended"](x, t)
 
     belief = GaussianBelief(np.array([0.1, 0.0, 1.0, 0.0]), 1e-3 * np.eye(4))
-    ekf_predict(belief, counting_field, 1e-4, reference_noise(), t0=0.05)
+    noise = ExperimentConfig().scenario().noise
+    ekf_predict(belief, counting_field, 1e-4, noise, t0=0.05)
     assert shapes == [(4, 9)] * 4
 
 
@@ -492,8 +491,8 @@ _BELIEF = GaussianBelief([0.3, 0.4], np.eye(2))
         pytest.param(
             lambda: run_ekf(
                 lambda x, t: -x,
-                reference_scenario(),
-                np.zeros((reference_scenario().n_steps + 1, 3)),
+                ExperimentConfig().scenario(),
+                np.zeros((ExperimentConfig().scenario().n_steps + 1, 3)),
             ),
             "measurement rows have length 3, expected 4", id="measurement-row",
         ),

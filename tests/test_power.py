@@ -13,6 +13,7 @@ from scipy.special import expit
 
 from hdsim import (
     ArgumentError,
+    ExperimentConfig,
     InverterParams,
     InverterScenario,
     PiecewiseLinearProfile,
@@ -25,9 +26,6 @@ from hdsim import (
     gfm_system_matrices,
     inverter_automaton,
     mode_sigmoid,
-    reference_noise,
-    reference_profile,
-    reference_scenario,
     simulate,
     smib_state,
     smib_system,
@@ -274,8 +272,8 @@ def test_constant_nominal_voltage_never_leaves_gfl():
     assert set(traj.modes) == {GFL}
 
 
-def test_reference_scenario_has_two_jumps_at_analytic_crossings():
-    sc = reference_scenario()
+def test_default_scenario_has_two_jumps_at_analytic_crossings():
+    sc = ExperimentConfig().scenario()
     automaton = inverter_automaton(sc.params, sc.v_grid)
     traj = simulate(automaton, sc.x0, sc.horizon, 10, sc.dt, mode0=GFL)
     assert [r.edge for r in traj.jumps] == ["GFL->GFM", "GFM->GFL"]
@@ -287,7 +285,7 @@ def test_reference_scenario_has_two_jumps_at_analytic_crossings():
 
 def test_reset_clamps_currents_only():
     params = InverterParams(i_lim=1.2)
-    profile = reference_profile()
+    profile = ExperimentConfig().scenario().v_grid
     automaton = inverter_automaton(params, profile)
     edge = automaton.outgoing(GFL)[0]
     post = edge.reset(np.array([2.0, 0.1, 0.77, -0.02]))
@@ -355,7 +353,9 @@ def ten_dip_profile(seed):
                                   tuple(float(v) for v in values))
 
 
-@pytest.mark.parametrize("profile", [reference_profile(), ten_dip_profile(11)])
+@pytest.mark.parametrize(
+    "profile", [ExperimentConfig().scenario().v_grid, ten_dip_profile(11)]
+)
 def test_profile_lookup_is_bitwise_np_interp(profile):
     xs = np.asarray(profile.times)
     rng = np.random.default_rng(5)
@@ -391,27 +391,74 @@ def test_crossing_times_list_each_instant_once(times, values, want):
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("times, values, name", [
+    ((0.0, np.nan, 1.0), (1.0, 1.0, 1.0), "times"),
+    ((0.0, 1.0), (1.0, np.inf), "values"),
+], ids=["nan-time", "inf-value"])
+def test_profile_refuses_non_finite_breakpoints(times, values, name):
+    with pytest.raises(
+        ArgumentError, match=rf"PiecewiseLinearProfile\.{name} must be finite"
+    ):
+        PiecewiseLinearProfile(times, values)
+
+
+@pytest.mark.parametrize("record, name, value", [
+    (InverterParams, "l_pu", np.nan),
+    (InverterParams, "tau_v", np.nan),
+    (InverterParams, "i_lim", np.nan),
+    (InverterParams, "sigmoid_gain", np.nan),
+    (InverterParams, "omega", np.inf),
+    (SmibParams, "m", np.nan),
+    (SmibParams, "d", np.nan),
+    (SmibParams, "i_max", np.nan),
+    (SmibParams, "m", np.inf),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_model_parameters_refuse_non_finite_values(record, name, value):
+    with pytest.raises(
+        ArgumentError, match=rf"{record.__name__}\.{name} must be finite, got {value}"
+    ):
+        record(**{name: value})
+
+
 # -- scenarios, truth, measurements -------------------------------------------
 
 
 def test_scenario_validation():
+    ref = ExperimentConfig().scenario()
     with pytest.raises(ArgumentError):
         InverterScenario(
-            horizon=0.2, dt=3e-4, v_grid=reference_profile(), seed=1,
-            x0=np.zeros(4), params=P, noise=reference_noise(),
+            horizon=0.2, dt=3e-4, v_grid=ref.v_grid, seed=1,
+            x0=np.zeros(4), params=P, noise=ref.noise,
         )
     with pytest.raises(ArgumentError):
         InverterScenario(
-            horizon=0.5, dt=1e-4, v_grid=reference_profile(), seed=1,
-            x0=np.zeros(4), params=P, noise=reference_noise(),
+            horizon=0.5, dt=1e-4, v_grid=ref.v_grid, seed=1,
+            x0=np.zeros(4), params=P, noise=ref.noise,
         )
+
+
+@pytest.mark.parametrize(
+    "seed", [-1, 1.5, "3", True, np.True_],
+    ids=["negative", "float", "text", "bool", "numpy-bool"],
+)
+def test_scenario_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ArgumentError, match="seed must be a non-negative integer, got"):
+        replace(ExperimentConfig().scenario(), seed=seed)
+
+
+def test_scenario_takes_a_numpy_integer_seed():
+    sc = replace(ExperimentConfig().scenario(), seed=np.int64(3))
+    _, z = generate_truth_and_measurements(sc)
+    _, z_int = generate_truth_and_measurements(replace(sc, seed=3))
+    assert np.array_equal(z, z_int)
 
 
 def test_a_scenario_owns_its_initial_state():
     x0 = np.array([0.0, 0.0, 1.0, 0.0])
+    ref = ExperimentConfig().scenario()
     sc = InverterScenario(
-        horizon=0.2, dt=1e-4, v_grid=reference_profile(), seed=1,
-        x0=x0, params=P, noise=reference_noise(),
+        horizon=0.2, dt=1e-4, v_grid=ref.v_grid, seed=1,
+        x0=x0, params=P, noise=ref.noise,
     )
     x0[2] = 5.0
     assert sc.x0.tolist() == [0.0, 0.0, 1.0, 0.0]
@@ -419,24 +466,25 @@ def test_a_scenario_owns_its_initial_state():
 
 def test_noiseless_measurements_equal_truth():
     noise = NoiseModel(q=1e-6 * np.eye(4), r=np.zeros((4, 4)), h=np.eye(4))
-    sc = reference_scenario(noise=noise)
+    sc = replace(ExperimentConfig().scenario(), noise=noise)
     truth, z = generate_truth_and_measurements(sc)
     grid = truth.grid_states(0.0, sc.dt, sc.n_steps)
     assert np.array_equal(z, grid)
 
 
 def test_measurement_stream_is_seed_deterministic():
-    sc_a = reference_scenario(seed=42)
-    sc_b = reference_scenario(seed=42)
+    sc_a = ExperimentConfig(values={"seed": 42}).scenario()
+    sc_b = ExperimentConfig(values={"seed": 42}).scenario()
     _, za = generate_truth_and_measurements(sc_a)
     _, zb = generate_truth_and_measurements(sc_b)
     assert np.array_equal(za, zb)
-    _, zc = generate_truth_and_measurements(reference_scenario(seed=43))
+    sc_c = ExperimentConfig(values={"seed": 43}).scenario()
+    _, zc = generate_truth_and_measurements(sc_c)
     assert not np.array_equal(za, zc)
 
 
 def test_empirical_noise_standard_deviations():
-    sc = reference_scenario(seed=7)
+    sc = ExperimentConfig(values={"seed": 7}).scenario()
     truth, z = generate_truth_and_measurements(sc)
     grid = truth.grid_states(0.0, sc.dt, sc.n_steps)
     resid = z - grid

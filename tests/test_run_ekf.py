@@ -11,12 +11,12 @@ from hdsim import (
     MAX_JUMPS_REACHED,
     ArgumentError,
     Edge,
+    ExperimentConfig,
     GaussianBelief,
     HybridAutomaton,
     NumericalFailureError,
     generate_truth_and_measurements,
     inverter_automaton,
-    reference_scenario,
     rmse,
     run_ekf,
     simulate,
@@ -28,7 +28,7 @@ from hdsim.simulate import SAME_TIME_JUMP_BUDGET
 
 def scenario_with(r_matrix, q=1e-6):
     noise = NoiseModel(q=q * np.eye(4), r=r_matrix, h=np.eye(4))
-    return reference_scenario(seed=42, noise=noise)
+    return replace(ExperimentConfig().scenario(), noise=noise)
 
 
 def scalar_scenario(horizon, dt, r):
@@ -54,14 +54,14 @@ def test_zero_noise_hybrid_filter_tracks_its_own_generator():
 
 
 def test_short_measurement_stream_rejected():
-    sc = reference_scenario(seed=1)
+    sc = ExperimentConfig(values={"seed": 1}).scenario()
     _, z = generate_truth_and_measurements(sc)
     with pytest.raises(ArgumentError):
         run_ekf(inverter_automaton(sc.params, sc.v_grid), sc, z[:-5])
 
 
 def test_hybrid_filter_modes_follow_truth_modes():
-    sc = reference_scenario(seed=5)
+    sc = ExperimentConfig(values={"seed": 5}).scenario()
     truth, z = generate_truth_and_measurements(sc)
     run = run_ekf(inverter_automaton(sc.params, sc.v_grid), sc, z)
     assert [r.edge for r in run.jumps] == ["GFL->GFM", "GFM->GFL"]
@@ -71,7 +71,7 @@ def test_hybrid_filter_modes_follow_truth_modes():
 
 
 def test_covariances_stay_symmetric_psd_over_full_run():
-    sc = reference_scenario(seed=9)
+    sc = ExperimentConfig(values={"seed": 9}).scenario()
     _, z = generate_truth_and_measurements(sc)
     for process in (
         inverter_automaton(sc.params, sc.v_grid),
@@ -85,7 +85,7 @@ def test_covariances_stay_symmetric_psd_over_full_run():
 
 
 def test_estimate_trajectory_obeys_hybrid_time():
-    sc = reference_scenario(seed=3)
+    sc = ExperimentConfig(values={"seed": 3}).scenario()
     _, z = generate_truth_and_measurements(sc)
     run = run_ekf(inverter_automaton(sc.params, sc.v_grid), sc, z)
     assert np.all(np.diff(run.times) > 0.0)
@@ -100,7 +100,7 @@ def test_estimate_trajectory_obeys_hybrid_time():
 
 
 def test_blended_filter_never_jumps():
-    sc = reference_scenario(seed=3)
+    sc = ExperimentConfig(values={"seed": 3}).scenario()
     _, z = generate_truth_and_measurements(sc)
     run = run_ekf(blended_field(sc.params, sc.v_grid), sc, z)
     assert run.jumps == []
@@ -110,7 +110,7 @@ def test_blended_filter_never_jumps():
 def test_identity_reset_jump_leaves_covariance_continuous():
     # GFM->GFL reset is the identity, so the saltation matrix is I and the
     # covariance is unchanged across the second switch
-    sc = reference_scenario(seed=11)
+    sc = ExperimentConfig(values={"seed": 11}).scenario()
     _, z = generate_truth_and_measurements(sc)
     run = run_ekf(inverter_automaton(sc.params, sc.v_grid), sc, z)
     second = run.jumps[1]
@@ -196,7 +196,7 @@ def test_an_event_on_the_step_end_reuses_the_step_prediction(monkeypatch):
     # both reference switches land on grid times: the prediction to the
     # grid time is the prediction to the event
     predictions = counted_calls(monkeypatch, "ekf_predict")
-    sc = reference_scenario(seed=42)
+    sc = ExperimentConfig(values={"seed": 42}).scenario()
     _, z = generate_truth_and_measurements(sc)
     run = run_ekf(inverter_automaton(sc.params, sc.v_grid), sc, z)
     assert [r.t for r in run.jumps] == [0.054, 0.128]
@@ -279,7 +279,7 @@ def test_a_field_runs_as_a_one_mode_automaton_with_no_edges(model):
         sc.initial_mode = "blended"
         field, z = decay, np.linspace(1.0, 0.5, sc.n_steps + 1)
     else:
-        sc = reference_scenario(seed=4, horizon=0.08)
+        sc = ExperimentConfig(values={"seed": 4, "horizon": 0.08}).scenario()
         _, z = generate_truth_and_measurements(sc)
         sc = replace(sc, initial_mode="blended")
         field = blended_field(sc.params, sc.v_grid)
@@ -295,7 +295,7 @@ def test_a_field_runs_as_a_one_mode_automaton_with_no_edges(model):
 def _reference_with_gfl_to_gfm(**changes):
     """The reference automaton with the GFL->GFM edge changed, its scenario
     and the reference measurements."""
-    sc = reference_scenario()
+    sc = ExperimentConfig().scenario()
     automaton = inverter_automaton(sc.params, sc.v_grid)
     edges = tuple(
         replace(e, **changes) if e.label == "GFL->GFM" else e for e in automaton.edges
@@ -334,7 +334,7 @@ def test_a_failed_jump_names_its_time_mode_and_edge(changes, error, fragment):
 
 @pytest.mark.parametrize("hybrid, mode", [(True, "GFL"), (False, "blended")])
 def test_a_non_finite_measurement_names_the_update_time_and_mode(hybrid, mode):
-    sc = reference_scenario(horizon=0.01)
+    sc = ExperimentConfig(values={"horizon": 0.01}).scenario()
     _, z = generate_truth_and_measurements(sc)
     z = np.array(z)
     z[5] = np.nan
@@ -349,8 +349,8 @@ def test_a_non_finite_measurement_names_the_update_time_and_mode(hybrid, mode):
 
 @pytest.mark.parametrize("hybrid, mode", [(True, "GFM"), (False, "blended")])
 def test_a_diverged_prediction_names_its_time_and_mode(hybrid, mode):
-    sc = reference_scenario(params=InverterParams(r_pu=5e-324))
-    _, z = generate_truth_and_measurements(reference_scenario())
+    sc = replace(ExperimentConfig().scenario(), params=InverterParams(r_pu=5e-324))
+    _, z = generate_truth_and_measurements(ExperimentConfig().scenario())
     process = (
         inverter_automaton(sc.params, sc.v_grid) if hybrid
         else blended_field(sc.params, sc.v_grid)

@@ -7,6 +7,7 @@ from hdsim import (
     AmbiguousTransitionError,
     ArgumentError,
     Edge,
+    ExperimentConfig,
     FlowJumpSystem,
     HybridAutomaton,
     LEFT_FLOW_SET,
@@ -19,7 +20,6 @@ from hdsim import (
     box_sampler,
     check_safety,
     inverter_automaton,
-    reference_scenario,
     simulate,
     smib_system,
 )
@@ -210,7 +210,7 @@ def test_unsafe_only_at_a_pre_or_post_jump_sample(side, simulate_calls):
 def test_inverter_columns_that_jump_onto_a_grid_time():
     # the reference dip crosses v_low at t = 0.054, a grid time at dt = 1e-3:
     # each column lands one grid step ahead of the sweep and waits there
-    scenario = reference_scenario()
+    scenario = ExperimentConfig().scenario()
     automaton = inverter_automaton(scenario.params, scenario.v_grid)
     kwargs = dict(horizon=0.2, max_jumps=10, dt=1e-3, mode0=scenario.initial_mode)
 
@@ -229,7 +229,7 @@ def test_inverter_columns_that_jump_onto_a_grid_time():
 def test_columns_that_jump_onto_a_grid_time_rejoin_the_batch(monkeypatch):
     # finishing them on the scalar path instead would leave a safe inverter
     # sweep scalar after its first switch: 14 times slower at 200 samples
-    scenario = reference_scenario()
+    scenario = ExperimentConfig().scenario()
     automaton = inverter_automaton(scenario.params, scenario.v_grid)
     flags = []
     advance = Stepper.advance

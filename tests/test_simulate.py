@@ -30,9 +30,9 @@ from hdsim import (
     simulate,
 )
 from hdsim.cli import cli_main
-from hdsim.config import load_config
+from hdsim.config import ExperimentConfig, load_config
 from hdsim.integrate import rk4_step
-from hdsim.power import SmibParams, reference_scenario, smib_state, smib_system
+from hdsim.power import SmibParams, smib_state, smib_system
 from hdsim.report import ROW_CHUNK, fmt
 from hdsim.safety import check_safety
 from hdsim.simulate import Stepper, next_event, next_grid_time
@@ -607,12 +607,12 @@ def _identity(x):
             ArgumentError, "max_jumps must be non-negative", id="max-jumps-nan",
         ),
         pytest.param(
-            lambda: replace(reference_scenario(), horizon=math.nan),
+            lambda: replace(ExperimentConfig().scenario(), horizon=math.nan),
             ArgumentError, "horizon and dt must be positive and finite",
             id="scenario-horizon-nan",
         ),
         pytest.param(
-            lambda: replace(reference_scenario(), horizon=math.inf),
+            lambda: replace(ExperimentConfig().scenario(), horizon=math.inf),
             ArgumentError, "horizon and dt must be positive and finite",
             id="scenario-horizon-inf",
         ),
