@@ -1,16 +1,16 @@
 """Hybrid dynamical systems: representation, simulation, and estimation.
 
-The toolkit covers flow/jump systems, hybrid automata, switched / PWA /
-MLD systems, guard-localized simulation on hybrid time domains, an
+The toolkit covers flow/jump systems, hybrid automata, switched and PWA
+systems, guard-localized simulation on hybrid time domains, an
 extended Kalman filter with saltation-matrix covariance transport, and
 the grid-following/grid-forming inverter and two-line SMIB studies built
 on top of them.
 
 Hybrid stepping has one implementation, :mod:`hdsim.simulate`; the
 independent loops the tests compare it against live in ``tests/oracles.py``.  The
-switched, PWA and MLD formalisms (``hdsim.switched``, ``hdsim.pwa``,
-``hdsim.mld``) load on first use of one of their names, so importing
-``hdsim`` or running the command-line driver does not import them.
+switched and PWA formalisms (``hdsim.switched``, ``hdsim.pwa``) load on
+first use of one of their names, so importing ``hdsim`` or running the
+command-line driver does not import them.
 """
 
 import importlib
@@ -21,7 +21,6 @@ from .errors import (
     ConfigError,
     GrazingError,
     HdsimError,
-    InfeasibleError,
     NumericalFailureError,
     UncoveredStateError,
 )
@@ -88,8 +87,6 @@ _LAZY = {
     "lift_switched": "switched",
     "PwaSystem": "pwa",
     "pwa_step": "pwa",
-    "MldSystem": "mld",
-    "mld_step": "mld",
 }
 
 

@@ -46,16 +46,5 @@ class UncoveredStateError(HdsimError):
         self.state = state
 
 
-class InfeasibleError(HdsimError):
-    """A proposed MLD assignment violated the inequality constraints.
-
-    ``rows`` holds the 1-based indices of the violated constraint rows.
-    """
-
-    def __init__(self, message, rows=()):
-        super().__init__(message)
-        self.rows = tuple(rows)
-
-
 class ConfigError(HdsimError):
     """A configuration file could not be parsed or validated."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Real
 from typing import Callable, Tuple
 
 import numpy as np
@@ -40,14 +41,24 @@ DEFAULT_MAX_JUMPS = 50
 
 
 def _require_finite(record, names) -> None:
-    """Raise ``ArgumentError`` naming the first of ``record``'s fields
-    ``names`` that holds a NaN or an infinity."""
+    """Store each of ``record``'s fields ``names`` as a float, or a sequence
+    as a tuple of floats, raising ``ArgumentError`` naming the first that
+    holds anything but finite real numbers: a NaN, an infinity, an int too
+    large for a float, text or ``None``."""
     for name in names:
         value = getattr(record, name)
-        if not np.all(np.isfinite(value)):
+        scalar = isinstance(value, Real)
+        try:
+            items = (value,) if scalar else tuple(value)
+            reals = tuple(float(v) if isinstance(v, Real) else math.nan for v in items)
+            ok = all(map(math.isfinite, reals))
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
             raise ArgumentError(
                 f"{type(record).__name__}.{name} must be finite, got {value!r}"
             )
+        object.__setattr__(record, name, reals[0] if scalar else reals)
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +73,9 @@ class PiecewiseLinearProfile:
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(map(float, self.times)))
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        _require_finite(self, ("times", "values"))
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ArgumentError("profile needs matching times/values, >= 2 points")
-        _require_finite(self, ("times", "values"))
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ArgumentError("profile times must be strictly increasing")
 

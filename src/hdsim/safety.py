@@ -50,14 +50,18 @@ class SafetyVerdict:
 
 def box_sampler(lo, hi, seed: int) -> Callable[[], np.ndarray]:
     """Uniform sampler over the axis-aligned box ``[lo, hi]``, seeded."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    finite = "box bounds and their width hi - lo must be finite"
+    try:
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ArgumentError(finite) from None
     if lo.shape != hi.shape or np.any(hi < lo):
         raise ArgumentError("box bounds must have equal shape with hi >= lo")
     with np.errstate(over="ignore"):
         width = hi - lo
     if not (np.isfinite(lo).all() and np.isfinite(width).all()):
-        raise ArgumentError("box bounds and their width hi - lo must be finite")
+        raise ArgumentError(finite)
     rng = np.random.default_rng(seed)
 
     def sample() -> np.ndarray:

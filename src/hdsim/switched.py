@@ -9,8 +9,8 @@ steps it like any other hybrid system.  The independent reference the
 lift is checked against, a direct segment-by-segment integration, is a
 test oracle in ``tests/oracles.py``.
 
-``hdsim`` loads this module (like ``hdsim.pwa`` and ``hdsim.mld``) on
-first use of one of its names, so the command-line driver never imports it.
+``hdsim`` loads this module (like ``hdsim.pwa``) on first use of one of
+its names, so the command-line driver never imports it.
 """
 
 from __future__ import annotations

@@ -47,7 +47,10 @@ _INITIAL_CAPACITY = 64
 
 def as_state(values, dim: Optional[int] = None) -> np.ndarray:
     """Validate and convert ``values`` into a finite 1-D float state vector."""
-    x = np.asarray(values, dtype=float)
+    try:
+        x = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ArgumentError(f"state entries must be finite reals, got {values!r}") from None
     if x.ndim != 1 or x.size < 1:
         raise ArgumentError(f"state must be a 1-D vector, got shape {x.shape}")
     if dim is not None and x.size != dim:

@@ -17,8 +17,6 @@ from hdsim import (
     ExperimentConfig,
     FlowJumpSystem,
     GaussianBelief,
-    InfeasibleError,
-    MldSystem,
     NoiseModel,
     PwaSystem,
     SwitchedSystem,
@@ -29,7 +27,6 @@ from hdsim import (
     lift_state,
     lift_switched,
     locate_event,
-    mld_step,
     near_switch_windows,
     rmse,
     run_comparison,
@@ -391,33 +388,6 @@ def test_structural_invariants():
         if abs(normal @ x - offset) < 1e-9:
             continue
         assert len(sys_pwa.region_memberships(x)) == 1
-
-    for case in range(100):
-        # MLD feasibility verdicts flip with the slack of the constraint row
-        n_x, n_u, n_d, n_z = 2, 1, 2, 1
-        mats = dict(
-            a=rng.standard_normal((n_x, n_x)), b1=rng.standard_normal((n_x, n_u)),
-            b2=rng.standard_normal((n_x, n_d)), b3=rng.standard_normal((n_x, n_z)),
-            e1=rng.standard_normal((1, n_u)), e2=rng.standard_normal((1, n_d)),
-            e3=rng.standard_normal((1, n_z)), e4=rng.standard_normal((1, n_x)),
-        )
-        x = rng.standard_normal(n_x)
-        u = rng.standard_normal(n_u)
-        delta = rng.integers(0, 2, n_d).astype(float)
-        z_aux = rng.standard_normal(n_z)
-        slack = (mats["e2"] @ delta + mats["e3"] @ z_aux
-                 - mats["e1"] @ u - mats["e4"] @ x)
-        mld_step(
-            MldSystem(n_x=n_x, n_u=n_u, n_d=n_d, n_z=n_z, n_y=1, n_c=1,
-                      e5=slack + 1.0, **mats),
-            x, u, delta, z_aux,
-        )
-        with pytest.raises(InfeasibleError):
-            mld_step(
-                MldSystem(n_x=n_x, n_u=n_u, n_d=n_d, n_z=n_z, n_y=1, n_c=1,
-                          e5=slack - 1.0, **mats),
-                x, u, delta, z_aux,
-            )
 
     report("7 structural invariant suite", True,
            f"100 cases per invariant, max lift deviation {worst_lift:.2e}")

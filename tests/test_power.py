@@ -177,7 +177,7 @@ def test_cold_start_imports_no_scipy():
         "mode_sigmoid(0.9, p)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(sorted(m for m in sys.modules if m in "
-        "('hdsim.mld', 'hdsim.pwa', 'hdsim.switched')))\n"
+        "('hdsim.pwa', 'hdsim.switched')))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -394,7 +394,8 @@ def test_crossing_times_list_each_instant_once(times, values, want):
 @pytest.mark.parametrize("times, values, name", [
     ((0.0, np.nan, 1.0), (1.0, 1.0, 1.0), "times"),
     ((0.0, 1.0), (1.0, np.inf), "values"),
-], ids=["nan-time", "inf-value"])
+    ((0, 10**400), (1, 1), "times"),
+], ids=["nan-time", "inf-value", "huge-int-time"])
 def test_profile_refuses_non_finite_breakpoints(times, values, name):
     with pytest.raises(
         ArgumentError, match=rf"PiecewiseLinearProfile\.{name} must be finite"
@@ -412,10 +413,14 @@ def test_profile_refuses_non_finite_breakpoints(times, values, name):
     (SmibParams, "d", np.nan),
     (SmibParams, "i_max", np.nan),
     (SmibParams, "m", np.inf),
+    pytest.param(InverterParams, "omega", 10**400, id="InverterParams-omega-huge-int"),
+    pytest.param(InverterParams, "omega", "1", id="InverterParams-omega-text"),
+    pytest.param(InverterParams, "omega", None, id="InverterParams-omega-None"),
+    pytest.param(SmibParams, "m", 10**400, id="SmibParams-m-huge-int"),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
 def test_model_parameters_refuse_non_finite_values(record, name, value):
     with pytest.raises(
-        ArgumentError, match=rf"{record.__name__}\.{name} must be finite, got {value}"
+        ArgumentError, match=rf"{record.__name__}\.{name} must be finite, got {value!r}"
     ):
         record(**{name: value})
 

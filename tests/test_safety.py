@@ -559,6 +559,7 @@ FINITE = "box bounds and their width hi - lo must be finite"
         pytest.param([0.0], [np.inf], FINITE, id="inf-hi"),
         pytest.param([-np.inf], [np.inf], FINITE, id="inf-both"),
         pytest.param([0.0, -1e308], [1.0, 1e308], FINITE, id="inf-width"),
+        pytest.param([10**400], [10**401], FINITE, id="huge-int"),
     ],
 )
 def test_safety_input_checks(lo, hi, message):

@@ -692,6 +692,8 @@ def test_a_non_finite_horizon_is_refused_not_run():
             ),
             "edge 'a->b' references unknown modes", id="edge-mode",
         ),
+        pytest.param(lambda: simulate(FlowJumpSystem(1, decay), [10**400], 1.0, 1, 0.1),
+                     "state entries must be finite", id="huge-int-x0"),
     ],
 )
 def test_systems_input_checks(call, fragment):
