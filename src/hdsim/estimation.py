@@ -52,7 +52,7 @@ def _checked_covariance(p, name, error, symmetric=False) -> np.ndarray:
     (skipped when it is ``symmetric`` by construction) and its smallest
     eigenvalue at least ``PSD_TOL * scale``.
     """
-    largest = float(np.max(np.abs(p)))
+    largest = float(np.abs(p).max())
     if not largest <= LARGEST_COVARIANCE_ENTRY:
         raise error(
             f"{name} entries must be finite and at most "
@@ -60,7 +60,7 @@ def _checked_covariance(p, name, error, symmetric=False) -> np.ndarray:
         )
     scale = max(1.0, largest)
     if not symmetric:
-        if np.max(np.abs(p - p.T)) > SYMMETRY_TOL * scale:
+        if np.abs(p - p.T).max() > SYMMETRY_TOL * scale:
             raise error(f"{name} is not symmetric within tolerance")
         p = symmetrize(p)
     min_eig = float(np.linalg.eigvalsh(p)[0])
@@ -116,7 +116,7 @@ class NoiseModel:
 
     R may be singular (even zero, for noiseless self-tracking studies);
     the update step raises only if the innovation covariance H P H^T + R
-    itself becomes singular.
+    itself becomes singular.  H must be finite.
     """
 
     q: np.ndarray
@@ -135,21 +135,17 @@ class NoiseModel:
             raise ArgumentError(
                 f"H must be ({r.shape[0]}, {q.shape[0]}), got {h.shape}"
             )
+        if not np.isfinite(h).all():
+            raise ArgumentError("H entries must be finite")
         object.__setattr__(self, "q", _checked_covariance(q, "Q", ArgumentError))
         object.__setattr__(self, "r", _checked_covariance(r, "R", ArgumentError))
         object.__setattr__(self, "h", h)
+        is_identity = h.shape == q.shape and np.array_equal(h, _identity(len(h)))
+        object.__setattr__(self, "_h_is_identity", is_identity)
 
     @property
     def measurement_dim(self) -> int:
         return self.r.shape[0]
-
-
-@lru_cache(maxsize=None)
-def _perturbation_indices(n: int):
-    """Flat indices of ``(i, 1 + i)`` and ``(i, 1 + n + i)`` in an
-    ``(n, 2n+1)`` C-ordered batch: where ``+h_i`` and ``-h_i`` go."""
-    plus = np.arange(n) * (2 * n + 2) + 1
-    return plus, plus + n
 
 
 @lru_cache(maxsize=None)
@@ -167,18 +163,17 @@ def _value_and_jacobian(fn: Callable[[np.ndarray], np.ndarray], x):
     J is the central difference of the perturbed columns.  ``fn`` acts
     column-wise (see :data:`hdsim.integrate.VectorField`), and a result of
     fewer than two dimensions is one row; one that does not broadcast to
-    ``(k, 2n+1)`` raises :class:`ArgumentError`.  A non-finite value comes
-    back with J = None for the caller to report; non-finite perturbed
+    ``(k, 2n+1)`` raises :class:`ArgumentError`.  J is None exactly when
+    the value is not finite, for the caller to report; non-finite perturbed
     columns raise :class:`NumericalFailureError`.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     step = JACOBIAN_STEP_SCALE * np.maximum(1.0, np.abs(x))
     cols = np.repeat(x[:, None], 2 * n + 1, axis=1)
-    plus, minus = _perturbation_indices(n)
-    flat = cols.reshape(-1)
-    flat[plus] += step
-    flat[minus] -= step
+    flat = cols.reshape(-1)  # (i, 1+i) is at 1 + i(2n+2), (i, 1+n+i) n places on
+    flat[1::2 * n + 2] += step
+    flat[n + 1::2 * n + 2] -= step
     try:
         y = np.asarray(fn(cols), dtype=float)
         if y.shape != cols.shape:
@@ -191,10 +186,10 @@ def _value_and_jacobian(fn: Callable[[np.ndarray], np.ndarray], x):
             f"batch: {exc}"
         ) from exc
     value = y[:, 0].copy()
-    if not np.all(np.isfinite(y)):
-        if not np.all(np.isfinite(value)):
+    if not np.isfinite(y).all():
+        if not np.isfinite(value).all():
             return value, None
-        bad = ~np.all(np.isfinite(y[:, 1:]), axis=0)
+        bad = ~np.isfinite(y[:, 1:]).all(axis=0)
         i = int(np.flatnonzero(bad)[0]) % n
         raise NumericalFailureError(f"map is non-finite near {x} (coordinate {i})")
     return value, (y[:, 1:n + 1] - y[:, n + 1:]) / (2.0 * step)
@@ -207,7 +202,7 @@ def numerical_jacobian(fn: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     :data:`hdsim.integrate.VectorField`).
     """
     value, jac = _value_and_jacobian(fn, x)
-    if not np.all(np.isfinite(value)):
+    if jac is None:
         raise NumericalFailureError(f"map is non-finite at {np.asarray(x, dtype=float)}")
     return jac
 
@@ -233,7 +228,7 @@ def ekf_predict(
     mean_next, f_jac = _value_and_jacobian(
         lambda x: rk4_step(flow, x, t0, dt), belief.mean
     )
-    if not np.all(np.isfinite(mean_next)):
+    if f_jac is None:
         raise NumericalFailureError(f"prediction diverged at t={t0 + dt}", time=t0 + dt)
     p_next = symmetrize(f_jac @ belief.covariance @ f_jac.T + q_scale * noise.q)
     if not np.isfinite(p_next).all():
@@ -245,8 +240,13 @@ def ekf_predict(
 
 @quiet_overflow
 def ekf_update(belief: GaussianBelief, z, noise: NoiseModel) -> GaussianBelief:
-    """Measurement correction: K = P H^T S^-1, mean += K innovation,
-    P = (I - K H) P, then symmetrization.
+    """Measurement correction: K = P H^T S^-1 with S = H P H^T + R,
+    mean += K (z - H mean), P = (I - K H) P, then symmetrization.
+
+    With an H that :class:`NoiseModel` found to be the identity, the five
+    products with H are skipped: S = P + R, K = P S^-1, z - mean, (I - K) P.
+    That is exact: an entry of a product with an exact identity is one term
+    plus terms times 0.0, so for a finite P and mean no float changes.
 
     The result gets one health check: a finite mean and covariance whose
     smallest eigenvalue is at least ``PSD_TOL`` times its largest entry
@@ -257,15 +257,20 @@ def ekf_update(belief: GaussianBelief, z, noise: NoiseModel) -> GaussianBelief:
     if z.shape != (h.shape[0],):
         raise ArgumentError(f"measurement must have length {h.shape[0]}")
     p = belief.covariance
-    s = h @ p @ h.T + noise.r
+    h_is_identity = getattr(noise, "_h_is_identity", False)
+    if h_is_identity:
+        s, p_ht, h_mean = p + noise.r, p, belief.mean
+    else:
+        s, p_ht, h_mean = h @ p @ h.T + noise.r, p @ h.T, h @ belief.mean
     try:
-        k_gain = np.linalg.solve(s.T, (p @ h.T).T).T
+        k_gain = np.linalg.solve(s.T, p_ht.T).T
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"singular innovation covariance: {exc}") from exc
-    if not np.all(np.isfinite(k_gain)):
+    if not np.isfinite(k_gain).all():
         raise NumericalFailureError("non-finite Kalman gain")
-    mean = belief.mean + k_gain @ (z - h @ belief.mean)
-    p_post = symmetrize((_identity(belief.dim) - k_gain @ h) @ p)
+    mean = belief.mean + k_gain @ (z - h_mean)
+    k_h = k_gain if h_is_identity else k_gain @ h
+    p_post = symmetrize((_identity(belief.dim) - k_h) @ p)
     if not (np.isfinite(mean).all() and np.isfinite(p_post).all()):
         raise NumericalFailureError("updated belief is not finite")
     p_post = _checked_covariance(

@@ -40,25 +40,25 @@ DEFAULT_MAX_JUMPS = 50
 """Jump budget of the ground-truth simulation."""
 
 
-def _require_finite(record, names) -> None:
-    """Store each of ``record``'s fields ``names`` as a float, or a sequence
-    as a tuple of floats, raising ``ArgumentError`` naming the first that
-    holds anything but finite real numbers: a NaN, an infinity, an int too
-    large for a float, text or ``None``."""
+def _require_finite(record, names, sequence=False) -> None:
+    """Store each of ``record``'s fields ``names`` as a float, or with
+    ``sequence`` a tuple of floats, raising ``ArgumentError`` naming the first
+    that holds anything else: a NaN, an infinity, an int too large for a
+    float, text, ``None``, a scalar where a sequence belongs or the reverse."""
     for name in names:
         value = getattr(record, name)
-        scalar = isinstance(value, Real)
         try:
-            items = (value,) if scalar else tuple(value)
+            items = tuple(value) if sequence else (value,)
             reals = tuple(float(v) if isinstance(v, Real) else math.nan for v in items)
             ok = all(map(math.isfinite, reals))
         except (TypeError, OverflowError):
             ok = False
         if not ok:
+            kind = " reals in a sequence" if sequence else ""
             raise ArgumentError(
-                f"{type(record).__name__}.{name} must be finite, got {value!r}"
+                f"{type(record).__name__}.{name} must be finite{kind}, got {value!r}"
             )
-        object.__setattr__(record, name, reals[0] if scalar else reals)
+        object.__setattr__(record, name, reals if sequence else reals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ class PiecewiseLinearProfile:
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        _require_finite(self, ("times", "values"))
+        _require_finite(self, ("times", "values"), sequence=True)
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ArgumentError("profile needs matching times/values, >= 2 points")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
@@ -144,9 +144,11 @@ def gfl_flow(x, v_grid: float, p: InverterParams) -> np.ndarray:
 
     The d/q current equations are the RL filter laws; the voltage states
     track the measured grid voltage (d-axis) and zero (q-axis) with time
-    constant ``tau_v``.
+    constant ``tau_v``.  ``x`` is a state or a batch of state columns.
     """
-    i_d, i_q, v_d, v_q = x
+    if len(x) != 4:
+        raise ValueError(f"an inverter state has 4 rows, got {len(x)}")
+    i_d, i_q, v_d, v_q = x[0], x[1], x[2], x[3]
     wl = p.omega * p.l_pu
     return np.array(
         [
@@ -170,7 +172,9 @@ def gfm_flow(x, p: InverterParams) -> np.ndarray:
     ``gfm_system_matrices``), so the d-axis diverges during a long dip.
     The project documents do not settle whether this is intended.
     """
-    i_d, i_q, v_d, v_q = x
+    if len(x) != 4:
+        raise ValueError(f"an inverter state has 4 rows, got {len(x)}")
+    i_d, i_q, v_d, v_q = x[0], x[1], x[2], x[3]
     wl = p.omega * p.l_pu
     i_d_alg = (p.v_ref - v_d) / p.r_pu
     i_q_alg = -v_q / p.r_pu

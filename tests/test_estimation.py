@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hdsim import (
     saltation_matrix,
 )
 from hdsim import run_ekf
-from hdsim.estimation import SYMMETRY_TOL
+from hdsim.estimation import JACOBIAN_STEP_SCALE, SYMMETRY_TOL, _value_and_jacobian
 from hdsim.integrate import rk4_step
 from hdsim.power import (
     InverterParams,
@@ -81,6 +82,40 @@ def test_map_that_ignores_columns_raises_argument_error():
         ekf_predict(belief, lambda x, t: np.zeros(3), 1e-3, noise)
     with pytest.raises(ArgumentError, match=r"\(2, 5\)"):
         ekf_predict(belief, lambda x, t: np.zeros((3, 2, 5)), 1e-3, noise)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_jacobian_batch_is_the_state_then_plus_then_minus_columns(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+    x[0] = -0.0
+    step = JACOBIAN_STEP_SCALE * np.maximum(1.0, np.abs(x))
+    want = [x.copy() for _ in range(2 * n + 1)]
+    for i in range(n):
+        want[1 + i][i] += step[i]
+        want[1 + n + i][i] -= step[i]
+    seen = []
+    _value_and_jacobian(lambda cols: seen.append(cols.copy()) or cols, x)
+    assert seen[0].shape == (n, 2 * n + 1)
+    assert np.array_equal(_bits(seen[0]), _bits(np.array(want).T))
+
+
+@pytest.mark.parametrize("rows", [3, 5])
+@pytest.mark.parametrize("flow", [
+    lambda x: gfl_flow(x, 1.0, InverterParams()),
+    lambda x: gfm_flow(x, InverterParams()),
+], ids=["gfl", "gfm"])
+def test_inverter_fields_refuse_a_state_without_four_rows(flow, rows):
+    with pytest.raises(ValueError):
+        flow(np.zeros(rows))
+    with pytest.raises(ValueError):
+        flow(np.zeros((rows, 9)))
+    with pytest.raises(ArgumentError, match=rf"map must act on each column.*\({rows}, "):
+        numerical_jacobian(flow, np.zeros(rows))
 
 
 # -- beliefs and noise models ------------------------------------------------
@@ -323,6 +358,39 @@ def test_covariance_stays_symmetric_psd_through_random_sequences():
             assert np.linalg.eigvalsh(p)[0] >= -1e-10
 
 
+def test_identity_measurement_update_matches_the_general_products_bit_for_bit():
+    rng = np.random.default_rng(2027)
+    for case in range(300):
+        n = int(rng.integers(1, 7))
+        a = rng.standard_normal((n, n))
+        p0 = rng.uniform(1e-6, 10.0) * np.eye(n)
+        p = p0 if case % 3 == 0 else a @ a.T * 10.0 ** rng.integers(-6, 3)
+        mean = rng.standard_normal(n)
+        mean[rng.integers(n)] = -0.0
+        b = rng.standard_normal((n, n))
+        r = b @ b.T if case % 2 else np.diag(rng.uniform(0.0, 1.0, n))
+        noise = NoiseModel(q=np.eye(n), r=r, h=np.eye(n))
+        general = SimpleNamespace(q=noise.q, r=noise.r, h=noise.h, measurement_dim=n)
+        assert noise._h_is_identity
+        belief = GaussianBelief(mean, p)
+        z = mean.copy() if case % 5 == 0 else rng.standard_normal(n)
+        fast, slow = ekf_update(belief, z, noise), ekf_update(belief, z, general)
+        assert np.array_equal(_bits(fast.mean), _bits(slow.mean))
+        assert np.array_equal(_bits(fast.covariance), _bits(slow.covariance))
+    for h in ([[1.0, 0.0], [0.0, 2.0]], [[1.0, 0.0]]):
+        assert not NoiseModel(q=np.eye(2), r=np.eye(len(h)), h=h)._h_is_identity
+    # a singular S = P + R gives the same error on both paths
+    noise = NoiseModel(q=np.eye(2), r=np.zeros((2, 2)), h=np.eye(2))
+    general = SimpleNamespace(q=noise.q, r=noise.r, h=noise.h, measurement_dim=2)
+    belief = GaussianBelief(np.zeros(2), np.diag([1.0, 0.0]))
+    messages = []
+    for model in (noise, general):
+        with pytest.raises(NumericalFailureError, match="singular innovation") as err:
+            ekf_update(belief, np.ones(2), model)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 # -- saltation matrices ------------------------------------------------------
 
 
@@ -496,6 +564,10 @@ _BELIEF = GaussianBelief([0.3, 0.4], np.eye(2))
             ),
             "measurement rows have length 3, expected 4", id="measurement-row",
         ),
+        pytest.param(lambda: NoiseModel(q=[[1.0]], r=[[1.0]], h=[[np.nan]]),
+                     "H entries must be finite", id="h-nan"),
+        pytest.param(lambda: NoiseModel(q=np.eye(2), r=[[1.0]], h=[[np.inf, 0.0]]),
+                     "H entries must be finite", id="h-inf"),
     ],
 )
 def test_estimation_input_checks(call, fragment):

@@ -395,7 +395,9 @@ def test_crossing_times_list_each_instant_once(times, values, want):
     ((0.0, np.nan, 1.0), (1.0, 1.0, 1.0), "times"),
     ((0.0, 1.0), (1.0, np.inf), "values"),
     ((0, 10**400), (1, 1), "times"),
-], ids=["nan-time", "inf-value", "huge-int-time"])
+    (0.5, 1.0, "times"),
+    ((0.0, 1.0), 0.5, "values"),
+], ids=["nan-time", "inf-value", "huge-int-time", "scalar-times", "scalar-values"])
 def test_profile_refuses_non_finite_breakpoints(times, values, name):
     with pytest.raises(
         ArgumentError, match=rf"PiecewiseLinearProfile\.{name} must be finite"
@@ -423,6 +425,13 @@ def test_model_parameters_refuse_non_finite_values(record, name, value):
         ArgumentError, match=rf"{record.__name__}\.{name} must be finite, got {value!r}"
     ):
         record(**{name: value})
+
+
+def test_a_model_parameter_given_a_sequence_is_refused():
+    with pytest.raises(
+        ArgumentError, match=r"InverterParams\.omega must be finite, got \(1\.0,\)"
+    ):
+        InverterParams(omega=(1.0,))
 
 
 # -- scenarios, truth, measurements -------------------------------------------
