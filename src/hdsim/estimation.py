@@ -51,6 +51,12 @@ def _checked_covariance(p, name, error, symmetric=False) -> np.ndarray:
     max|p|)``, ``p`` must be symmetric within ``SYMMETRY_TOL * scale``
     (skipped when it is ``symmetric`` by construction) and its smallest
     eigenvalue at least ``PSD_TOL * scale``.
+
+    A ``p`` whose diagonal entries are each at least the sum of the
+    magnitudes of the other entries of their row passes without an
+    eigenvalue computation: by Gershgorin's theorem its eigenvalues are
+    non-negative up to rounding of order ``n * eps * scale``, far above
+    ``PSD_TOL * scale``, so the verdict is the one ``eigvalsh`` gives.
     """
     largest = float(np.abs(p).max())
     if not largest <= LARGEST_COVARIANCE_ENTRY:
@@ -63,6 +69,8 @@ def _checked_covariance(p, name, error, symmetric=False) -> np.ndarray:
         if np.abs(p - p.T).max() > SYMMETRY_TOL * scale:
             raise error(f"{name} is not symmetric within tolerance")
         p = symmetrize(p)
+    if all(2.0 * row[i] >= sum(map(abs, row)) for i, row in enumerate(p.tolist())):
+        return p
     min_eig = float(np.linalg.eigvalsh(p)[0])
     if not min_eig >= PSD_TOL * scale:
         raise error(f"{name} is not PSD (min eigenvalue {min_eig:.3e})")

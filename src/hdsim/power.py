@@ -26,6 +26,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from ._pcg64 import PCG64, checked_seed
 from .errors import ArgumentError, ConfigError
 from .estimation import NoiseModel
 from .simulate import simulate
@@ -331,10 +332,7 @@ class InverterScenario:
             raise ArgumentError(f"dt must divide the horizon within {tol:g}")
         if self.v_grid.times[0] > 0.0 or self.v_grid.times[-1] < self.horizon - 1e-12:
             raise ArgumentError("the grid profile must cover [0, horizon]")
-        if isinstance(self.seed, bool) or not (
-            isinstance(self.seed, (int, np.integer)) and self.seed >= 0
-        ):
-            raise ArgumentError(f"seed must be a non-negative integer, got {self.seed!r}")
+        checked_seed(self.seed)
         object.__setattr__(self, "x0", np.array(self.x0, dtype=float))
         if self.x0.shape != (4,):
             raise ArgumentError("inverter state must have 4 entries")
@@ -351,18 +349,20 @@ class InverterScenario:
 class GaussianStream:
     """Box-Muller Gaussian stream over a seeded 64-bit PCG64 generator.
 
-    Each pair of uniforms gives a cosine and then a sine normal.  Identical
-    seeds give bit-identical streams within one build of this package (the
-    contract needed for byte-reproducible experiments).
+    Each pair of uniforms gives a cosine and then a sine normal.  The
+    uniforms are numpy's ``default_rng(seed).random`` stream, drawn by
+    :mod:`hdsim._pcg64` in pure Python, so identical seeds give
+    bit-identical streams whatever the numpy version (the contract needed
+    for byte-reproducible experiments).
     """
 
     def __init__(self, seed: int):
-        self._uniforms = np.random.default_rng(np.random.PCG64(seed))
+        self._uniforms = PCG64(seed)
 
     def normals(self, shape) -> np.ndarray:
         """Standard normals of ``shape``; an odd count drops its last sine."""
         n = int(np.prod(shape))
-        u = self._uniforms.random(2 * ((n + 1) // 2)).tolist()
+        u = self._uniforms.random(2 * ((n + 1) // 2))
         out = []
         for u1, u2 in zip(u[::2], u[1::2]):
             radius = math.sqrt(-2.0 * math.log(1.0 - u1))

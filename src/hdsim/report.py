@@ -21,7 +21,7 @@ NEAR_SWITCH = "near_switch"
 
 INVERTER_STATES = ("i_d", "i_q", "v_d", "v_q")
 
-ROW_CHUNK = 4096
+ROW_CHUNK = 512
 """Rows that :func:`column_rows` converts to Python values at a time."""
 
 

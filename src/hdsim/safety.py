@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ._pcg64 import PCG64
 from .errors import ArgumentError
 from .integrate import rk4_step
 from .simulate import Stepper, next_grid_time, quiet_overflow, simulate
@@ -49,7 +50,11 @@ class SafetyVerdict:
 
 
 def box_sampler(lo, hi, seed: int) -> Callable[[], np.ndarray]:
-    """Uniform sampler over the axis-aligned box ``[lo, hi]``, seeded."""
+    """Uniform sampler over the axis-aligned box ``[lo, hi]``, seeded.
+
+    ``seed`` must be a non-negative integer.  The draws are those of
+    numpy's ``default_rng(seed).random(lo.shape)``, bit for bit.
+    """
     finite = "box bounds and their width hi - lo must be finite"
     try:
         lo = np.asarray(lo, dtype=float)
@@ -62,10 +67,10 @@ def box_sampler(lo, hi, seed: int) -> Callable[[], np.ndarray]:
         width = hi - lo
     if not (np.isfinite(lo).all() and np.isfinite(width).all()):
         raise ArgumentError(finite)
-    rng = np.random.default_rng(seed)
+    uniforms = PCG64(seed)
 
     def sample() -> np.ndarray:
-        return lo + width * rng.random(lo.shape)
+        return lo + width * np.array(uniforms.random(lo.size)).reshape(lo.shape)
 
     return sample
 

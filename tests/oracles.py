@@ -13,6 +13,8 @@ none of its event machinery:
   the line label the simulated system carries;
 * :func:`box_muller_normals` draws the measurement-noise stream one
   normal at a time, keeping each pair's sine for the next draw;
+* :func:`box_samples` draws a box sampler's states from numpy's own
+  ``default_rng(seed)``;
 * :func:`bisection_locate_event` localizes a guard crossing by plain
   bisection plus the regula-falsi polish, the localizer that
   :func:`hdsim.events.locate_event` replaced.
@@ -179,6 +181,14 @@ def box_muller_normals(seed: int, shape) -> np.ndarray:
         spare = radius * math.sin(angle)
         out[i] = radius * math.cos(angle)
     return out.reshape(shape)
+
+
+def box_samples(lo, hi, seed: int, count: int) -> List[np.ndarray]:
+    """``count`` uniform states of the box ``[lo, hi]`` from ``default_rng(seed)``."""
+    lo = np.asarray(lo, dtype=float)
+    width = np.asarray(hi, dtype=float) - lo
+    rng = np.random.default_rng(seed)
+    return [lo + width * rng.random(lo.shape) for _ in range(count)]
 
 
 def bisection_locate_event(margin: Callable, t_lo: float, t_hi: float) -> Optional[float]:

@@ -22,7 +22,14 @@ from hdsim import (
     saltation_matrix,
 )
 from hdsim import run_ekf
-from hdsim.estimation import JACOBIAN_STEP_SCALE, SYMMETRY_TOL, _value_and_jacobian
+from hdsim.estimation import (
+    JACOBIAN_STEP_SCALE,
+    PSD_TOL,
+    SYMMETRY_TOL,
+    _checked_covariance,
+    _value_and_jacobian,
+    symmetrize,
+)
 from hdsim.integrate import rk4_step
 from hdsim.power import (
     InverterParams,
@@ -330,6 +337,49 @@ def test_update_result_that_is_not_psd_is_a_numerical_failure():
     belief = GaussianBelief(np.zeros(2), 1e300 * a)
     with pytest.raises(NumericalFailureError, match="not PSD"):
         ekf_update(belief, np.zeros(2), noise)
+
+
+def _psd_test_matrices():
+    """Symmetric matrices on both sides of the diagonal-dominance shortcut."""
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        for scale in (1e-6, 1.0, 1e6):
+            a = rng.standard_normal((n, n))
+            off = a + a.T - np.diag(np.diag(a + a.T))
+            row_sums = np.abs(off).sum(axis=1)
+            yield "dominant", scale * (off + np.diag(row_sums + 0.1 + rng.random(n)))
+            yield "tight", scale * (off + np.diag(row_sums))
+            yield "psd", scale * (a @ a.T)
+            yield "indefinite", scale * (a + a.T)
+            q = np.linalg.qr(a)[0]
+            for edge in (0.5, 0.999, 1.001, 2.0):
+                w = np.linspace(scale, 2.0 * scale, n)
+                w[0] = edge * PSD_TOL * max(1.0, 2.0 * scale)
+                yield "edge", symmetrize(q * w @ q.T)
+                yield "edge", np.diag(w)
+        yield "zero", np.zeros((n, n))
+        yield "tight", 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    yield "tight", np.array([[1.0, -1.0], [-1.0, 1.0]])
+    yield "indefinite", np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]])
+
+
+def test_psd_verdict_is_the_eigvalsh_verdict(monkeypatch):
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda p: calls.append(p) or eigvalsh(p))
+    verdicts = set()
+    for kind, p in _psd_test_matrices():
+        expected = float(eigvalsh(p)[0]) >= PSD_TOL * max(1.0, float(np.abs(p).max()))
+        n_calls = len(calls)
+        try:
+            got = _checked_covariance(p, "P", ArgumentError, symmetric=True)
+        except ArgumentError as err:
+            assert not expected and "not PSD" in str(err), kind
+        else:
+            assert expected and got is p, kind
+        if kind in ("dominant", "zero"):
+            assert len(calls) == n_calls, kind
+        verdicts.add((kind, expected))
+    assert {("psd", True), ("indefinite", False), ("edge", True), ("edge", False)} <= verdicts
 
 
 def test_update_singular_innovation_raises():

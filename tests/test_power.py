@@ -30,6 +30,7 @@ from hdsim import (
     smib_state,
     smib_system,
 )
+from hdsim._pcg64 import PCG64
 from hdsim.estimation import NoiseModel
 from hdsim.power import GFL, GaussianStream, sine_power
 
@@ -211,6 +212,35 @@ def test_a_verify_run_imports_no_numpy_ma(tmp_path, config):
         "from hdsim.cli import cli_main\n"
         f"assert cli_main({argv!r}) == 0\n"
         "print(sorted(ma() - before))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_compare_estimate_and_verify_never_import_numpy_random(tmp_path):
+    # numpy.random costs a fresh process about 16 ms and 5.6 MB of peak RSS
+    # (numpy 2.4); the seeded draws come from hdsim._pcg64 instead
+    runs = [
+        ("compare", "model = inverter\nhorizon = 0.08\n"),
+        ("estimate", "model = inverter\nhorizon = 0.08\nfilter = continuous\n"),
+        ("verify", "model = inverter\nhorizon = 0.08\nverify.samples = 3\n"),
+        ("verify", "model = smib\nhorizon = 0.5\nverify.samples = 3\n"),
+    ]
+    argvs = []
+    for i, (command, config) in enumerate(runs):
+        cfg = tmp_path / f"run{i}.cfg"
+        cfg.write_text(config)
+        argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / f"o{i}")])
+    code = (
+        "import sys\n"
+        "from hdsim.cli import cli_main\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert cli_main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -597,3 +627,27 @@ def test_normals_are_the_one_at_a_time_box_muller_stream(shape):
         want = box_muller_normals(seed, shape)
         assert got.shape == want.shape == shape
         assert got.tobytes() == want.tobytes()
+
+
+_PCG64_SEEDS = [
+    0, 1, 2, 3, 7, 42, 100, 2024, 31337, 123456789, 2**31 - 1, 2**32 - 1, 2**32,
+    2**32 + 1, 2**63, 2**64 - 1, 2**64, 2**64 + 12345, 2**96 + 3, 2**127,
+    2**128 - 1, 2**128, 2**160 + 7, 987654321987654321, (1 << 200) - 12345,
+]
+
+
+@pytest.mark.parametrize(
+    "seed", _PCG64_SEEDS + [np.int64(42), np.uint64(2**64 - 1)], ids=repr
+)
+def test_pcg64_is_numpys_stream_bit_for_bit(seed):
+    got = np.array(PCG64(seed).random(1000))
+    want = np.random.default_rng(np.random.PCG64(seed)).random(1000)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_pcg64_draws_in_pieces_continue_one_stream():
+    uniforms = PCG64(9)
+    pieces = [uniforms.random(n) for n in (3, 0, 1, 500, 2, 7)]
+    assert [u for piece in pieces for u in piece] == (
+        np.random.default_rng(np.random.PCG64(9)).random(513).tolist()
+    )

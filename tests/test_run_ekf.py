@@ -19,6 +19,7 @@ from hdsim import (
     inverter_automaton,
     rmse,
     run_ekf,
+    run_comparison,
     simulate,
 )
 from hdsim.estimation import NoiseModel
@@ -358,3 +359,12 @@ def test_a_diverged_prediction_names_its_time_and_mode(hybrid, mode):
     with pytest.raises(NumericalFailureError) as err:
         run_ekf(process, sc, z)
     assert str(err.value) == f"prediction diverged at t={err.value.time} in mode {mode!r}"
+
+
+def test_a_reference_compare_calls_no_eigensolver(tmp_path, monkeypatch):
+    # every covariance of both filters at seed 42 is diagonally dominant, so
+    # the PSD check certifies each one without LAPACK's eigensolver
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda p: calls.append(p) or eigvalsh(p))
+    run_comparison(ExperimentConfig(values={"out": str(tmp_path)}))
+    assert calls == []

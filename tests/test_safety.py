@@ -25,7 +25,7 @@ from hdsim import (
 )
 from hdsim.simulate import Stepper
 
-from oracles import integrate_flow, swing_field
+from oracles import box_samples, integrate_flow, swing_field
 
 
 def test_contracting_system_stays_safe():
@@ -72,6 +72,34 @@ def test_sampler_is_seed_deterministic():
     b = box_sampler([0.0, 0.0], [1.0, 1.0], seed=5)
     for _ in range(10):
         assert np.array_equal(a(), b())
+
+
+@pytest.mark.parametrize(
+    "lo, hi, seed",
+    [
+        ([0.0, 0.0], [1.0, 1.0], 5),
+        ([-1.0], [1.0], 0),
+        ([0.0, -6.0, 1.0], [1.2, 6.0, 1.0], 2**64 + 12345),
+        ([[0.0, 1.0], [2.0, 3.0]], [[0.5, 1.0], [4.0, 9.0]], np.uint64(2**64 - 1)),
+        (0.25, 0.75, 7),
+        ([], [], 3),
+    ],
+    ids=["unit-square", "interval", "big-seed", "matrix", "scalar", "empty"],
+)
+def test_sampler_draws_numpys_default_rng_states(lo, hi, seed):
+    sampler = box_sampler(lo, hi, seed)
+    for got, want in zip((sampler() for _ in range(20)), box_samples(lo, hi, seed, 20)):
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed", [-1, 1.0, 2.5, True, False, None, "3", np.float64(3.0)],
+    ids=repr,
+)
+def test_sampler_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ArgumentError, match=r"^seed must be a non-negative integer"):
+        box_sampler([0.0], [1.0], seed)
 
 
 def test_automaton_sampler_with_modes():
