@@ -1,6 +1,6 @@
 """Hybrid dynamical systems: representation, simulation, and estimation.
 
-The toolkit covers flow/jump systems, hybrid automata, switched and PWA
+The toolkit covers flow/jump systems, hybrid automata, switched
 systems, guard-localized simulation on hybrid time domains, an
 extended Kalman filter with saltation-matrix covariance transport, and
 the grid-following/grid-forming inverter and two-line SMIB studies built
@@ -8,9 +8,9 @@ on top of them.
 
 Hybrid stepping has one implementation, :mod:`hdsim.simulate`; the
 independent loops the tests compare it against live in ``tests/oracles.py``.  The
-switched and PWA formalisms (``hdsim.switched``, ``hdsim.pwa``) load on
-first use of one of their names, so importing ``hdsim`` or running the
-command-line driver does not import them.
+switched formalism (``hdsim.switched``) loads on first use of one of its
+names, so importing ``hdsim`` or running the command-line driver does not
+import it.
 """
 
 import importlib
@@ -22,7 +22,6 @@ from .errors import (
     GrazingError,
     HdsimError,
     NumericalFailureError,
-    UncoveredStateError,
 )
 from .events import LOCATE_TOL, locate_event
 from .integrate import rk4_step
@@ -85,8 +84,6 @@ _LAZY = {
     "SwitchedSystem": "switched",
     "lift_state": "switched",
     "lift_switched": "switched",
-    "PwaSystem": "pwa",
-    "pwa_step": "pwa",
 }
 
 

@@ -2,8 +2,9 @@
 
 The format is deliberately schema-free text: one ``key = value`` pair per
 line, ``#`` starts a comment, dotted prefixes group related keys
-(``inverter.v_low = 0.8``).  Unknown keys are rejected so typos fail
-loudly instead of silently running defaults.
+(``inverter.v_low = 0.8``).  Unknown keys and a key set twice are
+rejected so typos fail loudly instead of silently running defaults or
+the last of two values.
 """
 
 from __future__ import annotations
@@ -338,6 +339,7 @@ class ExperimentConfig:
 
 def _parse_values(text: str, source: Optional[str]) -> Dict[str, object]:
     values: Dict[str, object] = {}
+    set_on: Dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -351,6 +353,12 @@ def _parse_values(text: str, source: Optional[str]) -> Dict[str, object]:
         raw = raw.strip()
         if key not in SCHEMA:
             raise ConfigError(f"{source or '<config>'}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(
+                f"{source or '<config>'}:{lineno}: key {key!r} already set on line "
+                f"{set_on[key]}"
+            )
+        set_on[key] = lineno
         try:
             values[key] = SCHEMA[key][0](raw)
         except ValueError as exc:

@@ -38,13 +38,5 @@ class GrazingError(HdsimError):
     """A state-dependent guard was hit tangentially (no transversality)."""
 
 
-class UncoveredStateError(HdsimError):
-    """A PWA state fell outside every region."""
-
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
-
-
 class ConfigError(HdsimError):
     """A configuration file could not be parsed or validated."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, fields
-from numbers import Real
 from typing import Callable, Tuple
 
 import numpy as np
@@ -32,6 +31,7 @@ from .estimation import NoiseModel
 from .simulate import simulate
 from .systems import (
     HORIZON_REACHED, Edge, FlowJumpSystem, HybridAutomaton, HybridTrajectory,
+    require_finite,
 )
 
 GFL = "GFL"
@@ -39,27 +39,6 @@ GFM = "GFM"
 
 DEFAULT_MAX_JUMPS = 50
 """Jump budget of the ground-truth simulation."""
-
-
-def _require_finite(record, names, sequence=False) -> None:
-    """Store each of ``record``'s fields ``names`` as a float, or with
-    ``sequence`` a tuple of floats, raising ``ArgumentError`` naming the first
-    that holds anything else: a NaN, an infinity, an int too large for a
-    float, text, ``None``, a scalar where a sequence belongs or the reverse."""
-    for name in names:
-        value = getattr(record, name)
-        try:
-            items = tuple(value) if sequence else (value,)
-            reals = tuple(float(v) if isinstance(v, Real) else math.nan for v in items)
-            ok = all(map(math.isfinite, reals))
-        except (TypeError, OverflowError):
-            ok = False
-        if not ok:
-            kind = " reals in a sequence" if sequence else ""
-            raise ArgumentError(
-                f"{type(record).__name__}.{name} must be finite{kind}, got {value!r}"
-            )
-        object.__setattr__(record, name, reals if sequence else reals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +53,7 @@ class PiecewiseLinearProfile:
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        _require_finite(self, ("times", "values"), sequence=True)
+        require_finite(self, ("times", "values"), sequence=True)
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ArgumentError("profile needs matching times/values, >= 2 points")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
@@ -129,7 +108,7 @@ class InverterParams:
     tau_i: float = 1e-3
 
     def __post_init__(self):
-        _require_finite(self, [f.name for f in fields(self)])
+        require_finite(self, [f.name for f in fields(self)])
         if not (self.l_pu > 0.0 and self.r_pu > 0.0):
             raise ArgumentError("l_pu and r_pu must be positive")
         if not self.v_low < self.v_high:
@@ -457,7 +436,7 @@ class SmibParams:
     p_max: float = 0.4
 
     def __post_init__(self):
-        _require_finite(self, [f.name for f in fields(self) if f.name != "p_e"])
+        require_finite(self, [f.name for f in fields(self) if f.name != "p_e"])
         if not self.m > 0.0:
             raise ArgumentError("inertia must be positive")
         if not self.d >= 0.0:

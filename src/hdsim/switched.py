@@ -9,8 +9,8 @@ steps it like any other hybrid system.  The independent reference the
 lift is checked against, a direct segment-by-segment integration, is a
 test oracle in ``tests/oracles.py``.
 
-``hdsim`` loads this module (like ``hdsim.pwa``) on first use of one of
-its names, so the command-line driver never imports it.
+``hdsim`` loads this module on first use of one of its names, so the
+command-line driver never imports it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ArgumentError
-from .systems import FlowJumpSystem
+from .systems import FlowJumpSystem, require_finite
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class SwitchedSystem:
     switch_times: Tuple[float, ...] = ()
 
     def __post_init__(self):
+        require_finite(self, ("switch_times",), sequence=True)
         if self.dim < 1:
             raise ArgumentError(f"dimension must be >= 1, got {self.dim}")
         if not self.fields:

@@ -8,7 +8,9 @@ of the active mode, stored column by column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -58,6 +60,27 @@ def as_state(values, dim: Optional[int] = None) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ArgumentError("state entries must be finite")
     return x
+
+
+def require_finite(record, names, sequence=False) -> None:
+    """Store each of ``record``'s fields ``names`` as a float, or with
+    ``sequence`` a tuple of floats, raising ``ArgumentError`` naming the first
+    that holds anything else: a NaN, an infinity, an int too large for a
+    float, text, ``None``, a scalar where a sequence belongs or the reverse."""
+    for name in names:
+        value = getattr(record, name)
+        try:
+            items = tuple(value) if sequence else (value,)
+            reals = tuple(float(v) if isinstance(v, Real) else math.nan for v in items)
+            ok = all(map(math.isfinite, reals))
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            kind = " reals in a sequence" if sequence else ""
+            raise ArgumentError(
+                f"{type(record).__name__}.{name} must be finite{kind}, got {value!r}"
+            )
+        object.__setattr__(record, name, reals if sequence else reals[0])
 
 
 class HybridTime(NamedTuple):
@@ -111,7 +134,7 @@ class HybridTrajectory:
         self.termination: str = HORIZON_REACHED
 
     def append(self, t: float, j: int, mode: str, state: np.ndarray) -> None:
-        if t < 0.0 or j < 0:
+        if not t >= 0.0 or j < 0:
             raise ArgumentError(f"hybrid time must be non-negative, got ({t}, {j})")
         n = len(self._modes)
         if n and (t, j) < self._last:

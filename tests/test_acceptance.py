@@ -18,7 +18,6 @@ from hdsim import (
     FlowJumpSystem,
     GaussianBelief,
     NoiseModel,
-    PwaSystem,
     SwitchedSystem,
     ekf_predict,
     ekf_update,
@@ -372,22 +371,6 @@ def test_structural_invariants():
             p_mat = belief.covariance
             assert np.max(np.abs(p_mat - p_mat.T)) <= 1e-12 * max(1.0, np.max(np.abs(p_mat)))
             assert np.linalg.eigvalsh(p_mat)[0] >= -1e-10
-
-    for case in range(100):
-        # PWA single-region coverage for interior points
-        normal = rng.standard_normal(3)
-        normal /= np.linalg.norm(normal)
-        offset = rng.standard_normal()
-        sys_pwa = PwaSystem(
-            regions=((normal[None, :], np.array([offset])),
-                     (-normal[None, :], np.array([-offset]))),
-            dynamics=((np.eye(3), np.zeros((3, 0)), np.zeros(3)),
-                      (2 * np.eye(3), np.zeros((3, 0)), np.zeros(3))),
-        )
-        x = rng.standard_normal(3)
-        if abs(normal @ x - offset) < 1e-9:
-            continue
-        assert len(sys_pwa.region_memberships(x)) == 1
 
     report("7 structural invariant suite", True,
            f"100 cases per invariant, max lift deviation {worst_lift:.2e}")

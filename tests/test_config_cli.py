@@ -85,6 +85,16 @@ def test_unknown_key_rejected():
     assert "unknown key" in str(err.value)
 
 
+def test_a_key_set_twice_exits_1_naming_both_lines(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("dt = 1e-4\nseed = 1\n\nseed = 2\n")
+    assert str(err.value) == "<config>:4: key 'seed' already set on line 2"
+    cfg = write_cfg(tmp_path, "seed = 1\nseed = 2\n")
+    assert cli_main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: key 'seed' already set on line 1\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_value_rejected():
     with pytest.raises(ConfigError):
         parse_config_text("dt = fast")

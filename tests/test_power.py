@@ -177,8 +177,7 @@ def test_cold_start_imports_no_scipy():
         "smib_system(SmibParams())\n"
         "mode_sigmoid(0.9, p)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print(sorted(m for m in sys.modules if m in "
-        "('hdsim.pwa', 'hdsim.switched')))\n"
+        "print(sorted(m for m in sys.modules if m == 'hdsim.switched'))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -299,10 +299,19 @@ def test_a_stored_sample_costs_under_250_bytes_of_traced_memory(tmp_path):
     assert peak / samples < 250
 
 
-@pytest.mark.parametrize("t, j", [(-0.1, 0), (0.0, -1)])
+@pytest.mark.parametrize("t, j", [(-0.1, 0), (0.0, -1), (math.nan, 0)])
 def test_first_sample_must_have_non_negative_hybrid_time(t, j):
     with pytest.raises(ArgumentError, match="non-negative"):
         HybridTrajectory().append(t, j, "a", np.zeros(1))
+
+
+def test_a_nan_time_is_refused_after_the_first_sample():
+    traj = HybridTrajectory()
+    traj.append(0.0, 0, "a", np.zeros(1))
+    with pytest.raises(ArgumentError, match="hybrid time must be non-negative"):
+        traj.append(math.nan, 0, "a", np.zeros(1))
+    traj.append(0.5, 0, "a", np.zeros(1))
+    assert traj.times.tolist() == [0.0, 0.5]
 
 
 def test_same_time_zeno_budget():

@@ -1,5 +1,6 @@
 """Switched systems: signal semantics, lift equivalence, direct integration."""
 
+import importlib
 import math
 
 import numpy as np
@@ -117,6 +118,21 @@ def test_validation_errors():
         SwitchedSystem(dim=1, fields=(lambda x, t: -x,), mode_sequence=(1, 1))
 
 
+@pytest.mark.parametrize(
+    "switch_times",
+    [(math.nan,), (math.inf,), ("0.5",), (None,), (10**400,), 0.5],
+    ids=["nan", "inf", "text", "none", "huge-int", "scalar"],
+)
+def test_a_switch_instant_that_is_not_a_finite_real_is_refused(switch_times):
+    with pytest.raises(
+        ArgumentError, match=r"^SwitchedSystem\.switch_times must be finite reals"
+    ):
+        SwitchedSystem(
+            dim=1, fields=(lambda x, t: -x, lambda x, t: -2 * x), mode_sequence=(1, 2),
+            switch_times=switch_times,
+        )
+
+
 def test_the_lift_acts_on_each_column():
     sw = SwitchedSystem(
         dim=1,
@@ -209,3 +225,24 @@ def test_an_acting_current_clamp_is_what_needs_the_automaton(i_lim, floor):
     truth, lifted, jump_times = inverter_truth_and_switched_lift({"inverter.i_lim": i_lim})
     assert jump_times == [0.054, 0.128]
     assert np.max(np.abs(truth - lifted) / np.max(np.abs(truth), axis=0)) > floor
+
+
+def test_optional_formalisms_import_from_the_package():
+    import hdsim
+    from hdsim import SwitchedSystem, lift_state, lift_switched, switched
+
+    assert (SwitchedSystem, lift_state, lift_switched) == (
+        switched.SwitchedSystem, switched.lift_state, switched.lift_switched
+    )
+    with pytest.raises(AttributeError):
+        getattr(hdsim, "no_such_name")
+
+
+def test_the_retired_pwa_names_and_module_are_gone():
+    # the names are spelled in parts, so that a search of the tree for them
+    # finds no reader but this test
+    for name in ("Pwa" "System", "pwa" "_step", "Uncovered" "StateError"):
+        with pytest.raises(ImportError):
+            exec(f"from hdsim import {name}", {})
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(".pwa", "hdsim")
