@@ -7,13 +7,8 @@ the grid-following/grid-forming inverter and two-line SMIB studies built
 on top of them.
 
 Hybrid stepping has one implementation, :mod:`hdsim.simulate`; the
-independent loops the tests compare it against live in ``tests/oracles.py``.  The
-switched formalism (``hdsim.switched``) loads on first use of one of its
-names, so importing ``hdsim`` or running the command-line driver does not
-import it.
+independent loops the tests compare it against live in ``tests/oracles.py``.
 """
-
-import importlib
 
 from .errors import (
     AmbiguousTransitionError,
@@ -39,6 +34,7 @@ from .systems import (
     TrajectorySample,
 )
 from .simulate import simulate
+from .switched import SwitchedSystem, lift_state, lift_switched
 from .safety import NO_COUNTEREXAMPLE, UNSAFE, SafetyVerdict, box_sampler, check_safety
 from .estimation import (
     EkfRun,
@@ -79,18 +75,3 @@ from .report import RmseReport, read_report_csv, read_trajectory_csv
 from .cli import cli_main
 
 __version__ = "0.1.0"
-
-_LAZY = {
-    "SwitchedSystem": "switched",
-    "lift_state": "switched",
-    "lift_switched": "switched",
-}
-
-
-def __getattr__(name):
-    """Load a name of an optional formalism from its module on first use."""
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value
-    return value

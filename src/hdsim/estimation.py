@@ -231,8 +231,8 @@ def ekf_predict(
     apportion the per-step Q across a split step (event localization
     splits a step at the jump time); it is 1 for a whole step.
     """
-    if dt <= 0.0:
-        raise ArgumentError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ArgumentError(f"dt must be positive and finite, got {dt}")
     mean_next, f_jac = _value_and_jacobian(
         lambda x: rk4_step(flow, x, t0, dt), belief.mean
     )

@@ -31,7 +31,7 @@ from .estimation import NoiseModel
 from .simulate import simulate
 from .systems import (
     HORIZON_REACHED, Edge, FlowJumpSystem, HybridAutomaton, HybridTrajectory,
-    require_finite,
+    as_state, require_finite,
 )
 
 GFL = "GFL"
@@ -312,9 +312,7 @@ class InverterScenario:
         if self.v_grid.times[0] > 0.0 or self.v_grid.times[-1] < self.horizon - 1e-12:
             raise ArgumentError("the grid profile must cover [0, horizon]")
         checked_seed(self.seed)
-        object.__setattr__(self, "x0", np.array(self.x0, dtype=float))
-        if self.x0.shape != (4,):
-            raise ArgumentError("inverter state must have 4 entries")
+        object.__setattr__(self, "x0", as_state(self.x0, 4).copy())
 
     @property
     def n_steps(self) -> int:

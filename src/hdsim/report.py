@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, ConfigError
 
 OVERALL = "overall"
 NEAR_SWITCH = "near_switch"
@@ -160,5 +160,11 @@ def read_report_csv(path: str) -> Dict[Tuple[str, str, str], float]:
 
 
 def ensure_dir(path: str) -> None:
+    """Make the output directory ``path``; a file in its way is a ``ConfigError``."""
     if path and not os.path.isdir(path):
-        os.makedirs(path, exist_ok=True)
+        try:
+            os.makedirs(path, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ConfigError(
+                f"output directory {path!r} is a file or lies under one"
+            ) from None

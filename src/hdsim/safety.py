@@ -18,7 +18,6 @@ so every column follows exactly the trajectory :func:`simulate` gives it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -27,7 +26,7 @@ from ._pcg64 import PCG64
 from .errors import ArgumentError
 from .integrate import rk4_step
 from .simulate import Stepper, next_grid_time, quiet_overflow, simulate
-from .systems import FlowJumpSystem, HybridAutomaton, HybridTrajectory
+from .systems import FlowJumpSystem, HybridAutomaton, HybridTrajectory, is_integer
 
 NO_COUNTEREXAMPLE = "no-counterexample-found"
 UNSAFE = "unsafe"
@@ -109,7 +108,7 @@ def check_safety(
     a sample that raised is simulated again so that the same exception
     surfaces, carrying its partial trajectory.
     """
-    if isinstance(samples, bool) or not isinstance(samples, Integral) or samples < 1:
+    if not is_integer(samples) or samples < 1:
         raise ArgumentError(f"samples must be an integer >= 1, got {samples}")
     is_automaton = isinstance(system, HybridAutomaton)
     for start in range(0, samples, SWEEP_CHUNK):

@@ -8,9 +8,6 @@ dynamics inside the flow/jump formalism, so :func:`hdsim.simulate.simulate`
 steps it like any other hybrid system.  The independent reference the
 lift is checked against, a direct segment-by-segment integration, is a
 test oracle in ``tests/oracles.py``.
-
-``hdsim`` loads this module on first use of one of its names, so the
-command-line driver never imports it.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ArgumentError
-from .systems import FlowJumpSystem, require_finite
+from .systems import FlowJumpSystem, is_integer, require_dim, require_finite
 
 
 @dataclass(frozen=True)
@@ -43,8 +40,7 @@ class SwitchedSystem:
 
     def __post_init__(self):
         require_finite(self, ("switch_times",), sequence=True)
-        if self.dim < 1:
-            raise ArgumentError(f"dimension must be >= 1, got {self.dim}")
+        require_dim(self)
         if not self.fields:
             raise ArgumentError("at least one subsystem is required")
         if len(self.mode_sequence) != len(self.switch_times) + 1:
@@ -53,6 +49,10 @@ class SwitchedSystem:
             )
         n = len(self.fields)
         for m in self.mode_sequence:
+            if not is_integer(m):
+                raise ArgumentError(
+                    f"SwitchedSystem.mode_sequence entries must be integers, got {m!r}"
+                )
             if not 1 <= m <= n:
                 raise ArgumentError(f"mode index {m} outside 1..{n}")
         times = self.switch_times

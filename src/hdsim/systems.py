@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -81,6 +81,21 @@ def require_finite(record, names, sequence=False) -> None:
                 f"{type(record).__name__}.{name} must be finite{kind}, got {value!r}"
             )
         object.__setattr__(record, name, reals if sequence else reals[0])
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def require_dim(record) -> None:
+    """Raise ``ArgumentError`` unless ``record.dim`` is an integer >= 1."""
+    if not is_integer(record.dim):
+        raise ArgumentError(
+            f"{type(record).__name__}.dim must be an integer, got {record.dim!r}"
+        )
+    if record.dim < 1:
+        raise ArgumentError(f"dimension must be >= 1, got {record.dim}")
 
 
 class HybridTime(NamedTuple):
@@ -257,8 +272,7 @@ class FlowJumpSystem:
     mode_label: Callable[[np.ndarray], str] = lambda x: "flow"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ArgumentError(f"dimension must be >= 1, got {self.dim}")
+        require_dim(self)
 
 
 @dataclass(frozen=True)
@@ -298,8 +312,7 @@ class HybridAutomaton:
     init: Optional[Callable[[str, np.ndarray], bool]] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ArgumentError(f"dimension must be >= 1, got {self.dim}")
+        require_dim(self)
         if not self.modes:
             raise ArgumentError("automaton needs at least one mode")
         mode_set = set(self.modes)

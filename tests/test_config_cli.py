@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import os
 import pathlib
+import subprocess
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -822,6 +824,24 @@ def test_extreme_valid_values_exit_with_one_error_line(tmp_path, capsys, command
     assert "Traceback" not in err
     if code == 1:  # the sampling box: the error names its half-width key
         assert text.rpartition("\n")[2].partition(" = ")[0] in err
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [("compare", "afile"), ("verify", "afile/sub"), ("simulate", "afile")],
+)
+def test_an_out_that_is_a_file_or_runs_through_one_exits_1_naming_it(
+    tmp_path, command, out
+):
+    # through the installed entry point's own path: python -m hdsim, cli.main
+    (tmp_path / "afile").write_text("")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "hdsim", command, "--out", out], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: output directory {out!r} is a file or lies under one\n"
 
 
 def test_compare_different_seed_changes_outputs(tmp_path):

@@ -599,7 +599,11 @@ _BELIEF = GaussianBelief([0.3, 0.4], np.eye(2))
         pytest.param(lambda: NoiseModel(q=np.eye(2), r=np.ones((1, 2)), h=[[1.0, 0.0]]),
                      "R must be square", id="r"),
         pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.0, _NOISE),
-                     "dt must be positive, got 0.0", id="predict-dt"),
+                     "dt must be positive and finite, got 0.0", id="predict-dt"),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, math.nan, _NOISE),
+                     "dt must be positive and finite, got nan", id="predict-dt-nan"),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, math.inf, _NOISE),
+                     "dt must be positive and finite, got inf", id="predict-dt-inf"),
         pytest.param(lambda: ekf_update(_BELIEF, [1.0, 2.0], _NOISE),
                      "measurement must have length 1", id="update-z"),
         pytest.param(

@@ -55,6 +55,11 @@ def test_rmse_requires_times_with_windows():
         rmse(np.zeros((5, 1)), np.zeros((5, 1)), windows=[(0.0, 1.0)])
 
 
+def test_rmse_refuses_timestamps_of_another_length():
+    with pytest.raises(ArgumentError, match="timestamps have length 2, series have 3"):
+        rmse(np.zeros((3, 1)), np.zeros((3, 1)), times=[0.0, 1.0], windows=[(0.0, 1.0)])
+
+
 def test_fmt_round_trips_float64():
     rng = np.random.default_rng(4)
     for _ in range(200):
@@ -152,6 +157,20 @@ def test_report_csv_round_trip(tmp_path):
         text = fh.read()
     assert "seed = 42" in text
     assert "switching instants" in text
+
+
+def test_a_csv_with_no_header_is_refused(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# a comment\n\n")
+    with pytest.raises(ArgumentError, match="holds no CSV header"):
+        read_trajectory_csv(str(path))
+
+
+def test_a_csv_that_is_not_a_report_is_refused(tmp_path):
+    path = str(tmp_path / "traj.csv")
+    write_trajectory_csv(path, ("t", "x"), [(0.0, 1.0)])
+    with pytest.raises(ArgumentError, match="is not a report CSV"):
+        read_report_csv(path)
 
 
 def test_report_table_is_aligned():

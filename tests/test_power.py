@@ -177,16 +177,14 @@ def test_cold_start_imports_no_scipy():
         "smib_system(SmibParams())\n"
         "mode_sigmoid(0.9, p)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print(sorted(m for m in sys.modules if m == 'hdsim.switched'))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    scipy_modules, formalism_modules = done.stdout.splitlines()
+    (scipy_modules,) = done.stdout.splitlines()
     assert scipy_modules == "[]"
-    assert formalism_modules == "[]"
 
 
 @pytest.mark.parametrize(
@@ -494,6 +492,21 @@ def test_scenario_takes_a_numpy_integer_seed():
     _, z = generate_truth_and_measurements(sc)
     _, z_int = generate_truth_and_measurements(replace(sc, seed=3))
     assert np.array_equal(z, z_int)
+
+
+@pytest.mark.parametrize(
+    "x0, fragment",
+    [
+        ([np.nan, 0.0, 1.0, 0.0], "state entries must be finite"),
+        ([0.0, 0.0, 1.0, np.inf], "state entries must be finite"),
+        ("abcd", "state entries must be finite reals, got 'abcd'"),
+        ([0.0, 1.0, 0.0], "state has dimension 3, expected 4"),
+    ],
+    ids=["nan", "inf", "text", "short"],
+)
+def test_scenario_refuses_an_initial_state_that_is_not_four_finite_reals(x0, fragment):
+    with pytest.raises(ArgumentError, match=fragment):
+        replace(ExperimentConfig().scenario(), x0=x0)
 
 
 def test_a_scenario_owns_its_initial_state():

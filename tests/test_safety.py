@@ -467,6 +467,16 @@ def test_a_column_that_raises_before_a_lower_unsafe_one():
     assert str(got.value) == str(want.value)
 
 
+def test_a_flow_that_is_not_column_wise_is_named_when_the_witness_is_safe():
+    # the flow sums over the batch, so three columns grow three times as fast
+    # as one sample simulated on its own, which stays below the threshold
+    system = FlowJumpSystem(1, lambda x, t: np.full_like(x, np.sum(x)))
+    with pytest.raises(
+        ArgumentError, match="sample 0 was unsafe or raised in the sweep but not on its own"
+    ):
+        check_safety(system, lambda: [1.0], lambda x: x[0] > 5.0, 1.0, 3, 0.01)
+
+
 def test_a_numerical_failure_surfaces_with_its_partial_trajectory():
     system = FlowJumpSystem(
         dim=1, flow_map=lambda x, t: np.where(x > 0.55, np.nan, 1.0),

@@ -691,6 +691,15 @@ def test_a_non_finite_horizon_is_refused_not_run():
                      "dimension must be >= 1, got 0", id="flow-jump-dim"),
         pytest.param(lambda: HybridAutomaton(0, ("a",), {"a": decay}, ()),
                      "dimension must be >= 1, got 0", id="automaton-dim"),
+        pytest.param(lambda: FlowJumpSystem(True, decay),
+                     r"^FlowJumpSystem\.dim must be an integer, got True",
+                     id="flow-jump-bool"),
+        pytest.param(lambda: FlowJumpSystem(1.0, decay),
+                     r"^FlowJumpSystem\.dim must be an integer, got 1\.0",
+                     id="flow-jump-float"),
+        pytest.param(lambda: HybridAutomaton(2.5, ("a",), {"a": decay}, ()),
+                     r"^HybridAutomaton\.dim must be an integer, got 2\.5",
+                     id="automaton-float"),
         pytest.param(lambda: HybridAutomaton(1, (), {}, ()),
                      "at least one mode", id="no-modes"),
         pytest.param(lambda: HybridAutomaton(1, ("a",), {}, ()),
