@@ -64,7 +64,6 @@ from .power import (
     gfm_system_matrices,
     inverter_automaton,
     mode_sigmoid,
-    sine_power,
     smib_state,
     smib_system,
 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -21,13 +21,11 @@ from .errors import ArgumentError, ConfigError
 from .estimation import DEFAULT_P0, NoiseModel
 from .power import (
     DEFAULT_MAX_JUMPS,
-    SMIB_P_E_MAX,
     InverterParams,
     InverterScenario,
     PiecewiseLinearProfile,
     SmibParams,
     inverter_automaton,
-    sine_power,
     smib_state,
     smib_system,
 )
@@ -112,7 +110,7 @@ SCHEMA: Dict[str, Tuple[Callable[[str], object], object, str]] = {
     "smib.m": (float, _SMIB.m, "inertia constant"),
     "smib.d": (float, _SMIB.d, "damping coefficient"),
     "smib.p_m": (float, _SMIB.p_m, "mechanical power, per-unit"),
-    "smib.p_e_max": (float, SMIB_P_E_MAX, "electrical power amplitude: P_e = p_e_max*sin(delta)"),
+    "smib.p_e_max": (float, _SMIB.p_e_max, "electrical power amplitude: P_e = p_e_max*sin(delta)"),
     "smib.i_max": (float, _SMIB.i_max, "line-1 overload threshold, per-unit"),
     "smib.p_min": (float, _SMIB.p_min, "restoration band lower edge, per-unit"),
     "smib.p_max": (float, _SMIB.p_max, "restoration band upper edge, per-unit"),
@@ -279,15 +277,7 @@ class ExperimentConfig:
 
     def smib_params(self) -> SmibParams:
         v = self.values
-        return SmibParams(
-            m=v["smib.m"],
-            d=v["smib.d"],
-            p_m=v["smib.p_m"],
-            p_e=sine_power(v["smib.p_e_max"]),
-            i_max=v["smib.i_max"],
-            p_min=v["smib.p_min"],
-            p_max=v["smib.p_max"],
-        )
+        return SmibParams(**{f.name: v[f"smib.{f.name}"] for f in fields(SmibParams)})
 
     def system(self) -> ConfiguredModel:
         """The configured model, as built once when the values were validated."""

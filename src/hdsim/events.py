@@ -97,20 +97,15 @@ def locate_event(margin: Callable, t_lo: float, t_hi: float) -> Optional[float]:
 
     # Regula-falsi polish: exact for margins linear in t, and tightens
     # smooth crossings well below `LOCATE_TOL` without leaving the bracket.
+    # m_hi >= 0 > m_lo (or m_lo is NaN), so the denominator is positive or
+    # NaN, and a NaN t_star fails the range check.
     for _ in range(_POLISH_ITERS):
-        denom = m_hi - m_lo
-        if denom <= 0.0:
-            break
-        t_star = lo - m_lo * (hi - lo) / denom
+        t_star = lo - m_lo * (hi - lo) / (m_hi - m_lo)
         if not lo < t_star < hi:
             break
         m_star = m(t_star)
         if m_star >= 0.0:
-            if t_star == hi:
-                break
             hi, m_hi = t_star, m_star
         else:
-            if t_star == lo:
-                break
             lo, m_lo = t_star, m_star
     return hi

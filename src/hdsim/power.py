@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Tuple
 
 import numpy as np
@@ -312,7 +312,7 @@ class InverterScenario:
         if self.v_grid.times[0] > 0.0 or self.v_grid.times[-1] < self.horizon - 1e-12:
             raise ArgumentError("the grid profile must cover [0, horizon]")
         checked_seed(self.seed)
-        object.__setattr__(self, "x0", as_state(self.x0, 4).copy())
+        object.__setattr__(self, "x0", as_state(self.x0, 4, "InverterScenario.x0").copy())
 
     @property
     def n_steps(self) -> int:
@@ -396,51 +396,38 @@ def generate_truth_and_measurements(
 # Two-line SMIB example
 
 
-SMIB_P_E_MAX = 1.5
-"""Default electrical-power amplitude of the SMIB example."""
-
-
-def sine_power(amplitude: float) -> Callable[[float], float]:
-    """The classic electrical-power curve P_e(delta) = amplitude * sin(delta).
-
-    ``np.sin`` makes it act elementwise on an array of angles; on a single
-    angle it gives the same bits as ``math.sin`` (numpy 2.4).
-    """
-
-    def p_e(delta: float) -> float:
-        return amplitude * np.sin(delta)
-
-    return p_e
-
-
 @dataclass(frozen=True)
 class SmibParams:
     """Swing-equation and line-switching parameters (per-unit).
 
-    ``p_e`` maps the rotor angle to electrical power.  Like a vector field
-    it acts elementwise: given an array of angles (one per column of a
-    state batch) it returns the array of their powers, and a scalar for a
-    scalar angle.
+    ``p_e`` is the classic electrical-power curve
+    ``p_e_max * sin(delta)``.  Like a vector field it acts elementwise:
+    given an array of angles (one per column of a state batch) it returns
+    the array of their powers, and a scalar for a scalar angle, with the
+    same bits as ``math.sin`` there (numpy 2.4).  A subclass may override
+    it with another curve.
     """
 
     m: float = 0.1
     d: float = 0.05
     p_m: float = 1.0
-    p_e: Callable[[float], float] = field(
-        default_factory=lambda: sine_power(SMIB_P_E_MAX)
-    )
+    p_e_max: float = 1.5
     i_max: float = 1.4
     p_min: float = 0.1
     p_max: float = 0.4
 
     def __post_init__(self):
-        require_finite(self, [f.name for f in fields(self) if f.name != "p_e"])
+        require_finite(self, [f.name for f in fields(self)])
         if not self.m > 0.0:
             raise ArgumentError("inertia must be positive")
         if not self.d >= 0.0:
             raise ArgumentError("damping must be non-negative")
         if not self.p_min < self.p_max:
             raise ArgumentError("restoration band requires p_min < p_max")
+
+    def p_e(self, delta):
+        """Electrical power at rotor angle ``delta`` (elementwise)."""
+        return self.p_e_max * np.sin(delta)
 
 
 LINE1 = "line1"

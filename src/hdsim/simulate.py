@@ -204,6 +204,8 @@ class Stepper:
     ):
         if not math.isfinite(t0):
             raise ArgumentError(f"t0 must be finite, got {t0}")
+        if t0 < 0.0:
+            raise ArgumentError(f"t0 must be non-negative, got {t0}")
         if not 0.0 < horizon < math.inf:
             raise ArgumentError(f"horizon must be positive and finite, got {horizon}")
         if not 0.0 < dt < math.inf:
@@ -212,7 +214,7 @@ class Stepper:
             raise ArgumentError(f"max_jumps must be non-negative, got {max_jumps}")
         self.system = system
         self.is_automaton = isinstance(system, HybridAutomaton)
-        x = as_state(x0, system.dim)
+        x = as_state(x0, system.dim, "x0")
         if self.is_automaton:
             if mode0 is None:
                 raise ArgumentError("an automaton simulation needs an initial mode")
@@ -371,7 +373,7 @@ def simulate(
     mode0 : str, optional
         Initial mode (required for automata).
     t0 : float
-        Initial ordinary time.
+        Initial ordinary time, finite and non-negative.
 
     Returns
     -------

@@ -47,18 +47,19 @@ _INITIAL_CAPACITY = 64
 """Samples a new :class:`HybridTrajectory` has room for before it grows."""
 
 
-def as_state(values, dim: Optional[int] = None) -> np.ndarray:
-    """Validate and convert ``values`` into a finite 1-D float state vector."""
+def as_state(values, dim: Optional[int] = None, name: str = "state") -> np.ndarray:
+    """Validate and convert ``values`` into a finite 1-D float state vector;
+    the messages call it ``name``."""
     try:
         x = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise ArgumentError(f"state entries must be finite reals, got {values!r}") from None
+        raise ArgumentError(f"{name} entries must be finite reals, got {values!r}") from None
     if x.ndim != 1 or x.size < 1:
-        raise ArgumentError(f"state must be a 1-D vector, got shape {x.shape}")
+        raise ArgumentError(f"{name} must be a 1-D vector, got shape {x.shape}")
     if dim is not None and x.size != dim:
-        raise ArgumentError(f"state has dimension {x.size}, expected {dim}")
+        raise ArgumentError(f"{name} has dimension {x.size}, expected {dim}")
     if not np.all(np.isfinite(x)):
-        raise ArgumentError("state entries must be finite")
+        raise ArgumentError(f"{name} entries must be finite")
     return x
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -690,18 +691,14 @@ def test_out_set_from_python_is_text_or_a_path(tmp_path):
     assert all(pathlib.Path(path).parent == out for path in paths)
 
 
-# SHA-256 of the three seed-42 compare files, copied from
-# GOLDEN_COMPARE_DIGESTS in bench/workloads.py.
-GOLDEN_COMPARE_DIGESTS = {
-    "report.csv": "77dfb7eac0a478bdcb2d4615e65ea45f854929da3be324763628249f456b16aa",
-    "trajectory_continuous.csv":
-        "36071396d51721c9dfd577d2029a1ef8db55066061f543f396f9053a118b0236",
-    "trajectory_hybrid.csv":
-        "f8ae6594eb48b73ee2dbb464761dc02023d0e8ea7d600016b805b8bc62c505ac",
-}
-
-
-def test_compare_writes_three_files_and_is_byte_deterministic(tmp_path):
+def test_compare_writes_three_files_and_is_byte_deterministic(tmp_path, monkeypatch):
+    # the seed-42 digests are the benchmark's own pin table; its dataclasses
+    # look their module up in sys.modules while it loads
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
     cfg = write_cfg(tmp_path, "model = inverter\nfilter = both\nseed = 42\n")
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
@@ -714,7 +711,7 @@ def test_compare_writes_three_files_and_is_byte_deterministic(tmp_path):
             with open(os.path.join(out_b, name), "rb") as fb:
                 data = fa.read()
                 assert data == fb.read(), f"{name} differs between reruns"
-        assert hashlib.sha256(data).hexdigest() == GOLDEN_COMPARE_DIGESTS[name]
+        assert hashlib.sha256(data).hexdigest() == workloads.GOLDEN_COMPARE_DIGESTS[name]
 
 
 # An out-of-step SMIB (p_m above the transfer limit): line 1 trips and is

@@ -148,6 +148,11 @@ def test_localization_contract_on_increasing_margins(case):
         (0.04, 0.06, 0.06 - 5e-14),
         (0.04, 0.06, 0.05),
         (4.38, 4.39, 4.3849),
+        # far from 0, lo + LOCATE_TOL/2 rounds to lo and hi - LOCATE_TOL/2 to
+        # hi, so the search ends on the probe leaving the open bracket
+        (1e7, 1e7 + 1e-5, 1e7 + 3e-6),
+        (1e8, 1e8 + 1e-5, 1e8 + 3e-6),
+        (1e9, 1e9 + 1e-5, 1e9 + 3e-6),
     ],
 )
 @pytest.mark.parametrize("slope", [1.0, 0.37, 250.0])

@@ -32,7 +32,7 @@ from hdsim import (
 )
 from hdsim._pcg64 import PCG64
 from hdsim.estimation import NoiseModel
-from hdsim.power import GFL, GaussianStream, sine_power
+from hdsim.power import GFL, GaussianStream
 
 from oracles import box_muller_normals, integrate_flow, swing_field
 
@@ -442,6 +442,7 @@ def test_profile_refuses_non_finite_breakpoints(times, values, name):
     (SmibParams, "d", np.nan),
     (SmibParams, "i_max", np.nan),
     (SmibParams, "m", np.inf),
+    (SmibParams, "p_e_max", np.nan),
     pytest.param(InverterParams, "omega", 10**400, id="InverterParams-omega-huge-int"),
     pytest.param(InverterParams, "omega", "1", id="InverterParams-omega-text"),
     pytest.param(InverterParams, "omega", None, id="InverterParams-omega-None"),
@@ -459,6 +460,17 @@ def test_a_model_parameter_given_a_sequence_is_refused():
         ArgumentError, match=r"InverterParams\.omega must be finite, got \(1\.0,\)"
     ):
         InverterParams(omega=(1.0,))
+
+
+def test_smib_parameters_are_a_record_of_numbers():
+    assert SmibParams() == SmibParams()
+    assert hash(SmibParams()) == hash(SmibParams())
+    cfg = ExperimentConfig(values={"model": "smib"})
+    assert cfg.smib_params() == cfg.smib_params()
+    with pytest.raises(
+        ArgumentError, match=r"SmibParams\.p_e_max must be finite, got <function"
+    ):
+        SmibParams(p_e_max=lambda d: 1.0)
 
 
 # -- scenarios, truth, measurements -------------------------------------------
@@ -497,10 +509,10 @@ def test_scenario_takes_a_numpy_integer_seed():
 @pytest.mark.parametrize(
     "x0, fragment",
     [
-        ([np.nan, 0.0, 1.0, 0.0], "state entries must be finite"),
-        ([0.0, 0.0, 1.0, np.inf], "state entries must be finite"),
-        ("abcd", "state entries must be finite reals, got 'abcd'"),
-        ([0.0, 1.0, 0.0], "state has dimension 3, expected 4"),
+        ([np.nan, 0.0, 1.0, 0.0], r"^InverterScenario\.x0 entries must be finite$"),
+        ([0.0, 0.0, 1.0, np.inf], r"^InverterScenario\.x0 entries must be finite$"),
+        ("abcd", r"^InverterScenario\.x0 entries must be finite reals, got 'abcd'$"),
+        ([0.0, 1.0, 0.0], r"^InverterScenario\.x0 has dimension 3, expected 4$"),
     ],
     ids=["nan", "inf", "text", "short"],
 )
@@ -556,7 +568,7 @@ def test_empirical_noise_standard_deviations():
 
 
 def test_balanced_torque_equilibrium():
-    params = SmibParams(p_e=lambda d: 1.0, p_m=1.0, i_max=1.4)
+    params = SmibParams(p_m=1.5 * np.sin(0.5), i_max=1.4)
     system = smib_system(params)
     traj = simulate(system, smib_state(0.5, 0.0), 0.5, 5, 1e-3)
     assert len(traj.jumps) == 0
@@ -567,14 +579,14 @@ def test_balanced_torque_equilibrium():
 
 def test_smib_without_events_evaluates_the_margin_once_per_sample_time():
     angles = []
-    base = sine_power(1.5)
 
-    def p_e(delta):
-        angles.append(delta)
-        return base(delta)
+    class Spy(SmibParams):
+        def p_e(self, delta):
+            angles.append(delta)
+            return super().p_e(delta)
 
     # the equilibrium angle: |P_e| = 1 stays below i_max = 1.4, so no trip
-    params = SmibParams(p_e=p_e, p_m=1.0, i_max=1.4)
+    params = Spy(p_m=1.0, i_max=1.4)
     x0 = smib_state(np.arcsin(1.0 / 1.5), 0.0)
     traj = simulate(smib_system(params), x0, 0.5, 5, 1e-2)
     assert traj.jumps == [] and len(traj.samples) == 51

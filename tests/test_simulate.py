@@ -612,6 +612,14 @@ def _identity(x):
             ArgumentError, "t0 must be finite, got inf", id="t0-inf",
         ),
         pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 10, 0.1, t0=-1.0),
+            ArgumentError, r"^t0 must be non-negative, got -1\.0$", id="t0-negative",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), "ab", 1.0, 5, 0.1),
+            ArgumentError, "^x0 entries must be finite reals, got 'ab'$", id="x0-text",
+        ),
+        pytest.param(
             lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, math.nan, 0.1),
             ArgumentError, "max_jumps must be non-negative", id="max-jumps-nan",
         ),
@@ -711,7 +719,7 @@ def test_a_non_finite_horizon_is_refused_not_run():
             "edge 'a->b' references unknown modes", id="edge-mode",
         ),
         pytest.param(lambda: simulate(FlowJumpSystem(1, decay), [10**400], 1.0, 1, 0.1),
-                     "state entries must be finite", id="huge-int-x0"),
+                     "x0 entries must be finite", id="huge-int-x0"),
     ],
 )
 def test_systems_input_checks(call, fragment):
