@@ -1,10 +1,10 @@
 """Hybrid dynamical systems: representation, simulation, and estimation.
 
-The toolkit covers flow/jump systems, hybrid automata, switched
-systems, guard-localized simulation on hybrid time domains, an
-extended Kalman filter with saltation-matrix covariance transport, and
-the grid-following/grid-forming inverter and two-line SMIB studies built
-on top of them.
+The toolkit covers flow/jump systems, hybrid automata, switched systems
+(lifted to automata with one location per segment), guard-localized
+simulation on hybrid time domains, an extended Kalman filter with
+saltation-matrix covariance transport, and the grid-following/grid-forming
+inverter and two-line SMIB studies built on top of them.
 
 Hybrid stepping has one implementation, :mod:`hdsim.simulate`; the
 independent loops the tests compare it against live in ``tests/oracles.py``.
@@ -34,7 +34,7 @@ from .systems import (
     TrajectorySample,
 )
 from .simulate import simulate
-from .switched import SwitchedSystem, lift_state, lift_switched
+from .switched import SwitchedSystem, lift_switched
 from .safety import NO_COUNTEREXAMPLE, UNSAFE, SafetyVerdict, box_sampler, check_safety
 from .estimation import (
     EkfRun,

@@ -25,7 +25,7 @@ import numpy as np
 from ._pcg64 import PCG64
 from .errors import ArgumentError
 from .integrate import rk4_step
-from .simulate import Stepper, next_grid_time, quiet_overflow, simulate
+from .simulate import Stepper, next_grid_time, quiet_overflow, require_reals, simulate
 from .systems import FlowJumpSystem, HybridAutomaton, HybridTrajectory, is_integer
 
 NO_COUNTEREXAMPLE = "no-counterexample-found"
@@ -110,6 +110,7 @@ def check_safety(
     """
     if not is_integer(samples) or samples < 1:
         raise ArgumentError(f"samples must be an integer >= 1, got {samples}")
+    require_reals(horizon=horizon, dt=dt, max_jumps=max_jumps)
     is_automaton = isinstance(system, HybridAutomaton)
     for start in range(0, samples, SWEEP_CHUNK):
         draws: List[Tuple[Optional[str], object]] = []

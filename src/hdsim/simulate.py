@@ -24,6 +24,7 @@ safety sweep runs it for the columns whose guard crossed, and the EKF
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -53,6 +54,14 @@ quiet_overflow = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 model gives a non-finite state, which they raise as a typed error instead
 of numpy warnings.  Only a decorator: the one instance used in a ``with``
 block cannot be entered twice."""
+
+
+def require_reals(**values) -> None:
+    """Raise ``ArgumentError`` naming the first of ``values`` that is no real
+    number (text, ``None``); NaN and infinity are left to the caller's checks."""
+    for name, value in values.items():
+        if not isinstance(value, Real):
+            raise ArgumentError(f"{name} must be a real number, got {value!r}")
 
 
 def next_event(
@@ -202,6 +211,7 @@ class Stepper:
         sink: Callable[[float, int, str, np.ndarray], None],
         jumps: Optional[List[JumpRecord]] = None,
     ):
+        require_reals(t0=t0, horizon=horizon, dt=dt, max_jumps=max_jumps)
         if not math.isfinite(t0):
             raise ArgumentError(f"t0 must be finite, got {t0}")
         if t0 < 0.0:

@@ -1,13 +1,12 @@
-"""Switched systems and their flow/jump lift.
+"""Switched systems and their lift to a hybrid automaton.
 
 A switched system pairs a family of vector fields with a piecewise-constant
-switching signal.  The lift augments the state with the active segment
-index: the flow leaves the index constant and a time-triggered jump
-increments it at each switch instant, which reproduces the switched
-dynamics inside the flow/jump formalism, so :func:`hdsim.simulate.simulate`
-steps it like any other hybrid system.  The independent reference the
-lift is checked against, a direct segment-by-segment integration, is a
-test oracle in ``tests/oracles.py``.
+switching signal.  With the signal known, it is a hybrid automaton whose
+locations are the signal's segments and whose guards are its switch
+instants, so :func:`hdsim.simulate.simulate`, the safety sweep and the EKF
+run the lift like any other automaton.  The independent reference the lift
+is checked against, a direct segment-by-segment integration, is a test
+oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ArgumentError
-from .systems import FlowJumpSystem, is_integer, require_dim, require_finite
+from .systems import Edge, HybridAutomaton, is_integer, require_dim, require_finite
 
 
 @dataclass(frozen=True)
@@ -61,69 +60,26 @@ class SwitchedSystem:
 
     def signal(self, t: float) -> int:
         """The active subsystem index (1-based) at time ``t``."""
-        return self.mode_sequence[bisect.bisect_right(self.switch_times, t)]
+        return self.mode_sequence[self.segment_of(t)]
 
     def segment_of(self, t: float) -> int:
+        """The index of the segment active at time ``t``."""
         return bisect.bisect_right(self.switch_times, t)
 
 
-def lift_switched(sw: SwitchedSystem) -> FlowJumpSystem:
-    """Lift a switched system to a flow/jump system over (z, segment).
+def lift_switched(sw: SwitchedSystem) -> HybridAutomaton:
+    """Lift ``sw`` to a hybrid automaton with one location per segment.
 
-    The augmented state appends the current segment index; the jump set is
-    the time margin ``t - next_switch_instant`` and the jump map advances
-    the segment while leaving the continuous state untouched.  The flow and
-    the jump margin act on each column of a state batch (the fields must
-    too): each column follows the field of its own segment.  A segment
-    label outside the segments (it rounds below 0 or past the last) is an
-    :class:`ArgumentError` from the flow, the jump margin and the mode label.
+    Location ``k``, ``"mode m (segment k)"`` for subsystem ``m``, flows by
+    that subsystem's field; its edge to location ``k + 1`` has the time guard
+    ``t - switch_times[k]`` and copies the state.  A run from ``t0`` starts
+    in ``modes[sw.segment_of(t0)]``.
     """
-    n = sw.dim
-    fields = [sw.fields[m - 1] for m in sw.mode_sequence]
-    next_switch = np.append(np.asarray(sw.switch_times, dtype=float), np.inf)
-
-    def segment(x: np.ndarray) -> np.ndarray:
-        """The segment index of ``x``, one per column of a batch."""
-        label = np.rint(x[n])
-        inside = (label >= 0) & (label < len(fields))
-        if not np.all(inside):
-            bad = float(np.extract(~inside, x[n])[0])
-            raise ArgumentError(f"segment label {bad} outside 0..{len(fields) - 1}")
-        return label.astype(int)
-
-    def flow_map(x: np.ndarray, t: float) -> np.ndarray:
-        seg = segment(x)
-        out = np.zeros_like(x, dtype=float)
-        present = np.bincount(np.ravel(seg)).nonzero()[0]
-        if present.size == 1:  # a single state, or a batch in one segment
-            out[:n] = fields[present[0]](x[:n], t)
-            return out
-        for s in present:
-            cols = seg == s
-            out[:n, cols] = fields[s](x[:n, cols], t)
-        return out
-
-    def jump_set(x: np.ndarray, t: float) -> float:
-        return t - next_switch[segment(x)]
-
-    def jump_map(x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        out[n] = round(x[n]) + 1.0
-        return out
-
-    def mode_label(x: np.ndarray) -> str:
-        return f"mode {sw.mode_sequence[int(segment(x))]}"
-
-    return FlowJumpSystem(
-        dim=n + 1,
-        flow_map=flow_map,
-        jump_set=jump_set,
-        jump_map=jump_map,
-        mode_label=mode_label,
+    modes = tuple(f"mode {m} (segment {k})" for k, m in enumerate(sw.mode_sequence))
+    edges = tuple(
+        Edge(source, target, guard=lambda x, t, s=s: t - s, reset=np.copy,
+             reset_jacobian=lambda x: np.eye(x.size))
+        for source, target, s in zip(modes, modes[1:], sw.switch_times)
     )
-
-
-def lift_state(sw: SwitchedSystem, z0, t0: float = 0.0) -> np.ndarray:
-    """Initial augmented state for the lift of ``sw`` starting at ``t0``."""
-    z0 = np.asarray(z0, dtype=float)
-    return np.concatenate([z0, [float(sw.segment_of(t0))]])
+    flows = {q: sw.fields[m - 1] for q, m in zip(modes, sw.mode_sequence)}
+    return HybridAutomaton(dim=sw.dim, modes=modes, flows=flows, edges=edges)

@@ -104,7 +104,8 @@ def simulate_switched(
     Walks the same uniform grid as :func:`hdsim.simulate.simulate`, splitting
     any step that straddles a switch instant exactly at that instant, and
     records a pre/post sample pair there so the trajectory shape matches
-    the lifted simulation sample for sample.  After a switch the step goes
+    the lifted simulation sample for sample; the samples and jumps carry
+    the lift's location and edge names.  After a switch the step goes
     on to the grid time it was heading for, however close the switch was.
     """
     if horizon <= 0.0 or dt <= 0.0:
@@ -113,9 +114,13 @@ def simulate_switched(
     t = t0
     t_end = t0 + horizon
     seg = sw.segment_of(t0)
+
+    def location(segment: int) -> str:
+        return f"mode {sw.mode_sequence[segment]} (segment {segment})"
+
     traj = HybridTrajectory()
     j = 0
-    traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
+    traj.append(t, j, location(seg), x)
     k = 1
     while t < t_end - 1e-15 * max(1.0, abs(t_end)):
         t_next = min(t0 + k * dt, t_end)
@@ -125,26 +130,26 @@ def simulate_switched(
             if s > t:
                 x = rk4_step(sw.fields[sw.mode_sequence[seg] - 1], x, t, s - t)
                 t = s
-            traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
+            traj.append(t, j, location(seg), x)
             traj.jumps.append(
                 JumpRecord(
                     t=t,
                     j_before=j,
-                    edge="switch",
+                    edge=f"{location(seg)}->{location(seg + 1)}",
                     state_before=x.copy(),
                     state_after=x.copy(),
-                    mode_before=f"mode {sw.mode_sequence[seg]}",
-                    mode_after=f"mode {sw.mode_sequence[seg + 1]}",
+                    mode_before=location(seg),
+                    mode_after=location(seg + 1),
                 )
             )
             seg += 1
             j += 1
-            traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
+            traj.append(t, j, location(seg), x)
             continue
         if t_next > t:  # a switch on the grid time itself leaves no step
             x = rk4_step(sw.fields[sw.mode_sequence[seg] - 1], x, t, t_next - t)
             t = t_next
-            traj.append(t, j, f"mode {sw.mode_sequence[seg]}", x)
+            traj.append(t, j, location(seg), x)
         k += 1
     traj.termination = HORIZON_REACHED
     return traj

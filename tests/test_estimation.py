@@ -604,6 +604,10 @@ _BELIEF = GaussianBelief([0.3, 0.4], np.eye(2))
                      "dt must be positive and finite, got nan", id="predict-dt-nan"),
         pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, math.inf, _NOISE),
                      "dt must be positive and finite, got inf", id="predict-dt-inf"),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, "0.1", _NOISE),
+                     "^dt must be a real number, got '0.1'$", id="predict-dt-text"),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, t0=None),
+                     "^t0 must be a real number, got None$", id="predict-t0-none"),
         pytest.param(lambda: ekf_update(_BELIEF, [1.0, 2.0], _NOISE),
                      "measurement must have length 1", id="update-z"),
         pytest.param(

@@ -67,6 +67,25 @@ def test_zero_samples_rejected():
         check_safety(system, sampler, lambda x: False, 1.0, samples=0, dt=1e-2)
 
 
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        pytest.param(dict(horizon="1"), "^horizon must be a real number, got '1'$",
+                     id="horizon-text"),
+        pytest.param(dict(dt=None), "^dt must be a real number, got None$", id="dt-none"),
+        pytest.param(dict(max_jumps="5"), "^max_jumps must be a real number, got '5'$",
+                     id="max-jumps-text"),
+    ],
+)
+def test_a_run_argument_that_is_no_number_is_refused_before_any_draw(run, message):
+    draws = []
+    system = FlowJumpSystem(dim=1, flow_map=lambda x, t: -x)
+    with pytest.raises(ArgumentError, match=message):
+        check_safety(system, lambda: draws.append(1) or [1.0], lambda x: False,
+                     **{"horizon": 1.0, "samples": 3, "dt": 1e-2, **run})
+    assert draws == []
+
+
 def test_sampler_is_seed_deterministic():
     a = box_sampler([0.0, 0.0], [1.0, 1.0], seed=5)
     b = box_sampler([0.0, 0.0], [1.0, 1.0], seed=5)
@@ -624,7 +643,7 @@ def test_a_reset_to_a_non_finite_state_surfaces_for_the_lowest_sample():
 def test_a_switched_lift_sweeps_as_a_batch(level):
     # decays until the switch at 0.1, then grows: 1.2 is first passed after
     # the switch, by sample 9
-    from hdsim import SwitchedSystem, lift_state, lift_switched
+    from hdsim import SwitchedSystem, lift_switched
 
     batches = {"decay": 0, "grow": 0}
 
@@ -639,10 +658,10 @@ def test_a_switched_lift_sweeps_as_a_batch(level):
     lift = lift_switched(sw)
 
     def sampler():
-        base = box_sampler([0.9], [1.0], seed=5)
-        return lambda: lift_state(sw, base())
+        return box_sampler([0.9], [1.0], seed=5)
 
-    run = dict(unsafe=lambda x: x[0] > level, horizon=0.2, samples=20, dt=1e-3)
+    run = dict(unsafe=lambda x: x[0] > level, horizon=0.2, samples=20, dt=1e-3,
+               mode0=lift.modes[0])
     verdict = check_safety(lift, sampler(), **run)
     assert batches["decay"] > 0 and batches["grow"] > 0
     assert verdict.samples_checked == (10 if level < 2.0 else 20)

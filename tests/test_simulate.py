@@ -615,6 +615,25 @@ def _identity(x):
             lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 10, 0.1, t0=-1.0),
             ArgumentError, r"^t0 must be non-negative, got -1\.0$", id="t0-negative",
         ),
+        # a run argument that is no real number: refused by name, not a bare
+        # TypeError from the comparisons that check its value
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, 0.1, t0="0"),
+            ArgumentError, "^t0 must be a real number, got '0'$", id="t0-text",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], "1", 5, 0.1),
+            ArgumentError, "^horizon must be a real number, got '1'$", id="horizon-text",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, None),
+            ArgumentError, "^dt must be a real number, got None$", id="dt-none",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, "5", 0.1),
+            ArgumentError, "^max_jumps must be a real number, got '5'$",
+            id="max-jumps-text",
+        ),
         pytest.param(
             lambda: simulate(FlowJumpSystem(1, decay), "ab", 1.0, 5, 0.1),
             ArgumentError, "^x0 entries must be finite reals, got 'ab'$", id="x0-text",

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ import pytest
 from hdsim import (
     ArgumentError,
     ExperimentConfig,
+    HybridAutomaton,
     SwitchedSystem,
     generate_truth_and_measurements,
     gfl_flow,
     gfm_flow,
-    lift_state,
+    inverter_automaton,
     lift_switched,
-    numerical_jacobian,
+    run_ekf,
     simulate,
 )
 
@@ -37,7 +39,7 @@ def test_signal_is_right_continuous():
 def test_degenerate_lift_equals_plain_integration():
     sw = SwitchedSystem(dim=1, fields=(lambda x, t: -x,), mode_sequence=(1,))
     lifted = lift_switched(sw)
-    traj = simulate(lifted, lift_state(sw, [1.0]), 0.2, max_jumps=5, dt=1e-3)
+    traj = simulate(lifted, [1.0], 0.2, max_jumps=5, dt=1e-3, mode0=lifted.modes[0])
     oracle = integrate_flow(lambda x, t: -x, np.array([1.0]), 0.0, 0.2, 1e-3)
     assert len(traj.samples) == len(oracle)
     for sample, (t, x) in zip(traj.samples, oracle):
@@ -54,7 +56,7 @@ def test_two_mode_switch_closed_form():
         switch_times=(0.1,),
     )
     lifted = lift_switched(sw)
-    traj = simulate(lifted, lift_state(sw, [1.0]), 0.2, max_jumps=5, dt=1e-4)
+    traj = simulate(lifted, [1.0], 0.2, max_jumps=5, dt=1e-4, mode0=lifted.modes[0])
     assert len(traj.jumps) == 1
     assert abs(traj.final_state()[0] - math.exp(-0.3)) < 1e-10
 
@@ -74,7 +76,8 @@ def test_cycling_lift_matches_direct_simulation():
             switch_times=switch_times,
         )
         lifted = lift_switched(sw)
-        lift_traj = simulate(lifted, lift_state(sw, [1.0]), 0.5, max_jumps=10, dt=dt)
+        lift_traj = simulate(lifted, [1.0], 0.5, max_jumps=10, dt=dt,
+                             mode0=lifted.modes[0])
         direct = simulate_switched(sw, [1.0], 0.5, dt)
         assert len(lift_traj.samples) == len(direct.samples)
         for a, b in zip(lift_traj.samples, direct.samples):
@@ -82,6 +85,25 @@ def test_cycling_lift_matches_direct_simulation():
             assert a.time.j == b.time.j
             assert abs(a.state[0] - b.state[0]) <= 1e-12
             assert a.mode == b.mode
+
+
+@pytest.mark.parametrize(
+    "switch_times, t0",
+    [((0.1, 0.2, 0.35), 0.15), ((0.0, 0.2), 0.0), ((0.1, 0.2), 0.1)],
+    ids=["past-a-switch", "switch-at-0", "on-a-switch"],
+)
+def test_a_lift_started_at_t0_matches_direct_simulation(switch_times, t0):
+    fields = (lambda x, t: -x, lambda x, t: -2 * x + t, lambda x, t: np.sin(3 * x))
+    sw = SwitchedSystem(dim=1, fields=fields, switch_times=switch_times,
+                        mode_sequence=(1, 2, 3, 1)[: len(switch_times) + 1])
+    lifted = lift_switched(sw)
+    mode0 = lifted.modes[sw.segment_of(t0)]
+    lift_traj = simulate(lifted, [1.0], 0.5, 10, 0.01, mode0=mode0, t0=t0)
+    direct = simulate_switched(sw, [1.0], 0.5, 0.01, t0=t0)
+    for column in ("times", "states", "jump_counts", "modes"):
+        assert np.array_equal(getattr(lift_traj, column), getattr(direct, column))
+    assert [r.edge for r in lift_traj.jumps] == [r.edge for r in direct.jumps]
+    assert lift_traj.jump_times == [s for s in switch_times if s > t0]
 
 
 def test_multidimensional_lift():
@@ -93,12 +115,12 @@ def test_multidimensional_lift():
         mode_sequence=(1, 2),
         switch_times=(0.123,),
     )
-    lift_traj = simulate(
-        lift_switched(sw), lift_state(sw, [1.0, 0.0]), 0.25, max_jumps=3, dt=1e-3
-    )
+    lifted = lift_switched(sw)
+    lift_traj = simulate(lifted, [1.0, 0.0], 0.25, max_jumps=3, dt=1e-3,
+                         mode0=lifted.modes[0])
     direct = simulate_switched(sw, [1.0, 0.0], 0.25, 1e-3)
     for a, b in zip(lift_traj.samples, direct.samples):
-        assert np.max(np.abs(a.state[:2] - b.state)) <= 1e-12
+        assert np.max(np.abs(a.state - b.state)) <= 1e-12
 
 
 def test_validation_errors():
@@ -160,7 +182,8 @@ def test_numpy_integer_dimension_and_indices_are_integers():
         dim=np.int64(1), fields=(_F1, _F2), mode_sequence=(np.int64(1), np.int32(2)),
         switch_times=(0.1,),
     )
-    traj = simulate(lift_switched(sw), lift_state(sw, [1.0]), 0.2, 5, 0.05)
+    lifted = lift_switched(sw)
+    traj = simulate(lifted, [1.0], 0.2, 5, 0.05, mode0=lifted.modes[0])
     assert sw.signal(0.15) == 2 and traj.jump_times == [0.1]
 
 
@@ -179,67 +202,27 @@ def test_a_switch_instant_that_is_not_a_finite_real_is_refused(switch_times):
         )
 
 
-def test_the_lift_acts_on_each_column():
-    sw = SwitchedSystem(
-        dim=1,
-        fields=(lambda x, t: -x, lambda x, t: -2 * x),
-        mode_sequence=(1, 2),
-        switch_times=(0.1,),
-    )
+def test_the_lift_is_an_automaton_with_one_location_per_segment():
+    sw = SwitchedSystem(dim=2, fields=(_F1, _F2), mode_sequence=(1, 2, 1),
+                        switch_times=(0.1, 0.2))
     lift = lift_switched(sw)
-    jac = numerical_jacobian(lambda y: lift.flow_map(y, 0.0), lift_state(sw, [1.0]))
-    assert np.allclose(jac, [[-1.0, 0.0], [0.0, 0.0]], atol=1e-9)
-    batch = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])  # segments 0, 1, 0
-    flows = lift.flow_map(batch, 0.05)
-    margins = lift.jump_set(batch, 0.05)
-    for c in range(3):
-        assert np.array_equal(flows[:, c], lift.flow_map(batch[:, c], 0.05))
-        assert margins[c] == lift.jump_set(batch[:, c], 0.05)
-    assert margins.tolist() == [0.05 - 0.1, -np.inf, 0.05 - 0.1]
+    assert isinstance(lift, HybridAutomaton) and lift.dim == 2
+    assert lift.modes == ("mode 1 (segment 0)", "mode 2 (segment 1)", "mode 1 (segment 2)")
+    assert [lift.flows[q] for q in lift.modes] == [_F1, _F2, _F1]
+    assert [(e.source, e.target) for e in lift.edges] == list(zip(lift.modes, lift.modes[1:]))
+    x = np.array([0.3, -0.4])
+    for edge, s in zip(lift.edges, (0.1, 0.2)):
+        assert edge.guard(x, 0.15) == 0.15 - s and edge.guard_gradient is None
+        after = edge.reset(x)
+        assert np.array_equal(after, x) and after is not x
+        assert np.array_equal(edge.reset_jacobian(x), np.eye(2))
 
 
-def three_segment_lift():
-    sw = SwitchedSystem(
-        dim=2,
-        fields=(lambda x, t: -x, lambda x, t: np.sin(x) * t, lambda x, t: x[::-1] ** 2),
-        mode_sequence=(1, 2, 3),
-        switch_times=(0.1, 0.2),
-    )
-    return lift_switched(sw)
-
-
-def test_a_batch_in_any_segments_equals_its_columns():
-    lift = three_segment_lift()
-    rng = np.random.default_rng(3)
-    for labels in ([1, 1, 1, 1], [2, 0, 1, 2, 0], [0], [2, 2, 0]):
-        batch = np.vstack([rng.normal(size=(2, len(labels))), labels])
-        flows = lift.flow_map(batch, 0.15)
-        margins = lift.jump_set(batch, 0.15)
-        for c in range(len(labels)):
-            assert np.array_equal(flows[:, c], lift.flow_map(batch[:, c], 0.15))
-            assert margins[c] == lift.jump_set(batch[:, c], 0.15)
-
-
-@pytest.mark.parametrize("label", [-1.0, 3.0, np.nan])
-def test_a_segment_label_out_of_range_is_an_argument_error(label):
-    lift = three_segment_lift()
-    message = f"segment label {label} outside 0..2"
-    for x in (np.array([1.0, 0.5, label]), np.array([[1.0, 2.0], [0.5, 0.5], [1.0, label]])):
-        with pytest.raises(ArgumentError, match=message):
-            lift.flow_map(x, 0.0)
-        with pytest.raises(ArgumentError, match=message):
-            lift.jump_set(x, 0.0)
-    if np.isfinite(label):
-        with pytest.raises(ArgumentError, match=message):
-            simulate(lift, [1.0, 0.5, label], 0.3, max_jumps=5, dt=0.01)
-
-
-def inverter_truth_and_switched_lift(values):
-    """The configured inverter's truth on its grid, and the grid states and
-    jump times of the switched system GFL, GFM, GFL switching at the
-    truth's own jump times, run through its lift."""
+def inverter_as_switched_system(values):
+    """The configured inverter's scenario, truth and measurements, and the
+    switched system GFL, GFM, GFL switching at the truth's own jump times."""
     sc = ExperimentConfig(values=values).scenario()
-    truth, _ = generate_truth_and_measurements(sc)
+    truth, measurements = generate_truth_and_measurements(sc)
     p, v_grid = sc.params, sc.v_grid
     sw = SwitchedSystem(
         dim=4,
@@ -247,10 +230,18 @@ def inverter_truth_and_switched_lift(values):
         mode_sequence=(1, 2, 1),
         switch_times=tuple(truth.jump_times),
     )
-    lift = simulate(lift_switched(sw), lift_state(sw, sc.x0), sc.horizon, 50, sc.dt)
+    return sc, truth, measurements, sw
+
+
+def inverter_truth_and_switched_lift(values):
+    """The configured inverter's truth on its grid, and the grid states and
+    jump times of its switched system run through the lift."""
+    sc, truth, _, sw = inverter_as_switched_system(values)
+    lifted = lift_switched(sw)
+    lift = simulate(lifted, sc.x0, sc.horizon, 50, sc.dt, mode0=lifted.modes[0])
     return (
         truth.grid_states(0.0, sc.dt, sc.n_steps),
-        lift.grid_states(0.0, sc.dt, sc.n_steps)[:, :4],
+        lift.grid_states(0.0, sc.dt, sc.n_steps),
         lift.jump_times,
     )
 
@@ -273,12 +264,37 @@ def test_an_acting_current_clamp_is_what_needs_the_automaton(i_lim, floor):
     assert np.max(np.abs(truth - lifted) / np.max(np.abs(truth), axis=0)) > floor
 
 
-def test_optional_formalisms_import_from_the_package():
-    import hdsim
-    from hdsim import SwitchedSystem, lift_state, lift_switched, switched
+def lift_and_hybrid_filters(values):
+    """The EKF runs of the configured inverter's switched-system lift and of
+    its automaton, on the same measurements."""
+    sc, _, z, sw = inverter_as_switched_system(values)
+    lifted = lift_switched(sw)
+    lift_run = run_ekf(lifted, replace(sc, initial_mode=lifted.modes[0]), z)
+    return lift_run, run_ekf(inverter_automaton(sc.params, sc.v_grid), sc, z)
 
-    assert (SwitchedSystem, lift_state, lift_switched) == (
-        switched.SwitchedSystem, switched.lift_state, switched.lift_switched
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_the_default_hybrid_filter_is_the_lift_s_filter(seed):
+    # the lift's jumps are the automaton's, at the same times, and both
+    # saltation matrices are the identity: the filters agree bit for bit
+    lift_run, hybrid = lift_and_hybrid_filters({"seed": seed})
+    assert np.array_equal(lift_run.means, hybrid.means)
+    assert np.array_equal(lift_run.covariances, hybrid.covariances)
+    assert np.array_equal(lift_run.jump_counts, hybrid.jump_counts)
+    assert [r.t for r in lift_run.jumps] == [0.054, 0.128]
+
+
+def test_an_acting_current_clamp_parts_the_filters():
+    lift_run, hybrid = lift_and_hybrid_filters({"inverter.i_lim": 0.5})
+    assert not np.array_equal(lift_run.means, hybrid.means)
+
+
+def test_the_switched_names_import_from_the_package():
+    import hdsim
+    from hdsim import SwitchedSystem, lift_switched, switched
+
+    assert (SwitchedSystem, lift_switched) == (
+        switched.SwitchedSystem, switched.lift_switched
     )
     with pytest.raises(AttributeError):
         getattr(hdsim, "no_such_name")
@@ -287,7 +303,8 @@ def test_optional_formalisms_import_from_the_package():
 def test_the_retired_pwa_names_and_module_are_gone():
     # the names are spelled in parts, so that a search of the tree for them
     # finds no reader but this test
-    for name in ("Pwa" "System", "pwa" "_step", "Uncovered" "StateError"):
+    retired = ("Pwa" "System", "pwa" "_step", "Uncovered" "StateError", "lift" "_state")
+    for name in retired:
         with pytest.raises(ImportError):
             exec(f"from hdsim import {name}", {})
     with pytest.raises(ModuleNotFoundError):
