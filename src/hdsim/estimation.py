@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ArgumentError, GrazingError, HdsimError, NumericalFailureError
 from .integrate import rk4_step
-from .simulate import SAME_TIME_JUMP_BUDGET, Stepper, located, quiet_overflow, require_reals
+from .simulate import SAME_TIME_JUMP_BUDGET, Stepper, located, quiet_overflow, require_run_args
 from .systems import HybridAutomaton, JumpRecord, VectorField
 
 JACOBIAN_STEP_SCALE = 1e-6
@@ -231,9 +231,7 @@ def ekf_predict(
     apportion the per-step Q across a split step (event localization
     splits a step at the jump time); it is 1 for a whole step.
     """
-    require_reals(dt=dt, t0=t0, q_scale=q_scale)
-    if not 0.0 < dt < np.inf:
-        raise ArgumentError(f"dt must be positive and finite, got {dt}")
+    require_run_args(dt=dt, t0=t0, q_scale=q_scale)
     mean_next, f_jac = _value_and_jacobian(
         lambda x: rk4_step(flow, x, t0, dt), belief.mean
     )

@@ -25,7 +25,7 @@ import numpy as np
 from ._pcg64 import PCG64
 from .errors import ArgumentError
 from .integrate import rk4_step
-from .simulate import Stepper, next_grid_time, quiet_overflow, require_reals, simulate
+from .simulate import Stepper, next_grid_time, quiet_overflow, require_run_args, simulate
 from .systems import FlowJumpSystem, HybridAutomaton, HybridTrajectory, is_integer
 
 NO_COUNTEREXAMPLE = "no-counterexample-found"
@@ -110,7 +110,7 @@ def check_safety(
     """
     if not is_integer(samples) or samples < 1:
         raise ArgumentError(f"samples must be an integer >= 1, got {samples}")
-    require_reals(horizon=horizon, dt=dt, max_jumps=max_jumps)
+    require_run_args(horizon=horizon, dt=dt, max_jumps=max_jumps)
     is_automaton = isinstance(system, HybridAutomaton)
     for start in range(0, samples, SWEEP_CHUNK):
         draws: List[Tuple[Optional[str], object]] = []
@@ -170,8 +170,9 @@ def _sweep(
     errors: Dict[int, Exception] = {}
     running = np.zeros(m, dtype=bool)  # the columns at the sweep's grid time
     X = np.zeros((system.dim, m))
-    modes = system.modes if isinstance(system, HybridAutomaton) else None
-    group = np.zeros(m, dtype=int)  # index of the column's mode (automata)
+    modes = system.modes if isinstance(system, HybridAutomaton) else ()
+    index = {q: i for i, q in enumerate(modes)}  # empty for a flow/jump system
+    group = np.zeros(m, dtype=int)  # index[mode] of each column (automata)
     best = m  # lowest decided column so far
 
     def decide(c: int) -> None:
@@ -195,8 +196,8 @@ def _sweep(
         running[c] = stepping
         if stepping:
             X[:, c] = s.x
-            if modes:
-                group[c] = modes.index(s.mode)
+            if index:
+                group[c] = index[s.mode]
 
     def batch_step(cols: np.ndarray, t: float, t_next: float) -> None:
         if cols.size == 0:
@@ -271,7 +272,7 @@ def _sweep(
             break
         # the modes at t, before any column of this step jumps, ascending: a
         # column decided in one mode retires the higher columns of the next
-        present = np.bincount(group[cols]).nonzero()[0] if modes else ()
+        present = np.bincount(group[cols]).nonzero()[0] if index else ()
         if len(present) <= 1:
             batch_step(cols, t, t_next)  # one mode: every column, no mask
         else:

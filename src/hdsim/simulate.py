@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from numbers import Real
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,16 +56,28 @@ of numpy warnings.  Only a decorator: the one instance used in a ``with``
 block cannot be entered twice."""
 
 
-def require_reals(**values) -> None:
-    """Raise ``ArgumentError`` naming the first of ``values`` that is no real
-    number (text, ``None``); NaN and infinity are left to the caller's checks."""
+_RUN_RULES = {  # name: its (rule, test) pairs, in the order they are checked
+    "t0": (("finite", lambda v: abs(v) < math.inf), ("non-negative", lambda v: v >= 0)),
+    "horizon": (("positive and finite", lambda v: 0.0 < v < math.inf),),
+    "dt": (("positive and finite", lambda v: 0.0 < v < math.inf),),
+    "max_jumps": (("non-negative", lambda v: v >= 0),),  # np.inf: no budget
+    "q_scale": (("non-negative and finite", lambda v: 0.0 <= v < math.inf),),
+}
+
+
+def require_run_args(**values) -> None:
+    """Raise ``ArgumentError`` naming the first of ``values`` that is no real number
+    (text, ``None``, a ``bool``) or breaks a rule of its name in ``_RUN_RULES``."""
     for name, value in values.items():
-        if not isinstance(value, Real):
+        if not isinstance(value, Real) or isinstance(value, bool):
             raise ArgumentError(f"{name} must be a real number, got {value!r}")
+        for rule, holds in _RUN_RULES[name]:
+            if not holds(value):
+                raise ArgumentError(f"{name} must be {rule}, got {value}")
 
 
 def next_event(
-    edges: List[Edge],
+    edges: Sequence[Edge],
     flow: VectorField,
     x: np.ndarray,
     t: float,
@@ -194,9 +206,11 @@ class Stepper:
     sweep as one batch and hands each column whose guard crossed to
     :meth:`advance`.  The arguments are those of :func:`simulate`.
 
-    ``x`` is a state, or what a subclass's :meth:`_scan` and :meth:`_jump`
-    carry (the EKF's belief).  Whoever replaces ``x`` between two calls of
-    :meth:`advance` clears ``guards_clear``, so the guards enabled there fire.
+    ``mode``, ``flow``, ``invariant`` and ``edges`` are the current location,
+    looked up once on entering a mode; every sample carries ``mode``.  ``x`` is
+    a state, or what a subclass's :meth:`_scan` and :meth:`_jump` carry (the
+    EKF's belief).  Whoever replaces ``x`` between two calls of :meth:`advance`
+    clears ``guards_clear``, so the guards enabled there fire.
     """
 
     def __init__(
@@ -211,17 +225,7 @@ class Stepper:
         sink: Callable[[float, int, str, np.ndarray], None],
         jumps: Optional[List[JumpRecord]] = None,
     ):
-        require_reals(t0=t0, horizon=horizon, dt=dt, max_jumps=max_jumps)
-        if not math.isfinite(t0):
-            raise ArgumentError(f"t0 must be finite, got {t0}")
-        if t0 < 0.0:
-            raise ArgumentError(f"t0 must be non-negative, got {t0}")
-        if not 0.0 < horizon < math.inf:
-            raise ArgumentError(f"horizon must be positive and finite, got {horizon}")
-        if not 0.0 < dt < math.inf:
-            raise ArgumentError(f"dt must be positive and finite, got {dt}")
-        if not max_jumps >= 0:  # np.inf: no budget
-            raise ArgumentError(f"max_jumps must be non-negative, got {max_jumps}")
+        require_run_args(t0=t0, horizon=horizon, dt=dt, max_jumps=max_jumps)
         self.system = system
         self.is_automaton = isinstance(system, HybridAutomaton)
         x = as_state(x0, system.dim, "x0")
@@ -232,16 +236,11 @@ class Stepper:
                 raise ArgumentError(f"unknown initial mode {mode0!r}")
             if system.init is not None and not system.init(mode0, x):
                 raise ArgumentError(f"({mode0!r}, x0) is not in the initial set")
-            self._enter(mode0)
+            self._enter(mode0, system.locations[mode0])
         else:
             if not system.flow_set(x, t0) and not system.jump_set(x, t0) >= 0.0:
                 raise ArgumentError("x0 lies outside both the flow set and the jump set")
-            self.mode = system.mode_label(x)
-            self.flow = system.flow_map
-            self.invariant = system.flow_set
-            self.edges = [
-                Edge(self.mode, self.mode, system.jump_set, system.jump_map, label="jump")
-            ]
+            self._enter(system.mode_label(x), system.location)
         self.x, self.t, self.j = x, t0, 0
         self.t0, self.dt, self.t_end, self.max_jumps = t0, dt, t0 + horizon, max_jumps
         self.guards_clear = False
@@ -250,15 +249,9 @@ class Stepper:
         self.sink, self.jumps = sink, jumps
         sink(t0, 0, self.mode, x)
 
-    def _enter(self, mode: str) -> None:
+    def _enter(self, mode: str, location) -> None:
         self.mode = mode
-        self.flow = self.system.flows[mode]
-        self.invariant = self.system.invariant(mode)
-        self.edges = self.system.outgoing(mode)
-
-    def _label(self, state: np.ndarray) -> str:
-        """The mode label of a sample: the automaton mode, or ``mode_label``."""
-        return self.mode if self.is_automaton else self.system.mode_label(state)
+        self.flow, self.invariant, self.edges = location
 
     def _scan(self, x, t: float, t_next: float, guards_clear: bool, x_next=None):
         """:func:`next_event` in the current mode; an event carries ``x`` at its time."""
@@ -295,7 +288,7 @@ class Stepper:
                     return self._stop(HORIZON_REACHED, x, t, j)
                 if t_next > t:  # jumps at t_next itself leave no step to take
                     t, x = t_next, x_new
-                    sink(t, j, self._label(x), x)
+                    sink(t, j, self.mode, x)
                     if not self.invariant(x, t):
                         return self._stop(LEFT_FLOW_SET, x, t, j)
                 same_t_jumps = 0
@@ -310,7 +303,7 @@ class Stepper:
             guards_clear = False
             if t_star > t:
                 same_t_jumps = 0
-                sink(t_star, j, self._label(x_star), x_star)
+                sink(t_star, j, self.mode, x_star)
                 t = t_star
             if j >= self.max_jumps or same_t_jumps >= SAME_TIME_JUMP_BUDGET:
                 self.refused = edge
@@ -321,7 +314,7 @@ class Stepper:
                 raise located(exc, t, self.mode, edge)
             j += 1
             same_t_jumps += 1
-            sink(t, j, self._label(x), x)
+            sink(t, j, self.mode, x)
 
     def _jump(self, edge: Edge, state: np.ndarray, t: float, j: int) -> np.ndarray:
         x_new = np.asarray(edge.reset(state), dtype=float)
@@ -336,7 +329,7 @@ class Stepper:
         """Take the mode the jump along ``edge`` leads to, and record the jump."""
         old_mode = self.mode
         if self.is_automaton:
-            self._enter(edge.target)
+            self._enter(edge.target, self.system.locations[edge.target])
         else:
             self.mode = self.system.mode_label(after)
         if self.jumps is not None:
@@ -348,7 +341,7 @@ class Stepper:
                     state_before=before.copy(),
                     state_after=after.copy(),
                     mode_before=old_mode,
-                    mode_after=self._label(after),
+                    mode_after=self.mode,
                 )
             )
 

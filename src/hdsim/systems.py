@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Callable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -262,7 +262,9 @@ class FlowJumpSystem:
     be localized by false position.  Both receive ``(state, time)`` so
     exogenous inputs can be threaded through as explicit time
     dependence.  When state and time put the system in both C and D, the
-    jump fires first.
+    jump fires first.  ``mode_label`` names the discrete state, which changes
+    only at jumps: a run reads it at ``x0`` and after each jump.  ``location``
+    is built with the system: ``(flow_map, flow_set, (the edge "jump",))``.
     """
 
     dim: int
@@ -274,6 +276,8 @@ class FlowJumpSystem:
 
     def __post_init__(self):
         require_dim(self)
+        jump = Edge("", "", self.jump_set, self.jump_map, label="jump")
+        object.__setattr__(self, "location", (self.flow_map, self.flow_set, (jump,)))
 
 
 @dataclass(frozen=True)
@@ -303,7 +307,8 @@ class Edge:
 
 @dataclass(frozen=True)
 class HybridAutomaton:
-    """Finite modes with per-mode flows and invariants, joined by edges."""
+    """Finite modes with per-mode flows and invariants, joined by edges; ``locations``,
+    built with it, maps a mode to its ``(flow, invariant, edges out in edges order)``."""
 
     dim: int
     modes: Tuple[str, ...]
@@ -316,16 +321,15 @@ class HybridAutomaton:
         require_dim(self)
         if not self.modes:
             raise ArgumentError("automaton needs at least one mode")
-        mode_set = set(self.modes)
+        locations: Dict[str, Tuple[VectorField, Predicate, List[Edge]]] = {}
         for q in self.modes:
             if q not in self.flows:
                 raise ArgumentError(f"mode {q!r} has no flow")
+            if q in locations:
+                raise ArgumentError(f"mode {q!r} is listed twice")
+            locations[q] = (self.flows[q], self.invariants.get(q, _always_true), [])
         for e in self.edges:
-            if e.source not in mode_set or e.target not in mode_set:
+            if e.source not in locations or e.target not in locations:
                 raise ArgumentError(f"edge {e.label!r} references unknown modes")
-
-    def invariant(self, mode: str) -> Predicate:
-        return self.invariants.get(mode, _always_true)
-
-    def outgoing(self, mode: str) -> List[Edge]:
-        return [e for e in self.edges if e.source == mode]
+            locations[e.source][2].append(e)
+        object.__setattr__(self, "locations", locations)

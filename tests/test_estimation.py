@@ -608,6 +608,21 @@ _BELIEF = GaussianBelief([0.3, 0.4], np.eye(2))
                      "^dt must be a real number, got '0.1'$", id="predict-dt-text"),
         pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, t0=None),
                      "^t0 must be a real number, got None$", id="predict-t0-none"),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, t0=math.nan),
+                     "^t0 must be finite, got nan$", id="predict-t0-nan"),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, t0=math.inf),
+                     "^t0 must be finite, got inf$", id="predict-t0-inf"),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, t0=-1.0),
+                     r"^t0 must be non-negative, got -1\.0$", id="predict-t0-negative"),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, q_scale=-5),
+                     "^q_scale must be non-negative and finite, got -5$",
+                     id="predict-q-scale-negative"),
+        pytest.param(
+            lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, q_scale=math.nan),
+            "^q_scale must be non-negative and finite, got nan$", id="predict-q-scale-nan",
+        ),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, True, _NOISE),
+                     "^dt must be a real number, got True$", id="predict-dt-bool"),
         pytest.param(lambda: ekf_update(_BELIEF, [1.0, 2.0], _NOISE),
                      "measurement must have length 1", id="update-z"),
         pytest.param(

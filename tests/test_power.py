@@ -314,7 +314,7 @@ def test_reset_clamps_currents_only():
     params = InverterParams(i_lim=1.2)
     profile = ExperimentConfig().scenario().v_grid
     automaton = inverter_automaton(params, profile)
-    edge = automaton.outgoing(GFL)[0]
+    _, _, (edge,) = automaton.locations[GFL]
     post = edge.reset(np.array([2.0, 0.1, 0.77, -0.02]))
     assert post[0] == 1.2
     assert post[1] == 0.1

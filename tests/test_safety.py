@@ -1,5 +1,7 @@
 """Sampling-based safety falsification checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,21 @@ def test_zero_samples_rejected():
         pytest.param(dict(dt=None), "^dt must be a real number, got None$", id="dt-none"),
         pytest.param(dict(max_jumps="5"), "^max_jumps must be a real number, got '5'$",
                      id="max-jumps-text"),
+        # a value no run takes: refused before the first draw, not a bare
+        # error of the grid arithmetic or a refusal after the chunk is drawn
+        pytest.param(dict(dt=0.0), r"^dt must be positive and finite, got 0\.0$",
+                     id="dt-zero"),
+        pytest.param(dict(dt=math.nan), "^dt must be positive and finite, got nan$",
+                     id="dt-nan"),
+        pytest.param(dict(horizon=-1.0),
+                     r"^horizon must be positive and finite, got -1\.0$", id="horizon-negative"),
+        pytest.param(dict(max_jumps=-1), "^max_jumps must be non-negative, got -1$",
+                     id="max-jumps-negative"),
+        pytest.param(dict(horizon=True), "^horizon must be a real number, got True$",
+                     id="horizon-bool"),
+        pytest.param(dict(dt=True), "^dt must be a real number, got True$", id="dt-bool"),
+        pytest.param(dict(max_jumps=True), "^max_jumps must be a real number, got True$",
+                     id="max-jumps-bool"),
     ],
 )
 def test_a_run_argument_that_is_no_number_is_refused_before_any_draw(run, message):

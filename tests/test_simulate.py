@@ -635,6 +635,18 @@ def _identity(x):
             id="max-jumps-text",
         ),
         pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], True, 5, 0.1),
+            ArgumentError, "^horizon must be a real number, got True$", id="horizon-bool",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, True),
+            ArgumentError, "^dt must be a real number, got True$", id="dt-bool",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, True, 0.1),
+            ArgumentError, "^max_jumps must be a real number, got True$", id="max-jumps-bool",
+        ),
+        pytest.param(
             lambda: simulate(FlowJumpSystem(1, decay), "ab", 1.0, 5, 0.1),
             ArgumentError, "^x0 entries must be finite reals, got 'ab'$", id="x0-text",
         ),
@@ -737,6 +749,8 @@ def test_a_non_finite_horizon_is_refused_not_run():
             ),
             "edge 'a->b' references unknown modes", id="edge-mode",
         ),
+        pytest.param(lambda: HybridAutomaton(1, ("a", "b", "a"), {"a": decay, "b": decay}, ()),
+                     "^mode 'a' is listed twice$", id="repeated-mode"),
         pytest.param(lambda: simulate(FlowJumpSystem(1, decay), [10**400], 1.0, 1, 0.1),
                      "x0 entries must be finite", id="huge-int-x0"),
     ],
@@ -777,3 +791,26 @@ def test_a_flow_failure_names_its_mode():
     t = err.value.time
     assert str(err.value) == f"non-finite state while flowing to t={t} in mode 'ramp'"
     assert err.value.trajectory.times.tolist() == [0.0, 0.1, 0.2]
+
+
+def test_a_flow_jump_systems_mode_label_is_read_at_x0_and_after_each_jump():
+    # a unit ramp that drops back to 0 at 1 and counts its drops in x[1]:
+    # three jumps in 3.5 s, so four labels and no more, whatever the samples
+    calls = []
+
+    def label(x):
+        calls.append(x.copy())
+        return f"run {int(x[1])}"
+
+    system = FlowJumpSystem(
+        dim=2, flow_map=lambda x, t: np.array([np.ones_like(x[0]), 0.0 * x[1]]),
+        jump_set=lambda x, t: x[0] - 1.0, jump_map=lambda x: np.array([0.0, x[1] + 1.0]),
+        mode_label=label,
+    )
+    traj = simulate(system, [0.0, 0.0], 3.5, 10, 0.1)
+    assert len(traj.jumps) == 3 and len(calls) == 1 + 3
+    assert [x.tolist() for x in calls] == [[0.0, k] for k in (0.0, 1.0, 2.0, 3.0)]
+    assert traj.modes == [f"run {int(c)}" for c in traj.states[:, 1]]
+    assert [(r.mode_before, r.mode_after) for r in traj.jumps] == [
+        ("run 0", "run 1"), ("run 1", "run 2"), ("run 2", "run 3")
+    ]

@@ -218,6 +218,33 @@ def test_the_lift_is_an_automaton_with_one_location_per_segment():
         assert np.array_equal(edge.reset_jacobian(x), np.eye(2))
 
 
+class _CountedEdges(tuple):
+    """A tuple of edges that counts the passes over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_a_run_of_the_lift_looks_each_location_up_without_rescanning_the_edges():
+    # 200 switches: a run enters 201 locations, and the edges are read once,
+    # when the automaton is built, not at each entry
+    sw = SwitchedSystem(dim=2, fields=(_F1, _F2), mode_sequence=(1, 2) * 100 + (1,),
+                        switch_times=tuple(0.005 * (k + 1) for k in range(200)))
+    lift = lift_switched(sw)
+    edges = _CountedEdges(lift.edges)
+    counted = replace(lift, edges=edges)
+    assert edges.passes == 1
+    traj = simulate(counted, [1.0, 0.5], 1.1, 250, 1e-3, mode0=counted.modes[0])
+    assert edges.passes == 1
+    assert [len(counted.locations[q][2]) for q in counted.modes] == [1] * 200 + [0]
+    assert len(traj.jumps) == 200 and traj.modes[-1] == counted.modes[-1]
+    plain = simulate(lift, [1.0, 0.5], 1.1, 250, 1e-3, mode0=lift.modes[0])
+    assert traj.states.tobytes() == plain.states.tobytes()
+
+
 def inverter_as_switched_system(values):
     """The configured inverter's scenario, truth and measurements, and the
     switched system GFL, GFM, GFL switching at the truth's own jump times."""
