@@ -19,8 +19,11 @@ A field (and any map handed to
 ``(n, m)`` array whose columns are states it returns the ``(n, m)`` array
 of their derivatives, column by column, as well as an ``(n,)`` result for
 an ``(n,)`` state.  Unpacking ``x`` by rows (``i_d, i_q, v_d, v_q = x``)
-and elementwise arithmetic give this for free.  The EKF prediction relies
-on it to advance the mean and all ``2n`` central-difference columns in one
+and elementwise arithmetic give this for free.  A field may evaluate a
+batch with another sequence of operations than a single state, as long as
+every column's floats equal its single-state evaluation; the inverter
+fields of :mod:`hdsim.power` do.  The EKF prediction relies on it to
+advance the mean and all ``2n`` central-difference columns in one
 :func:`rk4_step`.  A reset map takes single states; it meets a column batch
 only through ``numerical_jacobian``, when its edge has no
 ``reset_jacobian``.

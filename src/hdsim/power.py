@@ -124,12 +124,25 @@ def gfl_flow(x, v_grid: float, p: InverterParams) -> np.ndarray:
 
     The d/q current equations are the RL filter laws; the voltage states
     track the measured grid voltage (d-axis) and zero (q-axis) with time
-    constant ``tau_v``.  ``x`` is a state or a batch of state columns.
+    constant ``tau_v``.  ``x`` is a state or a batch of state columns; a
+    single state is evaluated in Python floats and a batch by row pairs
+    (:func:`_row_pairs`), each column to the single state's bits.
     """
     if len(x) != 4:
         raise ValueError(f"an inverter state has 4 rows, got {len(x)}")
-    i_d, i_q, v_d, v_q = x[0], x[1], x[2], x[3]
     wl = p.omega * p.l_pu
+    if getattr(x, "ndim", 1) > 1:
+        x = np.asarray(x, float)  # a float32 batch computes in float64, as a state does
+        out, top, bottom = _row_pairs(x, p.r_pu, wl)
+        np.subtract(x[2:], top, out=top)  # v - r i
+        top += bottom  # + [wl i_q, -wl i_d]
+        top /= p.l_pu
+        np.negative(x[2:], out=bottom)
+        d_axis = bottom[0]
+        d_axis += v_grid  # v_grid - v_d
+        bottom /= p.tau_v
+        return out
+    i_d, i_q, v_d, v_q = x.tolist() if isinstance(x, np.ndarray) else x
     return np.array(
         [
             (v_d - p.r_pu * i_d + wl * i_q) / p.l_pu,
@@ -145,7 +158,8 @@ def gfm_flow(x, p: InverterParams) -> np.ndarray:
 
     The d/q voltage equations are the forming laws; the current states
     track the algebraic droop currents ``(v_ref - v_d)/r`` and ``-v_q/r``
-    with time constant ``tau_i``.
+    with time constant ``tau_i``.  Like :func:`gfl_flow`, it evaluates a
+    single state in Python floats and a batch by row pairs.
 
     The field is open-loop unstable: at the default ``InverterParams`` its
     eigenvalues are about +50.4 +- 0.48j and -1050.4 +- 0.48j s^-1 (see
@@ -154,8 +168,20 @@ def gfm_flow(x, p: InverterParams) -> np.ndarray:
     """
     if len(x) != 4:
         raise ValueError(f"an inverter state has 4 rows, got {len(x)}")
-    i_d, i_q, v_d, v_q = x[0], x[1], x[2], x[3]
     wl = p.omega * p.l_pu
+    if getattr(x, "ndim", 1) > 1:
+        x = np.asarray(x, float)
+        out, top, bottom = _row_pairs(x, p.r_pu, wl)
+        bottom -= top  # [wl i_q, -wl i_d] - r i
+        bottom /= p.l_pu
+        np.negative(x[2:], out=top)
+        d_axis = top[0]
+        d_axis += p.v_ref  # v_ref - v_d
+        top /= p.r_pu  # the droop currents
+        top -= x[:2]
+        top /= p.tau_i
+        return out
+    i_d, i_q, v_d, v_q = x.tolist() if isinstance(x, np.ndarray) else x
     i_d_alg = (p.v_ref - v_d) / p.r_pu
     i_q_alg = -v_q / p.r_pu
     return np.array(
@@ -166,6 +192,24 @@ def gfm_flow(x, p: InverterParams) -> np.ndarray:
             (-wl * i_d - p.r_pu * i_q) / p.l_pu,
         ]
     )
+
+
+def _row_pairs(x, r, wl):
+    """A new array shaped like the batch ``x`` and its two row-pair views:
+    rows 0-1 hold ``r * [i_d, i_q]`` and rows 2-3 ``[wl * i_q, -wl * i_d]``.
+
+    The fields finish each pair in place with the single state's operations
+    reordered only where IEEE arithmetic is exact (``a - b`` is
+    ``a + (-b)``, ``+`` commutes, ``-(wl * i_d)`` is ``(-wl) * i_d``), so
+    every column's floats equal the single state's; a NaN's sign may differ.
+    """
+    out = np.empty(x.shape)
+    top, bottom = out[:2], out[2:]
+    np.multiply(x[:2], r, out=top)
+    np.multiply(x[1::-1], wl, out=bottom)
+    q_axis = bottom[1]
+    np.negative(q_axis, out=q_axis)
+    return out, top, bottom
 
 
 def mode_sigmoid(v_grid: float, p: InverterParams) -> float:
@@ -186,7 +230,11 @@ def mode_sigmoid(v_grid: float, p: InverterParams) -> float:
 def blended_flow(x, v_grid: float, p: InverterParams) -> np.ndarray:
     """Sigmoid-weighted interpolation between the GFL and GFM fields."""
     s = mode_sigmoid(v_grid, p)
-    return s * gfl_flow(x, v_grid, p) + (1.0 - s) * gfm_flow(x, p)
+    gfl = gfl_flow(x, v_grid, p)
+    gfm = gfm_flow(x, p)
+    np.multiply(s, gfl, out=gfl)
+    np.multiply(1.0 - s, gfm, out=gfm)
+    return np.add(gfl, gfm, out=gfl)
 
 
 def current_clamp(x, p: InverterParams) -> np.ndarray:

@@ -67,10 +67,19 @@ _RUN_RULES = {  # name: its (rule, test) pairs, in the order they are checked
 
 def require_run_args(**values) -> None:
     """Raise ``ArgumentError`` naming the first of ``values`` that is no real number
-    (text, ``None``, a ``bool``) or breaks a rule of its name in ``_RUN_RULES``."""
+    (text, ``None``, a ``bool``), that is too large for a float (any int is a
+    ``max_jumps``) or that breaks a rule of its name in ``_RUN_RULES``."""
     for name, value in values.items():
-        if not isinstance(value, Real) or isinstance(value, bool):
-            raise ArgumentError(f"{name} must be a real number, got {value!r}")
+        if type(value) is not float:  # a plain float is a real number a float holds
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise ArgumentError(f"{name} must be a real number, got {value!r}")
+            try:
+                if name != "max_jumps":  # only compared with ints, so any int will do
+                    float(value)
+            except OverflowError:
+                raise ArgumentError(
+                    f"{name} must be finite, got a number too large for a float"
+                ) from None
         for rule, holds in _RUN_RULES[name]:
             if not holds(value):
                 raise ArgumentError(f"{name} must be {rule}, got {value}")

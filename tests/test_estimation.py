@@ -1,7 +1,9 @@
 """Jacobians, EKF predict/update, saltation matrices, jump propagation."""
 
+import itertools
 import math
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,6 +41,7 @@ from hdsim.power import (
     gfl_flow,
     gfm_flow,
 )
+from hdsim.simulate import quiet_overflow
 
 
 # -- numerical_jacobian ------------------------------------------------------
@@ -115,12 +118,14 @@ def test_jacobian_batch_is_the_state_then_plus_then_minus_columns(n):
 @pytest.mark.parametrize("flow", [
     lambda x: gfl_flow(x, 1.0, InverterParams()),
     lambda x: gfm_flow(x, InverterParams()),
-], ids=["gfl", "gfm"])
+    lambda x: blended_flow(x, 0.85, InverterParams()),
+], ids=["gfl", "gfm", "blended"])
 def test_inverter_fields_refuse_a_state_without_four_rows(flow, rows):
     with pytest.raises(ValueError):
         flow(np.zeros(rows))
-    with pytest.raises(ValueError):
-        flow(np.zeros((rows, 9)))
+    for m in (1, 9):
+        with pytest.raises(ValueError):
+            flow(np.zeros((rows, m)))
     with pytest.raises(ArgumentError, match=rf"map must act on each column.*\({rows}, "):
         numerical_jacobian(flow, np.zeros(rows))
 
@@ -240,10 +245,43 @@ def per_column_jacobian(fn, x):
 P_INV = InverterParams()
 V_GRID = ExperimentConfig().scenario().v_grid
 INVERTER_FIELDS = {
-    "gfl": lambda x, t: gfl_flow(x, V_GRID(t), P_INV),
-    "gfm": lambda x, t: gfm_flow(x, P_INV),
-    "blended": lambda x, t: blended_flow(x, V_GRID(t), P_INV),
+    "gfl": lambda x, t, p=P_INV: gfl_flow(x, V_GRID(t), p),
+    "gfm": lambda x, t, p=P_INV: gfm_flow(x, p),
+    "blended": lambda x, t, p=P_INV: blended_flow(x, V_GRID(t), p),
 }
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
+               0.37, -2.9)
+
+
+def _bits_nan_as_one(a):
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan  # numpy's loops may carry a NaN's sign differently
+    return a.view(np.int64)
+
+
+@pytest.mark.parametrize("r_pu", [P_INV.r_pu, 5e-324], ids=["default", "r-subnormal"])
+@pytest.mark.parametrize("name", sorted(INVERTER_FIELDS))
+@quiet_overflow
+def test_a_batch_column_is_bitwise_its_single_state_evaluation(name, r_pu):
+    # a batch is evaluated by row pairs and a state in Python floats: one law
+    field, p = INVERTER_FIELDS[name], replace(P_INV, r_pu=r_pu)
+    rng = np.random.default_rng(5)
+    batch = np.hstack((rng.choice(EDGE_FLOATS, (4, 400)), rng.uniform(-3.0, 3.0, (4, 9))))
+    times = (0.0, 0.05, 0.1, 0.15)  # the grid voltage before, in and after the dip
+    for t, dtype in itertools.product(times, (np.float64, np.float32)):
+        cast = batch.astype(dtype)
+        got = field(cast, t, p)
+        assert got.shape == batch.shape
+        for j in range(batch.shape[1]):
+            want = field(cast[:, j], t, p)
+            assert np.array_equal(_bits_nan_as_one(got[:, j]), _bits_nan_as_one(want))
+
+
+@pytest.mark.parametrize("name", sorted(INVERTER_FIELDS))
+def test_a_list_state_is_evaluated_as_its_array(name):
+    field = INVERTER_FIELDS[name]
+    for state in ([0, 0, 1, 0], [0.3, -1.0, 0.9, 0.05]):
+        assert np.array_equal(field(state, 0.05), field(np.array(state, dtype=float), 0.05))
 
 
 @pytest.mark.parametrize("name", sorted(INVERTER_FIELDS))
@@ -623,6 +661,17 @@ _BELIEF = GaussianBelief([0.3, 0.4], np.eye(2))
         ),
         pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, True, _NOISE),
                      "^dt must be a real number, got True$", id="predict-dt-bool"),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 10**400, _NOISE),
+                     "^dt must be finite, got a number too large for a float$",
+                     id="predict-dt-huge-int"),
+        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, t0=10**400),
+                     "^t0 must be finite, got a number too large for a float$",
+                     id="predict-t0-huge-int"),
+        pytest.param(
+            lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, q_scale=10**400),
+            "^q_scale must be finite, got a number too large for a float$",
+            id="predict-q-scale-huge-int",
+        ),
         pytest.param(lambda: ekf_update(_BELIEF, [1.0, 2.0], _NOISE),
                      "measurement must have length 1", id="update-z"),
         pytest.param(

@@ -92,6 +92,11 @@ def test_zero_samples_rejected():
         pytest.param(dict(dt=True), "^dt must be a real number, got True$", id="dt-bool"),
         pytest.param(dict(max_jumps=True), "^max_jumps must be a real number, got True$",
                      id="max-jumps-bool"),
+        pytest.param(dict(horizon=10**400),
+                     "^horizon must be finite, got a number too large for a float$",
+                     id="horizon-huge-int"),
+        pytest.param(dict(dt=10**400), "^dt must be finite, got a number too large for a float$",
+                     id="dt-huge-int"),
     ],
 )
 def test_a_run_argument_that_is_no_number_is_refused_before_any_draw(run, message):

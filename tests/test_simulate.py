@@ -646,6 +646,23 @@ def _identity(x):
             lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, True, 0.1),
             ArgumentError, "^max_jumps must be a real number, got True$", id="max-jumps-bool",
         ),
+        # an int too large for a float: refused by name, not a bare
+        # OverflowError from the grid arithmetic
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, 0.1, t0=10**400),
+            ArgumentError, "^t0 must be finite, got a number too large for a float$",
+            id="t0-huge-int",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 10**400, 5, 0.1),
+            ArgumentError, "^horizon must be finite, got a number too large for a float$",
+            id="horizon-huge-int",
+        ),
+        pytest.param(
+            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, -10**400),
+            ArgumentError, "^dt must be finite, got a number too large for a float$",
+            id="dt-huge-int",
+        ),
         pytest.param(
             lambda: simulate(FlowJumpSystem(1, decay), "ab", 1.0, 5, 0.1),
             ArgumentError, "^x0 entries must be finite reals, got 'ab'$", id="x0-text",
@@ -681,6 +698,12 @@ def _identity(x):
 def test_simulate_input_checks(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()
+
+
+def test_a_huge_int_jump_budget_is_no_budget():
+    # max_jumps is only compared with ints, so any int is a valid budget
+    traj = simulate(FlowJumpSystem(1, lambda x, t: -x), [1.0], 1.0, 10**400, 0.1)
+    assert traj.termination == HORIZON_REACHED
 
 
 _NON_FINITE_HORIZONS = """
