@@ -8,20 +8,12 @@ import.
 """
 
 import operator
-from numbers import Integral
 
-from .errors import ArgumentError
+from .systems import require_args
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _ULP = 2.0**-53
-
-
-def checked_seed(seed) -> int:
-    """``seed`` as an ``int``; ``ArgumentError`` unless a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
-    return operator.index(seed)
 
 
 def _hasher(key: int, mult: int):
@@ -61,7 +53,8 @@ class PCG64:
     """Uniform doubles in ``[0, 1)`` from a non-negative integer seed."""
 
     def __init__(self, seed: int):
-        w0, w1, w2, w3 = _seed_words(checked_seed(seed))
+        require_args(seed=seed)
+        w0, w1, w2, w3 = _seed_words(operator.index(seed))
         self._inc = ((w2 << 64 | w3) << 1 | 1) & _M128
         self._state = ((self._inc + (w0 << 64 | w1)) * _MULT + self._inc) & _M128
 

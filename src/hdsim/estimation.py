@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ArgumentError, GrazingError, HdsimError, NumericalFailureError
 from .integrate import rk4_step
-from .simulate import SAME_TIME_JUMP_BUDGET, Stepper, located, quiet_overflow, require_run_args
-from .systems import HybridAutomaton, JumpRecord, VectorField
+from .simulate import SAME_TIME_JUMP_BUDGET, Stepper, located, quiet_overflow
+from .systems import HybridAutomaton, JumpRecord, VectorField, require_args
 
 JACOBIAN_STEP_SCALE = 1e-6
 SYMMETRY_TOL = 1e-12
@@ -231,7 +231,7 @@ def ekf_predict(
     apportion the per-step Q across a split step (event localization
     splits a step at the jump time); it is 1 for a whole step.
     """
-    require_run_args(dt=dt, t0=t0, q_scale=q_scale)
+    require_args(dt=dt, t0=t0, q_scale=q_scale)
     mean_next, f_jac = _value_and_jacobian(
         lambda x: rk4_step(flow, x, t0, dt), belief.mean
     )

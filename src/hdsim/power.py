@@ -25,13 +25,13 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from ._pcg64 import PCG64, checked_seed
+from ._pcg64 import PCG64
 from .errors import ArgumentError, ConfigError
 from .estimation import NoiseModel
 from .simulate import simulate
 from .systems import (
     HORIZON_REACHED, Edge, FlowJumpSystem, HybridAutomaton, HybridTrajectory,
-    as_state, require_finite,
+    as_state, require_args, require_finite,
 )
 
 GFL = "GFL"
@@ -351,15 +351,13 @@ class InverterScenario:
     initial_mode: str = GFL
 
     def __post_init__(self):
-        if not (0.0 < self.horizon < math.inf and 0.0 < self.dt < math.inf):
-            raise ArgumentError("horizon and dt must be positive and finite")
+        require_args("InverterScenario", horizon=self.horizon, dt=self.dt, seed=self.seed)
         ratio = self.horizon / self.dt
         tol = 1e-12 * max(1.0, self.horizon)
         if abs(self.horizon - round(ratio) * self.dt) > tol:
             raise ArgumentError(f"dt must divide the horizon within {tol:g}")
         if self.v_grid.times[0] > 0.0 or self.v_grid.times[-1] < self.horizon - 1e-12:
             raise ArgumentError("the grid profile must cover [0, horizon]")
-        checked_seed(self.seed)
         object.__setattr__(self, "x0", as_state(self.x0, 4, "InverterScenario.x0").copy())
 
     @property
@@ -484,9 +482,8 @@ LINE2 = "line2"
 
 def smib_state(delta: float, omega: float, line: int = 1) -> np.ndarray:
     """Pack rotor angle, speed deviation and the active-line label."""
-    if line not in (1, 2):
-        raise ArgumentError(f"line must be 1 or 2, got {line}")
-    return np.array([delta, omega, float(line)])
+    require_args(line=line)
+    return as_state((delta, omega, line), 3, "smib_state")
 
 
 def smib_system(p: SmibParams) -> FlowJumpSystem:
@@ -524,7 +521,7 @@ def smib_system(p: SmibParams) -> FlowJumpSystem:
 
     def jump_map(x) -> np.ndarray:
         out = np.asarray(x, dtype=float).copy()
-        out[2] = 2.0 if x[2] < 1.5 else 1.0
+        out[2] = np.where(out[2] < 1.5, 2.0, 1.0)
         return out
 
     def label(x) -> str:

@@ -25,8 +25,8 @@ import numpy as np
 from ._pcg64 import PCG64
 from .errors import ArgumentError
 from .integrate import rk4_step
-from .simulate import Stepper, next_grid_time, quiet_overflow, require_run_args, simulate
-from .systems import FlowJumpSystem, HybridAutomaton, HybridTrajectory, is_integer
+from .simulate import Stepper, next_grid_time, quiet_overflow, simulate
+from .systems import FlowJumpSystem, HybridAutomaton, HybridTrajectory, float_array, require_args
 
 NO_COUNTEREXAMPLE = "no-counterexample-found"
 UNSAFE = "unsafe"
@@ -56,8 +56,7 @@ def box_sampler(lo, hi, seed: int) -> Callable[[], np.ndarray]:
     """
     finite = "box bounds and their width hi - lo must be finite"
     try:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo, hi = float_array(lo), float_array(hi)
     except (TypeError, ValueError, OverflowError):
         raise ArgumentError(finite) from None
     if lo.shape != hi.shape or np.any(hi < lo):
@@ -108,9 +107,7 @@ def check_safety(
     a sample that raised is simulated again so that the same exception
     surfaces, carrying its partial trajectory.
     """
-    if not is_integer(samples) or samples < 1:
-        raise ArgumentError(f"samples must be an integer >= 1, got {samples}")
-    require_run_args(horizon=horizon, dt=dt, max_jumps=max_jumps)
+    require_args(samples=samples, horizon=horizon, dt=dt, max_jumps=max_jumps)
     is_automaton = isinstance(system, HybridAutomaton)
     for start in range(0, samples, SWEEP_CHUNK):
         draws: List[Tuple[Optional[str], object]] = []

@@ -24,7 +24,6 @@ safety sweep runs it for the columns whose guard crossed, and the EKF
 from __future__ import annotations
 
 import math
-from numbers import Real
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,6 +43,7 @@ from .systems import (
     NUMERICAL_FAILURE,
     VectorField,
     as_state,
+    require_args,
 )
 
 SAME_TIME_JUMP_BUDGET = 10
@@ -54,35 +54,6 @@ quiet_overflow = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 model gives a non-finite state, which they raise as a typed error instead
 of numpy warnings.  Only a decorator: the one instance used in a ``with``
 block cannot be entered twice."""
-
-
-_RUN_RULES = {  # name: its (rule, test) pairs, in the order they are checked
-    "t0": (("finite", lambda v: abs(v) < math.inf), ("non-negative", lambda v: v >= 0)),
-    "horizon": (("positive and finite", lambda v: 0.0 < v < math.inf),),
-    "dt": (("positive and finite", lambda v: 0.0 < v < math.inf),),
-    "max_jumps": (("non-negative", lambda v: v >= 0),),  # np.inf: no budget
-    "q_scale": (("non-negative and finite", lambda v: 0.0 <= v < math.inf),),
-}
-
-
-def require_run_args(**values) -> None:
-    """Raise ``ArgumentError`` naming the first of ``values`` that is no real number
-    (text, ``None``, a ``bool``), that is too large for a float (any int is a
-    ``max_jumps``) or that breaks a rule of its name in ``_RUN_RULES``."""
-    for name, value in values.items():
-        if type(value) is not float:  # a plain float is a real number a float holds
-            if not isinstance(value, Real) or isinstance(value, bool):
-                raise ArgumentError(f"{name} must be a real number, got {value!r}")
-            try:
-                if name != "max_jumps":  # only compared with ints, so any int will do
-                    float(value)
-            except OverflowError:
-                raise ArgumentError(
-                    f"{name} must be finite, got a number too large for a float"
-                ) from None
-        for rule, holds in _RUN_RULES[name]:
-            if not holds(value):
-                raise ArgumentError(f"{name} must be {rule}, got {value}")
 
 
 def next_event(
@@ -234,7 +205,7 @@ class Stepper:
         sink: Callable[[float, int, str, np.ndarray], None],
         jumps: Optional[List[JumpRecord]] = None,
     ):
-        require_run_args(t0=t0, horizon=horizon, dt=dt, max_jumps=max_jumps)
+        require_args(t0=t0, horizon=horizon, dt=dt, max_jumps=max_jumps)
         self.system = system
         self.is_automaton = isinstance(system, HybridAutomaton)
         x = as_state(x0, system.dim, "x0")

@@ -18,7 +18,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ArgumentError
-from .systems import Edge, HybridAutomaton, is_integer, require_dim, require_finite
+from .systems import Edge, HybridAutomaton, require_arg, require_args, require_finite
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class SwitchedSystem:
 
     def __post_init__(self):
         require_finite(self, ("switch_times",), sequence=True)
-        require_dim(self)
+        require_args(type(self).__name__, dim=self.dim)
         if not self.fields:
             raise ArgumentError("at least one subsystem is required")
         if len(self.mode_sequence) != len(self.switch_times) + 1:
@@ -48,10 +48,7 @@ class SwitchedSystem:
             )
         n = len(self.fields)
         for m in self.mode_sequence:
-            if not is_integer(m):
-                raise ArgumentError(
-                    f"SwitchedSystem.mode_sequence entries must be integers, got {m!r}"
-                )
+            require_arg("mode_sequence", m, "SwitchedSystem.mode_sequence entries")
             if not 1 <= m <= n:
                 raise ArgumentError(f"mode index {m} outside 1..{n}")
         times = self.switch_times

@@ -47,11 +47,66 @@ _INITIAL_CAPACITY = 64
 """Samples a new :class:`HybridTrajectory` has room for before it grows."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+_MAX = float(np.finfo(float).max)
+_REAL = ("a real number",
+         lambda v: type(v) is float or isinstance(v, Real) and not isinstance(v, bool))
+_COUNT = ("an integer >= 1", lambda v: is_integer(v) and v >= 1)
+
+ARGUMENT_RULES: Dict[str, Tuple[Tuple[str, Callable[[object], bool]], ...]] = {
+    # argument: its (rule, test) pairs, in the order they are checked; a test
+    # compares exactly, so an int beyond the floats (10**400) is not finite
+    "t0": (_REAL, ("finite", lambda v: -_MAX <= v <= _MAX), ("non-negative", lambda v: v >= 0)),
+    "horizon": (_REAL, ("positive and finite", lambda v: 0 < v <= _MAX)),
+    "dt": (_REAL, ("positive and finite", lambda v: 0 < v <= _MAX)),
+    "max_jumps": (_REAL, ("non-negative", lambda v: v >= 0)),  # any int; np.inf: no budget
+    "q_scale": (_REAL, ("non-negative and finite", lambda v: 0 <= v <= _MAX)),
+    "seed": (("a non-negative integer", lambda v: is_integer(v) and v >= 0),),
+    "samples": (_COUNT,),
+    "dim": (_COUNT,),
+    "mode_sequence": (("integers", is_integer),),  # each entry
+    "line": (("1 or 2", lambda v: is_integer(v) and 1 <= v <= 2),),
+}
+"""The one rule table of the library's named scalar arguments, checked by
+:func:`require_args`."""
+
+
+def require_arg(name: str, value, label: Optional[str] = None) -> None:
+    """Raise ``ArgumentError`` naming ``label`` (default ``name``), the first rule of
+    ``name`` in ``ARGUMENT_RULES`` that ``value`` breaks, and ``value``."""
+    for rule, holds in ARGUMENT_RULES[name]:
+        if not holds(value):
+            big = isinstance(value, int) and abs(value) > _MAX
+            shown = "a number too large for a float" if big else repr(value)
+            raise ArgumentError(f"{label or name} must be {rule}, got {shown}")
+
+
+def require_args(owner: str = "", **values) -> None:
+    """:func:`require_arg` on each of ``values``, named ``owner.name`` if ``owner``."""
+    for name, value in values.items():
+        require_arg(name, value, f"{owner}.{name}" if owner else None)
+
+
+def float_array(values) -> np.ndarray:
+    """``values`` as a float array; text, which numpy reads as its number, and a
+    complex number, whose imaginary part numpy drops, are a ``ValueError``."""
+    raw = np.asarray(values)
+    kind = raw.dtype.kind
+    unreal = (str, bytes, complex, np.complexfloating)
+    if kind in "SUc" or kind == "O" and any(isinstance(v, unreal) for v in raw.flat):
+        raise ValueError(f"no real number: {values!r}")
+    return raw.astype(float, copy=False)
+
+
 def as_state(values, dim: Optional[int] = None, name: str = "state") -> np.ndarray:
     """Validate and convert ``values`` into a finite 1-D float state vector;
     the messages call it ``name``."""
     try:
-        x = np.asarray(values, dtype=float)
+        x = float_array(values)
     except (TypeError, ValueError, OverflowError):
         raise ArgumentError(f"{name} entries must be finite reals, got {values!r}") from None
     if x.ndim != 1 or x.size < 1:
@@ -82,21 +137,6 @@ def require_finite(record, names, sequence=False) -> None:
                 f"{type(record).__name__}.{name} must be finite{kind}, got {value!r}"
             )
         object.__setattr__(record, name, reals if sequence else reals[0])
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer, numpy's included, and not a ``bool``."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def require_dim(record) -> None:
-    """Raise ``ArgumentError`` unless ``record.dim`` is an integer >= 1."""
-    if not is_integer(record.dim):
-        raise ArgumentError(
-            f"{type(record).__name__}.dim must be an integer, got {record.dim!r}"
-        )
-    if record.dim < 1:
-        raise ArgumentError(f"dimension must be >= 1, got {record.dim}")
 
 
 class HybridTime(NamedTuple):
@@ -275,7 +315,7 @@ class FlowJumpSystem:
     mode_label: Callable[[np.ndarray], str] = lambda x: "flow"
 
     def __post_init__(self):
-        require_dim(self)
+        require_args(type(self).__name__, dim=self.dim)
         jump = Edge("", "", self.jump_set, self.jump_map, label="jump")
         object.__setattr__(self, "location", (self.flow_map, self.flow_set, (jump,)))
 
@@ -318,7 +358,7 @@ class HybridAutomaton:
     init: Optional[Callable[[str, np.ndarray], bool]] = None
 
     def __post_init__(self):
-        require_dim(self)
+        require_args(type(self).__name__, dim=self.dim)
         if not self.modes:
             raise ArgumentError("automaton needs at least one mode")
         locations: Dict[str, Tuple[VectorField, Predicate, List[Edge]]] = {}
@@ -332,4 +372,8 @@ class HybridAutomaton:
             if e.source not in locations or e.target not in locations:
                 raise ArgumentError(f"edge {e.label!r} references unknown modes")
             locations[e.source][2].append(e)
+        for kind in ("flows", "invariants"):
+            stray = [q for q in getattr(self, kind) if q not in locations]
+            if stray:
+                raise ArgumentError(f"HybridAutomaton.{kind} key {stray[0]!r} names no mode")
         object.__setattr__(self, "locations", locations)

@@ -23,7 +23,6 @@ from hdsim import (
     propagate_belief_through_jump,
     saltation_matrix,
 )
-from hdsim import run_ekf
 from hdsim.estimation import (
     JACOBIAN_STEP_SCALE,
     PSD_TOL,
@@ -42,6 +41,8 @@ from hdsim.power import (
     gfm_flow,
 )
 from hdsim.simulate import quiet_overflow
+
+from refusals import refusal_test
 
 
 # -- numerical_jacobian ------------------------------------------------------
@@ -619,82 +620,7 @@ def test_scalar_float_flow_is_an_argument_error_of_predict():
         ekf_predict(belief, lambda x, t: np.array([-float(x[0]), x[1]]), 0.01, noise)
 
 
-_NOISE = NoiseModel(q=1e-4 * np.eye(2), r=[[1.0]], h=[[1.0, 0.0]])
-_BELIEF = GaussianBelief([0.3, 0.4], np.eye(2))
-
-
-@pytest.mark.parametrize(
-    "call, fragment",
-    [
-        pytest.param(lambda: GaussianBelief(np.zeros((2, 2)), np.eye(4)),
-                     "mean must be a vector", id="mean"),
-        pytest.param(lambda: GaussianBelief([0.0, 0.0], np.eye(3)),
-                     r"covariance must be \(2, 2\), got \(3, 3\)", id="shape"),
-        pytest.param(lambda: GaussianBelief([np.nan, 0.0], np.eye(2)),
-                     "belief entries must be finite", id="finite"),
-        pytest.param(lambda: NoiseModel(q=np.ones((2, 3)), r=[[1.0]], h=[[1.0, 0.0]]),
-                     "Q must be square", id="q"),
-        pytest.param(lambda: NoiseModel(q=np.eye(2), r=np.ones((1, 2)), h=[[1.0, 0.0]]),
-                     "R must be square", id="r"),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.0, _NOISE),
-                     "dt must be positive and finite, got 0.0", id="predict-dt"),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, math.nan, _NOISE),
-                     "dt must be positive and finite, got nan", id="predict-dt-nan"),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, math.inf, _NOISE),
-                     "dt must be positive and finite, got inf", id="predict-dt-inf"),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, "0.1", _NOISE),
-                     "^dt must be a real number, got '0.1'$", id="predict-dt-text"),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, t0=None),
-                     "^t0 must be a real number, got None$", id="predict-t0-none"),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, t0=math.nan),
-                     "^t0 must be finite, got nan$", id="predict-t0-nan"),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, t0=math.inf),
-                     "^t0 must be finite, got inf$", id="predict-t0-inf"),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, t0=-1.0),
-                     r"^t0 must be non-negative, got -1\.0$", id="predict-t0-negative"),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, q_scale=-5),
-                     "^q_scale must be non-negative and finite, got -5$",
-                     id="predict-q-scale-negative"),
-        pytest.param(
-            lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, q_scale=math.nan),
-            "^q_scale must be non-negative and finite, got nan$", id="predict-q-scale-nan",
-        ),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, True, _NOISE),
-                     "^dt must be a real number, got True$", id="predict-dt-bool"),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 10**400, _NOISE),
-                     "^dt must be finite, got a number too large for a float$",
-                     id="predict-dt-huge-int"),
-        pytest.param(lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, t0=10**400),
-                     "^t0 must be finite, got a number too large for a float$",
-                     id="predict-t0-huge-int"),
-        pytest.param(
-            lambda: ekf_predict(_BELIEF, lambda x, t: -x, 0.1, _NOISE, q_scale=10**400),
-            "^q_scale must be finite, got a number too large for a float$",
-            id="predict-q-scale-huge-int",
-        ),
-        pytest.param(lambda: ekf_update(_BELIEF, [1.0, 2.0], _NOISE),
-                     "measurement must have length 1", id="update-z"),
-        pytest.param(
-            lambda: propagate_belief_through_jump(_BELIEF, lambda x: x[:1], np.eye(2)),
-            "reset changed the state dimension", id="reset-dim",
-        ),
-        pytest.param(
-            lambda: run_ekf(
-                lambda x, t: -x,
-                ExperimentConfig().scenario(),
-                np.zeros((ExperimentConfig().scenario().n_steps + 1, 3)),
-            ),
-            "measurement rows have length 3, expected 4", id="measurement-row",
-        ),
-        pytest.param(lambda: NoiseModel(q=[[1.0]], r=[[1.0]], h=[[np.nan]]),
-                     "H entries must be finite", id="h-nan"),
-        pytest.param(lambda: NoiseModel(q=np.eye(2), r=[[1.0]], h=[[np.inf, 0.0]]),
-                     "H entries must be finite", id="h-inf"),
-    ],
-)
-def test_estimation_input_checks(call, fragment):
-    with pytest.raises(ArgumentError, match=fragment):
-        call()
+test_estimation_input_checks = refusal_test("test_estimation_input_checks")
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from hdsim import (
     gfm_system_matrices,
     inverter_automaton,
     mode_sigmoid,
+    saltation_matrix,
     simulate,
     smib_state,
     smib_system,
@@ -35,6 +36,7 @@ from hdsim.estimation import NoiseModel
 from hdsim.power import GFL, GaussianStream
 
 from oracles import box_muller_normals, integrate_flow, swing_field
+from refusals import refusal_test
 
 P = InverterParams()
 
@@ -490,13 +492,9 @@ def test_scenario_validation():
         )
 
 
-@pytest.mark.parametrize(
-    "seed", [-1, 1.5, "3", True, np.True_],
-    ids=["negative", "float", "text", "bool", "numpy-bool"],
+test_scenario_refuses_a_seed_that_is_not_a_non_negative_integer = refusal_test(
+    "test_scenario_refuses_a_seed_that_is_not_a_non_negative_integer"
 )
-def test_scenario_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
-    with pytest.raises(ArgumentError, match="seed must be a non-negative integer, got"):
-        replace(ExperimentConfig().scenario(), seed=seed)
 
 
 def test_scenario_takes_a_numpy_integer_seed():
@@ -506,19 +504,12 @@ def test_scenario_takes_a_numpy_integer_seed():
     assert np.array_equal(z, z_int)
 
 
-@pytest.mark.parametrize(
-    "x0, fragment",
-    [
-        ([np.nan, 0.0, 1.0, 0.0], r"^InverterScenario\.x0 entries must be finite$"),
-        ([0.0, 0.0, 1.0, np.inf], r"^InverterScenario\.x0 entries must be finite$"),
-        ("abcd", r"^InverterScenario\.x0 entries must be finite reals, got 'abcd'$"),
-        ([0.0, 1.0, 0.0], r"^InverterScenario\.x0 has dimension 3, expected 4$"),
-    ],
-    ids=["nan", "inf", "text", "short"],
+test_scenario_refuses_an_initial_state_that_is_not_four_finite_reals = refusal_test(
+    "test_scenario_refuses_an_initial_state_that_is_not_four_finite_reals"
 )
-def test_scenario_refuses_an_initial_state_that_is_not_four_finite_reals(x0, fragment):
-    with pytest.raises(ArgumentError, match=fragment):
-        replace(ExperimentConfig().scenario(), x0=x0)
+test_smib_state_refuses_what_it_cannot_pack = refusal_test(
+    "test_smib_state_refuses_what_it_cannot_pack"
+)
 
 
 def test_a_scenario_owns_its_initial_state():
@@ -601,9 +592,27 @@ def test_smib_flow_and_margin_act_column_wise():
     batch = np.vstack([angles_speeds, rng.choice([1.0, 2.0], (1, 400))])
     flows = system.flow_map(batch, 0.3)
     margins = system.jump_set(batch, 0.3)
+    jumps = system.jump_map(batch)
     for c in range(batch.shape[1]):
         assert np.array_equal(flows[:, c], system.flow_map(batch[:, c], 0.3))
         assert margins[c] == system.jump_set(batch[:, c], 0.3)
+        assert np.array_equal(jumps[:, c], system.jump_map(batch[:, c]))
+
+
+def test_the_smib_trip_has_a_saltation_matrix_without_a_reset_jacobian():
+    # the numerical reset Jacobian runs the jump map on a column batch
+    system = smib_system(SmibParams())
+    x = np.array([np.arcsin(1.4 / 1.5), 1.2, 1.0])  # on the trip guard |p_e| = i_max
+    line_row_cleared = np.diag([1.0, 1.0, 0.0])
+    xi = saltation_matrix(system.jump_map, system.flow_map, system.flow_map, None, x, 0.0)
+    # the central difference of an identity row is 1 up to the rounding of x +- h
+    assert np.array_equal(xi != 0.0, line_row_cleared != 0.0)
+    assert np.max(np.abs(xi - line_row_cleared)) <= 1e-9
+    # the flow is the same on both lines, so the guard's gradient adds ~0
+    trip_gradient = lambda x, t: np.array([1.5 * np.cos(x[0]), 0.0, 0.0])  # noqa: E731
+    xi = saltation_matrix(system.jump_map, system.flow_map, system.flow_map, trip_gradient,
+                          x, 0.0)
+    assert np.max(np.abs(xi - line_row_cleared)) <= 1e-9
 
 
 def test_identical_line_switch_matches_unswitched():

@@ -1,7 +1,5 @@
 """Sampling-based safety falsification checks."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -28,6 +26,7 @@ from hdsim import (
 from hdsim.simulate import Stepper
 
 from oracles import box_samples, integrate_flow, swing_field
+from refusals import refusal_test
 
 
 def test_contracting_system_stays_safe():
@@ -69,43 +68,9 @@ def test_zero_samples_rejected():
         check_safety(system, sampler, lambda x: False, 1.0, samples=0, dt=1e-2)
 
 
-@pytest.mark.parametrize(
-    "run, message",
-    [
-        pytest.param(dict(horizon="1"), "^horizon must be a real number, got '1'$",
-                     id="horizon-text"),
-        pytest.param(dict(dt=None), "^dt must be a real number, got None$", id="dt-none"),
-        pytest.param(dict(max_jumps="5"), "^max_jumps must be a real number, got '5'$",
-                     id="max-jumps-text"),
-        # a value no run takes: refused before the first draw, not a bare
-        # error of the grid arithmetic or a refusal after the chunk is drawn
-        pytest.param(dict(dt=0.0), r"^dt must be positive and finite, got 0\.0$",
-                     id="dt-zero"),
-        pytest.param(dict(dt=math.nan), "^dt must be positive and finite, got nan$",
-                     id="dt-nan"),
-        pytest.param(dict(horizon=-1.0),
-                     r"^horizon must be positive and finite, got -1\.0$", id="horizon-negative"),
-        pytest.param(dict(max_jumps=-1), "^max_jumps must be non-negative, got -1$",
-                     id="max-jumps-negative"),
-        pytest.param(dict(horizon=True), "^horizon must be a real number, got True$",
-                     id="horizon-bool"),
-        pytest.param(dict(dt=True), "^dt must be a real number, got True$", id="dt-bool"),
-        pytest.param(dict(max_jumps=True), "^max_jumps must be a real number, got True$",
-                     id="max-jumps-bool"),
-        pytest.param(dict(horizon=10**400),
-                     "^horizon must be finite, got a number too large for a float$",
-                     id="horizon-huge-int"),
-        pytest.param(dict(dt=10**400), "^dt must be finite, got a number too large for a float$",
-                     id="dt-huge-int"),
-    ],
+test_a_run_argument_that_is_no_number_is_refused_before_any_draw = refusal_test(
+    "test_a_run_argument_that_is_no_number_is_refused_before_any_draw"
 )
-def test_a_run_argument_that_is_no_number_is_refused_before_any_draw(run, message):
-    draws = []
-    system = FlowJumpSystem(dim=1, flow_map=lambda x, t: -x)
-    with pytest.raises(ArgumentError, match=message):
-        check_safety(system, lambda: draws.append(1) or [1.0], lambda x: False,
-                     **{"horizon": 1.0, "samples": 3, "dt": 1e-2, **run})
-    assert draws == []
 
 
 def test_sampler_is_seed_deterministic():
@@ -134,13 +99,9 @@ def test_sampler_draws_numpys_default_rng_states(lo, hi, seed):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
-@pytest.mark.parametrize(
-    "seed", [-1, 1.0, 2.5, True, False, None, "3", np.float64(3.0)],
-    ids=repr,
+test_sampler_refuses_a_seed_that_is_not_a_non_negative_integer = refusal_test(
+    "test_sampler_refuses_a_seed_that_is_not_a_non_negative_integer"
 )
-def test_sampler_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
-    with pytest.raises(ArgumentError, match=r"^seed must be a non-negative integer"):
-        box_sampler([0.0], [1.0], seed)
 
 
 def test_automaton_sampler_with_modes():
@@ -639,6 +600,8 @@ FINITE = "box bounds and their width hi - lo must be finite"
         pytest.param([-np.inf], [np.inf], FINITE, id="inf-both"),
         pytest.param([0.0, -1e308], [1.0, 1e308], FINITE, id="inf-width"),
         pytest.param([10**400], [10**401], FINITE, id="huge-int"),
+        pytest.param([0.0], ["1"], FINITE, id="text-hi"),  # numpy reads "1" as 1.0
+        pytest.param([0.0], [1 + 2j], FINITE, id="complex-hi"),  # numpy drops 2j
     ],
 )
 def test_safety_input_checks(lo, hi, message):

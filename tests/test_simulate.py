@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,13 +29,14 @@ from hdsim import (
     simulate,
 )
 from hdsim.cli import cli_main
-from hdsim.config import ExperimentConfig, load_config
+from hdsim.config import load_config
 from hdsim.integrate import rk4_step
 from hdsim.power import SmibParams, smib_state, smib_system
 from hdsim.report import ROW_CHUNK, fmt
-from hdsim.safety import check_safety
 from hdsim.simulate import Stepper, next_event, next_grid_time
-from hdsim.systems import as_state
+from hdsim.systems import ARGUMENT_RULES
+
+from refusals import REFUSALS, refusal_test
 
 
 def decay(x, t):
@@ -540,164 +540,21 @@ def test_compare_runs_femtosecond_steps_to_its_horizon(tmp_path, capsys):
     assert len(rows) == 11 and float(rows[-1].split(",")[0]) == 10 * 1e-15  # k*dt
 
 
-def _always(x, t):
-    return 1.0
+test_simulate_input_checks = refusal_test("test_simulate_input_checks")
+test_systems_input_checks = refusal_test("test_systems_input_checks")
 
 
-def _never(x):
-    return np.zeros_like(x[0], dtype=bool)
-
-
-def _ignore(*sample):
-    pass
-
-
-def _identity(x):
-    return x
-
-
-@pytest.mark.parametrize(
-    "call, error, fragment",
-    [
-        pytest.param(
-            lambda: next_event(
-                [Edge("a", "a", _always, _identity, label="one"),
-                 Edge("a", "a", _always, _identity, label="two")],
-                decay, np.array([1.0]), 0.0, 0.1,
-            ),
-            AmbiguousTransitionError, "guards simultaneously enabled at t=0.0: one, two",
-            id="two-guards-enabled",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 0.0, 1, 0.1),
-            ArgumentError, "horizon must be positive", id="horizon",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 1, -0.1),
-            ArgumentError, "dt must be positive", id="dt",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, -1, 0.1),
-            ArgumentError, "max_jumps must be non-negative", id="max-jumps",
-        ),
-        pytest.param(
-            lambda: simulate(
-                FlowJumpSystem(1, decay, flow_set=lambda x, t: False),
-                [1.0], 1.0, 1, 0.1,
-            ),
-            ArgumentError, "outside both the flow set and the jump set", id="x0",
-        ),
-        # a run window that is not finite: refused, neither run without end
-        # nor escaping as a bare ValueError from the grid arithmetic
-        pytest.param(
-            lambda: Stepper(FlowJumpSystem(1, decay), [1.0], math.nan, 5, 0.1, None,
-                            0.0, _ignore),
-            ArgumentError, "horizon must be positive", id="horizon-nan",
-        ),
-        pytest.param(
-            lambda: Stepper(FlowJumpSystem(1, decay), [1.0], math.inf, 5, 0.1, None,
-                            0.0, _ignore),
-            ArgumentError, "horizon must be positive", id="horizon-inf",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, math.nan),
-            ArgumentError, "dt must be positive", id="dt-nan",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, 0.1, t0=math.nan),
-            ArgumentError, "t0 must be finite, got nan", id="t0-nan",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, 0.1, t0=math.inf),
-            ArgumentError, "t0 must be finite, got inf", id="t0-inf",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 10, 0.1, t0=-1.0),
-            ArgumentError, r"^t0 must be non-negative, got -1\.0$", id="t0-negative",
-        ),
-        # a run argument that is no real number: refused by name, not a bare
-        # TypeError from the comparisons that check its value
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, 0.1, t0="0"),
-            ArgumentError, "^t0 must be a real number, got '0'$", id="t0-text",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], "1", 5, 0.1),
-            ArgumentError, "^horizon must be a real number, got '1'$", id="horizon-text",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, None),
-            ArgumentError, "^dt must be a real number, got None$", id="dt-none",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, "5", 0.1),
-            ArgumentError, "^max_jumps must be a real number, got '5'$",
-            id="max-jumps-text",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], True, 5, 0.1),
-            ArgumentError, "^horizon must be a real number, got True$", id="horizon-bool",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, True),
-            ArgumentError, "^dt must be a real number, got True$", id="dt-bool",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, True, 0.1),
-            ArgumentError, "^max_jumps must be a real number, got True$", id="max-jumps-bool",
-        ),
-        # an int too large for a float: refused by name, not a bare
-        # OverflowError from the grid arithmetic
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, 0.1, t0=10**400),
-            ArgumentError, "^t0 must be finite, got a number too large for a float$",
-            id="t0-huge-int",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 10**400, 5, 0.1),
-            ArgumentError, "^horizon must be finite, got a number too large for a float$",
-            id="horizon-huge-int",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, 5, -10**400),
-            ArgumentError, "^dt must be finite, got a number too large for a float$",
-            id="dt-huge-int",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), "ab", 1.0, 5, 0.1),
-            ArgumentError, "^x0 entries must be finite reals, got 'ab'$", id="x0-text",
-        ),
-        pytest.param(
-            lambda: simulate(FlowJumpSystem(1, decay), [1.0], 1.0, math.nan, 0.1),
-            ArgumentError, "max_jumps must be non-negative", id="max-jumps-nan",
-        ),
-        pytest.param(
-            lambda: replace(ExperimentConfig().scenario(), horizon=math.nan),
-            ArgumentError, "horizon and dt must be positive and finite",
-            id="scenario-horizon-nan",
-        ),
-        pytest.param(
-            lambda: replace(ExperimentConfig().scenario(), horizon=math.inf),
-            ArgumentError, "horizon and dt must be positive and finite",
-            id="scenario-horizon-inf",
-        ),
-        pytest.param(
-            lambda: check_safety(FlowJumpSystem(1, decay), lambda: [1.0], _never,
-                                 1.0, 2.5, 0.1),
-            ArgumentError, "samples must be an integer >= 1, got 2.5",
-            id="samples-fraction",
-        ),
-        pytest.param(
-            lambda: check_safety(FlowJumpSystem(1, decay), lambda: [1.0], _never,
-                                 1.0, math.nan, 0.1),
-            ArgumentError, "samples must be an integer >= 1, got nan",
-            id="samples-nan",
-        ),
-    ],
-)
-def test_simulate_input_checks(call, error, fragment):
-    with pytest.raises(error, match=fragment):
-        call()
+def test_every_argument_rule_has_a_refusal_case():
+    # each (rule, test) pair of the library's table has a row that breaks it;
+    # a message is a regex, read here without its escapes
+    messages = [(row[2], row[4].replace("\\", "")) for rows in REFUSALS.values() for row in rows]
+    missing = [
+        (name, rule)
+        for name, rules in ARGUMENT_RULES.items()
+        for rule, _ in rules
+        if not any(arg == name and f"must be {rule}, got" in m for arg, m in messages)
+    ]
+    assert missing == []
 
 
 def test_a_huge_int_jump_budget_is_no_budget():
@@ -740,47 +597,6 @@ def test_a_non_finite_horizon_is_refused_not_run():
         "horizon must be positive and finite, got inf",
         "horizon must be positive and finite, got inf",
     ]
-
-
-@pytest.mark.parametrize(
-    "call, fragment",
-    [
-        pytest.param(lambda: as_state(np.zeros((2, 2))),
-                     r"state must be a 1-D vector, got shape \(2, 2\)", id="ndim"),
-        pytest.param(lambda: as_state([1.0, 2.0], 3),
-                     "state has dimension 2, expected 3", id="dim"),
-        pytest.param(lambda: FlowJumpSystem(0, decay),
-                     "dimension must be >= 1, got 0", id="flow-jump-dim"),
-        pytest.param(lambda: HybridAutomaton(0, ("a",), {"a": decay}, ()),
-                     "dimension must be >= 1, got 0", id="automaton-dim"),
-        pytest.param(lambda: FlowJumpSystem(True, decay),
-                     r"^FlowJumpSystem\.dim must be an integer, got True",
-                     id="flow-jump-bool"),
-        pytest.param(lambda: FlowJumpSystem(1.0, decay),
-                     r"^FlowJumpSystem\.dim must be an integer, got 1\.0",
-                     id="flow-jump-float"),
-        pytest.param(lambda: HybridAutomaton(2.5, ("a",), {"a": decay}, ()),
-                     r"^HybridAutomaton\.dim must be an integer, got 2\.5",
-                     id="automaton-float"),
-        pytest.param(lambda: HybridAutomaton(1, (), {}, ()),
-                     "at least one mode", id="no-modes"),
-        pytest.param(lambda: HybridAutomaton(1, ("a",), {}, ()),
-                     "mode 'a' has no flow", id="no-flow"),
-        pytest.param(
-            lambda: HybridAutomaton(
-                1, ("a",), {"a": decay}, (Edge("a", "b", _always, _identity),)
-            ),
-            "edge 'a->b' references unknown modes", id="edge-mode",
-        ),
-        pytest.param(lambda: HybridAutomaton(1, ("a", "b", "a"), {"a": decay, "b": decay}, ()),
-                     "^mode 'a' is listed twice$", id="repeated-mode"),
-        pytest.param(lambda: simulate(FlowJumpSystem(1, decay), [10**400], 1.0, 1, 0.1),
-                     "x0 entries must be finite", id="huge-int-x0"),
-    ],
-)
-def test_systems_input_checks(call, fragment):
-    with pytest.raises(ArgumentError, match=fragment):
-        call()
 
 
 def _reset_to_inf():

@@ -22,6 +22,7 @@ from hdsim import (
 )
 
 from oracles import integrate_flow, simulate_switched
+from refusals import refusal_test
 
 
 def test_signal_is_right_continuous():
@@ -143,38 +144,9 @@ def test_validation_errors():
 _F1, _F2 = (lambda x, t: -x), (lambda x, t: -2 * x)
 
 
-@pytest.mark.parametrize(
-    "kwargs, fragment",
-    [
-        pytest.param(dict(dim=0), "dimension must be >= 1, got 0", id="dim-0"),
-        pytest.param(dict(dim=2.5), r"^SwitchedSystem\.dim must be an integer, got 2\.5",
-                     id="dim-float"),
-        pytest.param(dict(dim=True), r"^SwitchedSystem\.dim must be an integer, got True",
-                     id="dim-bool"),
-        pytest.param(
-            dict(mode_sequence=(1.5, 2)),
-            r"^SwitchedSystem\.mode_sequence entries must be integers, got 1\.5",
-            id="mode-float",
-        ),
-        pytest.param(
-            dict(mode_sequence=(True, 2)),
-            r"^SwitchedSystem\.mode_sequence entries must be integers, got True",
-            id="mode-bool",
-        ),
-        pytest.param(
-            dict(mode_sequence=(1, 2, 1), switch_times=(0.2, 0.2)),
-            "switch instants must be strictly increasing", id="equal-instants",
-        ),
-        pytest.param(
-            dict(mode_sequence=(1, 2, 1), switch_times=(0.2, 0.1)),
-            "switch instants must be strictly increasing", id="decreasing-instants",
-        ),
-    ],
+test_a_switched_system_refuses_a_bad_dimension_index_or_instant = refusal_test(
+    "test_a_switched_system_refuses_a_bad_dimension_index_or_instant"
 )
-def test_a_switched_system_refuses_a_bad_dimension_index_or_instant(kwargs, fragment):
-    args = dict(dim=1, fields=(_F1, _F2), mode_sequence=(1, 2), switch_times=(0.1,))
-    with pytest.raises(ArgumentError, match=fragment):
-        SwitchedSystem(**{**args, **kwargs})
 
 
 def test_numpy_integer_dimension_and_indices_are_integers():
