@@ -92,8 +92,14 @@ def require_args(owner: str = "", **values) -> None:
 
 
 def float_array(values) -> np.ndarray:
-    """``values`` as a float array; text, which numpy reads as its number, and a
-    complex number, whose imaginary part numpy drops, are a ``ValueError``."""
+    """``values`` as a float array; text, which numpy reads as its number, bytes
+    (a ``bytearray`` or a ``memoryview`` of bytes, which numpy reads as their
+    byte codes) and a complex number, whose imaginary part numpy drops, are a
+    ``ValueError``."""
+    if isinstance(values, bytearray) or (
+        isinstance(values, memoryview) and isinstance(values.obj, (bytes, bytearray))
+    ):
+        raise ValueError(f"no real number: {values!r}")
     raw = np.asarray(values)
     kind = raw.dtype.kind
     unreal = (str, bytes, complex, np.complexfloating)

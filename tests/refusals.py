@@ -184,6 +184,15 @@ REFUSALS = {  # test: its rows (id, entry point, argument, value, message[, erro
          r"^state entries must be finite reals, got \['1', '2\.5'\]$"),
         ("bytes-entries", "as_state", "values", [b"1", b"2"],
          r"^state entries must be finite reals, got \[b'1', b'2'\]$"),
+        # numpy reads a bytearray, or a memoryview of bytes, as its byte codes
+        ("bytearray", "as_state", "values", bytearray(b"12"),
+         r"^state entries must be finite reals, got bytearray\(b'12'\)$"),
+        ("memoryview-bytes", "as_state", "values", memoryview(b"12"),
+         "^state entries must be finite reals, got <memory at "),
+        ("memoryview-bytearray", "as_state", "values", memoryview(bytearray(b"12")),
+         "^state entries must be finite reals, got <memory at "),
+        ("box-bytearray", "box_sampler", "lo", bytearray(b"\0"),
+         "^box bounds and their width hi - lo must be finite$"),
         ("text-x0", "simulate", "x0", ["1"], r"^x0 entries must be finite reals, got \['1'\]$"),
         ("complex-entries", "as_state", "values", [1j, 0.0], r"^state entries .*, got \[1j, 0\.0\]$"),
         ("complex-array", "as_state", "values", np.array([1j, 0.0]),  # numpy drops 1j

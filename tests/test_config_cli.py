@@ -731,6 +731,21 @@ SMIB_TRIPS = (
     "verify.omega_half_width = 6\nseed = 7\n"
 )
 INVERTER_REF = "model = inverter\nseed = 42\n"
+# a 1 s run through ten voltage dips, each below v_low and back above v_high
+INVERTER_TEN_DIPS = (
+    "model = inverter\nhorizon = 1.0\nmax_jumps = 100\nseed = 3\n"
+    "inverter.profile = 0:1, "
+    "0.02:1, 0.028:0.55, 0.05:0.55, 0.058:1, "
+    "0.115:1, 0.125:0.4, 0.14:0.4, 0.15:1, "
+    "0.23:1, 0.234:0.7, 0.26:0.7, 0.27:1, "
+    "0.31:1, 0.322:0.62, 0.335:0.62, 0.345:1, "
+    "0.425:1, 0.431:0.45, 0.455:0.45, 0.461:1, "
+    "0.52:1, 0.53:0.5, 0.54:0.5, 0.552:1, "
+    "0.618:1, 0.626:0.66, 0.652:0.66, 0.657:1, "
+    "0.72:1, 0.725:0.42, 0.75:0.42, 0.762:1, "
+    "0.813:1, 0.82:0.58, 0.84:0.58, 0.848:1, "
+    "0.928:1, 0.937:0.48, 0.952:0.48, 0.96:1, 1:1\n"
+)
 GOLDEN_EVENT_PATH_DIGESTS = {
     # test id: (config, command, output file, SHA-256)
     "simulate-trajectory_smib.csv": (
@@ -748,6 +763,10 @@ GOLDEN_EVENT_PATH_DIGESTS = {
     "verify-inverter-verify_report.txt": (
         INVERTER_REF, "verify", "verify_report.txt",
         "b62bcd3de2fd3ccb52837ecfc5d518976bcfbafdd6bdc349555f30f9e8bd1eeb",
+    ),
+    "simulate-ten-dips-trajectory_inverter.csv": (
+        INVERTER_TEN_DIPS, "simulate", "trajectory_inverter.csv",
+        "88e29fb9ce26c3d7d69fbae221b4f6d9394557fc0a044151ad77610fb5a3e5f7",
     ),
 }
 

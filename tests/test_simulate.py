@@ -34,7 +34,7 @@ from hdsim.integrate import rk4_step
 from hdsim.power import SmibParams, smib_state, smib_system
 from hdsim.report import ROW_CHUNK, fmt
 from hdsim.simulate import Stepper, next_event, next_grid_time
-from hdsim.systems import ARGUMENT_RULES
+from hdsim.systems import ARGUMENT_RULES, as_state
 
 from refusals import REFUSALS, refusal_test
 
@@ -417,6 +417,18 @@ def test_flow_containment_between_jumps():
         assert s.state[0] >= 0.4 - 1e-6
 
 
+def test_a_step_end_state_is_refused_exactly_when_an_entry_is_not_finite():
+    # a sum of finite entries may overflow; it is no failure
+    still = lambda x, t: np.zeros_like(x)
+    for x in ([1.7e308, 1.7e308], [-1.7e308, -1.7e308, 5e-324]):
+        x_next, event = next_event((), still, np.array(x), 0.0, 0.1)
+        assert x_next.tolist() == x and event is None
+    for bad in ([math.inf, 0.0], [1.0, math.nan], [math.inf, -math.inf],
+                np.array([0.0, math.inf], dtype=np.float32), [[1.0], [math.nan]]):
+        with pytest.raises(NumericalFailureError, match="non-finite state while flowing"):
+            next_event((), still, np.zeros(2), 0.0, 0.1, x_next=np.asarray(bad))
+
+
 def test_one_localization_probes_each_time_once(monkeypatch):
     # Out-of-step SMIB: line 1 trips at t ~ 0.4979, inside the step to 0.5.
     system = smib_system(SmibParams(p_m=2.0, d=0.5))
@@ -542,6 +554,12 @@ def test_compare_runs_femtosecond_steps_to_its_horizon(tmp_path, capsys):
 
 test_simulate_input_checks = refusal_test("test_simulate_input_checks")
 test_systems_input_checks = refusal_test("test_systems_input_checks")
+
+
+def test_a_memoryview_of_numbers_reads_as_its_numbers():
+    # only a view of bytes is refused as text (test_systems_input_checks)
+    assert as_state(memoryview(np.array([1.0, 2.0]))).tolist() == [1.0, 2.0]
+    assert as_state(memoryview(np.array([49, 50], dtype=np.uint8))).tolist() == [49.0, 50.0]
 
 
 def test_every_argument_rule_has_a_refusal_case():
