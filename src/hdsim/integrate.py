@@ -3,8 +3,6 @@
 The whole toolkit runs on a deterministic fixed-step RK4 grid: the same
 inputs always produce bit-identical trajectories, and event localization
 can split a step without changing the arithmetic of neighbouring steps.
-One float64 state steps in Python floats, with the bits of its column in a
-batch step.
 """
 
 from __future__ import annotations
@@ -36,19 +34,6 @@ trial step and a computed state for every repeated query time.
 """
 
 
-_FLOAT = np.dtype(float)
-
-
-def is_float_vector(a) -> bool:
-    """Whether ``a`` is a 1-D float64 ``np.ndarray`` (not a subclass)."""
-    return type(a) is np.ndarray and a.dtype is _FLOAT and a.ndim == 1
-
-
-def _like(k, x: np.ndarray) -> bool:
-    """Whether the stage ``k`` is a float64 ``np.ndarray`` of ``x``'s shape."""
-    return type(k) is np.ndarray and k.dtype is _FLOAT and k.shape == x.shape
-
-
 def rk4_step(
     field: VectorField,
     x: np.ndarray,
@@ -60,42 +45,10 @@ def rk4_step(
 
     ``k1`` is ``field(x, t)`` when the caller already holds it; it does not
     depend on ``h``, so several steps from one ``(x, t)`` can share it.
-
-    A float64 state ``x`` with a float step ``h`` forms its stage states and
-    its end state in Python floats, in the order of the batch expressions, so
-    it gets the bits of its column in a batch step.  From the first stage that
-    is no float64 array of ``x``'s shape on, the step takes numpy's
-    expressions, as any other ``x`` or ``h`` does.
     """
     if k1 is None:
         k1 = field(x, t)
-    if not (is_float_vector(x) and isinstance(h, float) and _like(k1, x)):
-        return _numpy_rk4(field, x, t, h, [k1])
-    xs, half, t_half = x.tolist(), float(0.5 * h), t + 0.5 * h
-    a = k1.tolist()
-    k2 = field(np.array([xi + half * ai for xi, ai in zip(xs, a)]), t_half)
-    if not _like(k2, x):
-        return _numpy_rk4(field, x, t, h, [k1, k2])
-    b = k2.tolist()
-    k3 = field(np.array([xi + half * bi for xi, bi in zip(xs, b)]), t_half)
-    if not _like(k3, x):
-        return _numpy_rk4(field, x, t, h, [k1, k2, k3])
-    c = k3.tolist()
-    whole = float(h)
-    k4 = field(np.array([xi + whole * ci for xi, ci in zip(xs, c)]), t + h)
-    if not _like(k4, x):
-        return _numpy_rk4(field, x, t, h, [k1, k2, k3, k4])
-    sixth = float(h / 6.0)
-    return np.array([
-        xi + sixth * (((ai + 2.0 * bi) + 2.0 * ci) + di)
-        for xi, ai, bi, ci, di in zip(xs, a, b, c, k4.tolist())
-    ])
-
-
-def _numpy_rk4(field: VectorField, x, t: float, h: float, ks: list) -> np.ndarray:
-    """The RK4 step in numpy's expressions, ``ks`` its stages computed so far."""
-    stages = ((0.5 * h, t + 0.5 * h), (0.5 * h, t + 0.5 * h), (h, t + h))
-    for scale, s in stages[len(ks) - 1:]:
-        ks.append(field(x + scale * ks[-1], s))
-    k1, k2, k3, k4 = ks
+    k2 = field(x + 0.5 * h * k1, t + 0.5 * h)
+    k3 = field(x + 0.5 * h * k2, t + 0.5 * h)
+    k4 = field(x + h * k3, t + h)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

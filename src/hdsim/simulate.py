@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import AmbiguousTransitionError, ArgumentError, NumericalFailureError
 from .events import LOCATE_TOL, locate_event
-from .integrate import is_float_vector, rk4_step
+from .integrate import rk4_step
 from .systems import (
     Edge,
     FlowJumpSystem,
@@ -106,9 +106,12 @@ def next_event(
     if x_next is None:
         k1 = flow(x, t)
         x_next = rk4_step(flow, x, t, t_next - t, k1)
-    # a finite sum proves every entry finite; one that overflows (or another
-    # kind of state) takes the exact test
-    finite = is_float_vector(x_next) and math.isfinite(sum(x_next.tolist()))
+    # a finite sum proves every entry of a float64 vector finite; a sum that
+    # overflows, and any other kind of state, takes the exact test
+    finite = (
+        type(x_next) is np.ndarray and x_next.dtype == float and x_next.ndim == 1
+        and math.isfinite(sum(x_next.tolist()))
+    )
     if not finite and not np.isfinite(x_next).all():
         raise NumericalFailureError(
             f"non-finite state while flowing to t={t_next}", time=t_next

@@ -6,9 +6,6 @@ check the guard-localized simulation against a computation that shares
 none of its event machinery:
 
 * :func:`integrate_flow` integrates one vector field with no events;
-* :func:`numpy_rk4_step` takes one RK4 step in numpy's array expressions,
-  as :func:`hdsim.integrate.rk4_step` does for a batch, and which a
-  single float64 state must match bit for bit in Python floats;
 * :func:`simulate_switched` integrates a switched system segment by
   segment, splitting steps at the known switch instants, which the
   lift-equivalence tests compare bitwise with the lifted simulation;
@@ -93,15 +90,6 @@ def integrate_flow(
         t = t_next
         samples.append((t, x.copy()))
     return samples
-
-
-def numpy_rk4_step(field: VectorField, x, t: float, h: float) -> np.ndarray:
-    """One classic RK4 step of ``field`` from ``(t, x)``, in numpy's array expressions."""
-    k1 = field(x, t)
-    k2 = field(x + 0.5 * h * k1, t + 0.5 * h)
-    k3 = field(x + 0.5 * h * k2, t + 0.5 * h)
-    k4 = field(x + h * k3, t + h)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def simulate_switched(
