@@ -1,22 +1,11 @@
-"""Fixed-step RK4 checks, run through the ``integrate_flow`` test oracle, and
-the single-state step against its column in a batch step."""
+"""Fixed-step RK4 checks, run through the ``integrate_flow`` test oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hdsim import ArgumentError, ExperimentConfig, NumericalFailureError
-from hdsim.integrate import rk4_step
-from hdsim.power import (
-    InverterParams,
-    SmibParams,
-    blended_flow,
-    gfl_flow,
-    gfm_flow,
-    smib_system,
-)
-from hdsim.simulate import quiet_overflow
+from hdsim import ArgumentError, NumericalFailureError
 
 from oracles import integrate_flow
 
@@ -82,39 +71,3 @@ def test_nonfinite_initial_derivative_rejected():
         integrate_flow(
             lambda x, t: np.array([float("nan")]), np.array([1.0]), 0.0, 0.1, 1e-2
         )
-
-
-_P = InverterParams()
-_V_GRID = ExperimentConfig().scenario().v_grid
-FIELDS = {  # name: (field, state dimension)
-    "gfl": (lambda x, t: gfl_flow(x, _V_GRID(t), _P), 4),
-    "gfm": (lambda x, t: gfm_flow(x, _P), 4),
-    "blended": (lambda x, t: blended_flow(x, _V_GRID(t), _P), 4),
-    "smib": (smib_system(SmibParams()).flow_map, 3),
-    "linear": (lambda x, t: np.array([x[1], -2.0 * x[0] - 0.5 * x[1] + t]), 2),
-}
-EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.0e-310, 1e308, -1e308, math.inf, -math.inf,
-               math.nan, 0.37, -2.9)
-
-
-def _bits_nan_as_one(a):
-    a = np.array(a, dtype=float)
-    a[np.isnan(a)] = np.nan  # numpy's loops may carry a NaN's sign differently
-    return a.view(np.int64)
-
-
-@pytest.mark.parametrize("name", sorted(FIELDS))
-@quiet_overflow
-def test_one_state_steps_to_the_bits_of_its_batch_column(name):
-    # the EKF steps its mean and Jacobian columns as one batch; each column
-    # must be the bits of its own single-state step
-    field, n = FIELDS[name]
-    rng = np.random.default_rng(3)
-    batch = np.hstack((rng.choice(EDGE_FLOATS, (n, 300)), rng.uniform(-3.0, 3.0, (n, 60))))
-    # the grid voltage before, in and after the dip; a step that overflows
-    # and a subnormal one
-    for t, h in ((0.0, 1e-4), (0.055, 1e-4), (0.1, 0.37), (0.15, 1e300), (0.05, 5e-324)):
-        got = rk4_step(field, batch, t, h)
-        for j in range(batch.shape[1]):
-            want = rk4_step(field, batch[:, j].copy(), t, h)
-            assert np.array_equal(_bits_nan_as_one(got[:, j]), _bits_nan_as_one(want))
