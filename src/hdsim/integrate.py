@@ -11,6 +11,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+_FLOAT64 = np.dtype(np.float64)
+_TWO = np.array(2.0)
+_TWO.flags.writeable = False
+
 VectorField = Callable[[np.ndarray, float], np.ndarray]
 """``f(x, t)``: the time derivative of the state ``x`` at time ``t``.
 
@@ -45,10 +49,20 @@ def rk4_step(
 
     ``k1`` is ``field(x, t)`` when the caller already holds it; it does not
     depend on ``h``, so several steps from one ``(x, t)`` can share it.
+
+    When ``k1`` is a float64 array, the stage coefficients ``0.5*h``, ``h``,
+    ``h/6`` and ``2.0`` enter as 0-d float64 arrays, which numpy takes
+    without converting a Python float on every operation (NEP 50); against
+    float64 and integer stages they give the Python floats' bits.  Any
+    other ``k1`` (float32, integers, a scalar) keeps the Python floats, so
+    every state and field gives the bits and dtype of the plain formula.
     """
     if k1 is None:
         k1 = field(x, t)
-    k2 = field(x + 0.5 * h * k1, t + 0.5 * h)
-    k3 = field(x + 0.5 * h * k2, t + 0.5 * h)
-    k4 = field(x + h * k3, t + h)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half, whole, sixth, two = 0.5 * h, h, h / 6.0, 2.0
+    if type(k1) is np.ndarray and k1.dtype is _FLOAT64:
+        half, whole, sixth, two = np.array(half), np.array(whole), np.array(sixth), _TWO
+    k2 = field(x + half * k1, t + 0.5 * h)
+    k3 = field(x + half * k2, t + 0.5 * h)
+    k4 = field(x + whole * k3, t + h)
+    return x + sixth * (k1 + two * k2 + two * k3 + k4)

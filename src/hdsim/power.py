@@ -93,7 +93,16 @@ class PiecewiseLinearProfile:
 
 @dataclass(frozen=True)
 class InverterParams:
-    """Per-unit inverter filter and mode-switching parameters."""
+    """Per-unit inverter filter and mode-switching parameters.
+
+    Built, the record also holds the batch paths' operands of
+    :func:`gfl_flow` and :func:`gfm_flow` as read-only 0-d float64 arrays
+    (``_r_pu``, ``_wl`` for ``omega*l_pu``, ``_l_pu``, ``_tau_v``,
+    ``_v_ref``, ``_tau_i``): numpy takes them without converting a Python
+    float on every operation (NEP 50), with the same bits.  They are not
+    fields, so equality, hashing, ``repr`` and ``dataclasses.replace`` see
+    only the numbers; a copy or a pickle is rebuilt from those numbers.
+    """
 
     l_pu: float = 0.0189
     r_pu: float = 1.89
@@ -117,6 +126,17 @@ class InverterParams:
             raise ArgumentError("tracking time constants must be positive")
         if not self.i_lim > 0.0:
             raise ArgumentError("current limit must be positive")
+        for name, value in (
+            ("_r_pu", self.r_pu), ("_wl", self.omega * self.l_pu), ("_l_pu", self.l_pu),
+            ("_tau_v", self.tau_v), ("_v_ref", self.v_ref), ("_tau_i", self.tau_i),
+        ):
+            operand = np.array(value)
+            operand.flags.writeable = False
+            object.__setattr__(self, name, operand)
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy makes its own read-only operands
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def gfl_flow(x, v_grid: float, p: InverterParams) -> np.ndarray:
@@ -126,22 +146,17 @@ def gfl_flow(x, v_grid: float, p: InverterParams) -> np.ndarray:
     track the measured grid voltage (d-axis) and zero (q-axis) with time
     constant ``tau_v``.  ``x`` is a state or a batch of state columns; a
     single state is evaluated in Python floats and a batch by row pairs
-    (:func:`_row_pairs`), each column to the single state's bits.
+    (:func:`_row_pairs`, :func:`_gfl_rows`) with the record's 0-d
+    operands, each column to the single state's bits.
     """
     if len(x) != 4:
         raise ValueError(f"an inverter state has 4 rows, got {len(x)}")
-    wl = p.omega * p.l_pu
     if getattr(x, "ndim", 1) > 1:
         x = np.asarray(x, float)  # a float32 batch computes in float64, as a state does
-        out, top, bottom = _row_pairs(x, p.r_pu, wl)
-        np.subtract(x[2:], top, out=top)  # v - r i
-        top += bottom  # + [wl i_q, -wl i_d]
-        top /= p.l_pu
-        np.negative(x[2:], out=bottom)
-        d_axis = bottom[0]
-        d_axis += v_grid  # v_grid - v_d
-        bottom /= p.tau_v
+        out, top, bottom = _row_pairs(x, p)
+        _gfl_rows(x, top, bottom, v_grid, p)
         return out
+    wl = p.omega * p.l_pu
     i_d, i_q, v_d, v_q = x.tolist() if isinstance(x, np.ndarray) else x
     return np.array(
         [
@@ -159,7 +174,8 @@ def gfm_flow(x, p: InverterParams) -> np.ndarray:
     The d/q voltage equations are the forming laws; the current states
     track the algebraic droop currents ``(v_ref - v_d)/r`` and ``-v_q/r``
     with time constant ``tau_i``.  Like :func:`gfl_flow`, it evaluates a
-    single state in Python floats and a batch by row pairs.
+    single state in Python floats and a batch by row pairs
+    (:func:`_row_pairs`, :func:`_gfm_rows`).
 
     The field is open-loop unstable: at the default ``InverterParams`` its
     eigenvalues are about +50.4 +- 0.48j and -1050.4 +- 0.48j s^-1 (see
@@ -168,19 +184,12 @@ def gfm_flow(x, p: InverterParams) -> np.ndarray:
     """
     if len(x) != 4:
         raise ValueError(f"an inverter state has 4 rows, got {len(x)}")
-    wl = p.omega * p.l_pu
     if getattr(x, "ndim", 1) > 1:
         x = np.asarray(x, float)
-        out, top, bottom = _row_pairs(x, p.r_pu, wl)
-        bottom -= top  # [wl i_q, -wl i_d] - r i
-        bottom /= p.l_pu
-        np.negative(x[2:], out=top)
-        d_axis = top[0]
-        d_axis += p.v_ref  # v_ref - v_d
-        top /= p.r_pu  # the droop currents
-        top -= x[:2]
-        top /= p.tau_i
+        out, top, bottom = _row_pairs(x, p)
+        _gfm_rows(x, top, bottom, p)
         return out
+    wl = p.omega * p.l_pu
     i_d, i_q, v_d, v_q = x.tolist() if isinstance(x, np.ndarray) else x
     i_d_alg = (p.v_ref - v_d) / p.r_pu
     i_q_alg = -v_q / p.r_pu
@@ -194,22 +203,48 @@ def gfm_flow(x, p: InverterParams) -> np.ndarray:
     )
 
 
-def _row_pairs(x, r, wl):
-    """A new array shaped like the batch ``x`` and its two row-pair views:
-    rows 0-1 hold ``r * [i_d, i_q]`` and rows 2-3 ``[wl * i_q, -wl * i_d]``.
+def _row_pairs(x, p):
+    """A new array shaped like the float64 batch ``x`` and its two row-pair
+    views: rows 0-1 hold ``r_pu * [i_d, i_q]`` and rows 2-3
+    ``[wl * i_q, -wl * i_d]`` with ``wl = omega * l_pu``, the start the GFL
+    and GFM laws share.
 
-    The fields finish each pair in place with the single state's operations
-    reordered only where IEEE arithmetic is exact (``a - b`` is
-    ``a + (-b)``, ``+`` commutes, ``-(wl * i_d)`` is ``(-wl) * i_d``), so
-    every column's floats equal the single state's; a NaN's sign may differ.
+    :func:`_gfl_rows` and :func:`_gfm_rows` finish each pair in place with
+    the single state's operations reordered only where IEEE arithmetic is
+    exact (``a - b`` is ``a + (-b)``, ``+`` commutes, ``-(wl * i_d)`` is
+    ``(-wl) * i_d``), so every column's floats equal the single state's; a
+    NaN's sign may differ.
     """
     out = np.empty(x.shape)
     top, bottom = out[:2], out[2:]
-    np.multiply(x[:2], r, out=top)
-    np.multiply(x[1::-1], wl, out=bottom)
+    np.multiply(x[:2], p._r_pu, out=top)
+    np.multiply(x[1::-1], p._wl, out=bottom)
     q_axis = bottom[1]
     np.negative(q_axis, out=q_axis)
     return out, top, bottom
+
+
+def _gfl_rows(x, top, bottom, v_grid, p):
+    """Finish the GFL law on :func:`_row_pairs`' views of the batch ``x``."""
+    np.subtract(x[2:], top, out=top)  # v - r i
+    top += bottom  # + [wl i_q, -wl i_d]
+    top /= p._l_pu
+    np.negative(x[2:], out=bottom)
+    d_axis = bottom[0]
+    d_axis += v_grid  # v_grid - v_d
+    bottom /= p._tau_v
+
+
+def _gfm_rows(x, top, bottom, p):
+    """Finish the GFM law on :func:`_row_pairs`' views of the batch ``x``."""
+    bottom -= top  # [wl i_q, -wl i_d] - r i
+    bottom /= p._l_pu
+    np.negative(x[2:], out=top)
+    d_axis = top[0]
+    d_axis += p._v_ref  # v_ref - v_d
+    top /= p._r_pu  # the droop currents
+    top -= x[:2]
+    top /= p._tau_i
 
 
 def mode_sigmoid(v_grid: float, p: InverterParams) -> float:
@@ -228,10 +263,22 @@ def mode_sigmoid(v_grid: float, p: InverterParams) -> float:
 
 
 def blended_flow(x, v_grid: float, p: InverterParams) -> np.ndarray:
-    """Sigmoid-weighted interpolation between the GFL and GFM fields."""
+    """Sigmoid-weighted interpolation between the GFL and GFM fields.
+
+    A batch evaluates the row pairs the two laws share once (a copy serves
+    GFM), then finishes each law as :func:`gfl_flow` and :func:`gfm_flow`
+    do; a single state calls the two fields.
+    """
     s = mode_sigmoid(v_grid, p)
-    gfl = gfl_flow(x, v_grid, p)
-    gfm = gfm_flow(x, p)
+    if getattr(x, "ndim", 1) > 1 and len(x) == 4:
+        x = np.asarray(x, float)
+        gfl, top, bottom = _row_pairs(x, p)
+        gfm = gfl.copy()
+        _gfl_rows(x, top, bottom, v_grid, p)
+        _gfm_rows(x, gfm[:2], gfm[2:], p)
+    else:
+        gfl = gfl_flow(x, v_grid, p)
+        gfm = gfm_flow(x, p)
     np.multiply(s, gfl, out=gfl)
     np.multiply(1.0 - s, gfm, out=gfm)
     return np.add(gfl, gfm, out=gfl)

@@ -6,6 +6,9 @@ check the guard-localized simulation against a computation that shares
 none of its event machinery:
 
 * :func:`integrate_flow` integrates one vector field with no events;
+* :func:`python_float_rk4_step` is the RK4 step written with Python-float
+  coefficients, against which :func:`hdsim.integrate.rk4_step`'s 0-d
+  operands must keep every bit and dtype;
 * :func:`simulate_switched` integrates a switched system segment by
   segment, splitting steps at the known switch instants, which the
   lift-equivalence tests compare bitwise with the lifted simulation;
@@ -90,6 +93,18 @@ def integrate_flow(
         t = t_next
         samples.append((t, x.copy()))
     return samples
+
+
+def python_float_rk4_step(
+    field: VectorField, x, t: float, h: float, k1: Optional[np.ndarray] = None
+):
+    """One classic RK4 step whose coefficients are Python floats."""
+    if k1 is None:
+        k1 = field(x, t)
+    k2 = field(x + 0.5 * h * k1, t + 0.5 * h)
+    k3 = field(x + 0.5 * h * k2, t + 0.5 * h)
+    k4 = field(x + h * k3, t + h)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def simulate_switched(

@@ -268,7 +268,9 @@ def test_a_batch_column_is_bitwise_its_single_state_evaluation(name, r_pu):
     field, p = INVERTER_FIELDS[name], replace(P_INV, r_pu=r_pu)
     rng = np.random.default_rng(5)
     batch = np.hstack((rng.choice(EDGE_FLOATS, (4, 400)), rng.uniform(-3.0, 3.0, (4, 9))))
-    times = (0.0, 0.05, 0.1, 0.15)  # the grid voltage before, in and after the dip
+    # the grid voltage before, in and after the dip; at 0.053 it is 0.85, the
+    # sigmoid's midpoint, where both of the blend's weights are near 0.5
+    times = (0.0, 0.05, 0.053, 0.1, 0.15)
     for t, dtype in itertools.product(times, (np.float64, np.float32)):
         cast = batch.astype(dtype)
         got = field(cast, t, p)

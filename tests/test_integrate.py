@@ -1,13 +1,14 @@
-"""Fixed-step RK4 checks, run through the ``integrate_flow`` test oracle."""
+"""Fixed-step RK4 checks, run through the ``integrate_flow`` and
+``python_float_rk4_step`` test oracles."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hdsim import ArgumentError, NumericalFailureError
+from hdsim import ArgumentError, NumericalFailureError, rk4_step
 
-from oracles import integrate_flow
+from oracles import integrate_flow, python_float_rk4_step
 
 
 def test_constant_field_stays_put():
@@ -71,3 +72,34 @@ def test_nonfinite_initial_derivative_rejected():
         integrate_flow(
             lambda x, t: np.array([float("nan")]), np.array([1.0]), 0.0, 0.1, 1e-2
         )
+
+
+def cubic(x, t):
+    # keeps a float32 state's dtype: numpy casts the Python floats to it
+    x = np.asarray(x)
+    return 0.3 - x * x * x + t * x
+
+
+RK4_CASES = {
+    "float64-state": (cubic, np.array([0.4, -1.3, 2.0, 1e-3])),
+    "float64-batch": (cubic, np.random.default_rng(3).uniform(-2.0, 2.0, (4, 9))),
+    "float32-state-and-field": (cubic, np.array([0.4, -1.3, 2.0, 1e-3], np.float32)),
+    "integer-state": (cubic, np.array([1, -2, 0, 3])),
+    "integer-state-and-field": (lambda x, t: -x, np.array([1, -2, 0, 3])),
+    "list-state": (cubic, [0.4, -1.3, 2, 0]),
+    "float32-field": (lambda x, t: cubic(x, t).astype(np.float32),
+                      np.array([0.4, -1.3, 2.0, 1e-3])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RK4_CASES))
+def test_rk4_step_keeps_the_python_float_formula_bits_and_dtype(case):
+    field, x = RK4_CASES[case]
+    rng = np.random.default_rng(17)
+    for t, h in zip(rng.uniform(0.0, 1.0, 20), 10.0 ** rng.uniform(-7.0, -0.5, 20)):
+        t, h = float(t), float(h)
+        want = python_float_rk4_step(field, x, t, h)
+        for k1 in (None, field(x, t)):
+            got = rk4_step(field, x, t, h, k1)
+            assert type(got) is type(want) and got.dtype == want.dtype
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

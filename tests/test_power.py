@@ -1,6 +1,8 @@
 """Inverter and SMIB model checks."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -462,6 +464,24 @@ def test_a_model_parameter_given_a_sequence_is_refused():
         ArgumentError, match=r"InverterParams\.omega must be finite, got \(1\.0,\)"
     ):
         InverterParams(omega=(1.0,))
+
+
+def test_inverter_batch_operands_are_read_only_and_outside_the_fields():
+    p = replace(P, r_pu=2.5, omega=0.9)
+    for name, want in (("_r_pu", 2.5), ("_wl", 0.9 * P.l_pu), ("_l_pu", P.l_pu),
+                       ("_tau_v", P.tau_v), ("_v_ref", P.v_ref), ("_tau_i", P.tau_i)):
+        operand = getattr(p, name)
+        assert operand.shape == () and operand.dtype == np.float64 and operand == want
+        with pytest.raises(ValueError, match="read-only"):
+            operand[()] = 1.0
+    assert P == InverterParams() and hash(P) == hash(InverterParams())
+    assert repr(P) == repr(InverterParams()) and "_r_pu" not in repr(P)
+    batch = np.random.default_rng(2).uniform(-2.0, 2.0, (4, 9))
+    for copied in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert copied == p and not copied._wl.flags.writeable
+        for field in (lambda q: gfl_flow(batch, 0.7, q), lambda q: gfm_flow(batch, q),
+                      lambda q: blended_flow(batch, 0.85, q)):
+            assert field(copied).tobytes() == field(p).tobytes()
 
 
 def test_smib_parameters_are_a_record_of_numbers():
